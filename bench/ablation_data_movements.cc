@@ -82,8 +82,9 @@ class HostDestagingNvdimmBackend : public db::NvdimmBackend {
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::FlagSet({}).Parse(argc, argv);
   bench::PrintHeader("Ablation A: host data movements per logged byte");
   std::printf("%-22s %10s %14s %16s %14s\n", "method", "txn/s",
               "log_MB", "host_bus_MB", "movements/byte");

@@ -71,8 +71,9 @@ void RunOne(core::ReplicationProtocol protocol, const char* name,
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::FlagSet({}).Parse(argc, argv);
   bench::PrintHeader(
       "Ablation B: replication protocols (2 secondaries, one slow)");
   std::printf("%-8s %10s %10s %10s %10s %10s %10s\n", "proto", "min_us",

@@ -8,17 +8,9 @@
 //   check_campaign --replay counterexample.trace
 //   check_campaign --plant-bug --runs 50 --shrink
 //
-// Flags:
-//   --runs N       schedules to run (seeds seed, seed+1, ...; default 100)
-//   --seed S       first seed (default 1)
-//   --ops N        ops per generated schedule (default 40)
-//   --shrink       minimize a failing schedule before exiting
-//   --dump-dir D   where failing traces go (default ".")
-//   --replay PATH  run one schedule from a dumped trace file and exit
-//   --plant-bug    enable the planted early-credit ordering bug; the
-//                  campaign then must find a divergence and shrink it to
-//                  <= 15 ops, and exits non-zero if the oracle misses it
-//                  (the self-test CI gates on)
+// With --plant-bug the campaign must find a divergence and shrink it to
+// <= 15 ops, and exits non-zero if the oracle misses it. `--help` lists
+// every flag.
 
 #include <cstdio>
 #include <fstream>
@@ -62,37 +54,25 @@ void PrintResult(uint64_t seed, const check::CheckResult& result) {
 }  // namespace
 
 int Main(int argc, char** argv) {
-  bench::BenchReporter reporter(argc, argv, "check_campaign");
-
   uint64_t first_seed = 1;
-  size_t runs = 100;
-  size_t ops = 40;
+  uint64_t runs = 100;
+  uint64_t ops = 40;
   bool shrink = false;
   bool plant_bug = false;
   std::string dump_dir = ".";
   std::string replay_path;
-
-  const auto& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
-      first_seed = std::stoull(args[++i]);
-    } else if (args[i] == "--runs" && i + 1 < args.size()) {
-      runs = std::stoul(args[++i]);
-    } else if (args[i] == "--ops" && i + 1 < args.size()) {
-      ops = std::stoul(args[++i]);
-    } else if (args[i] == "--shrink") {
-      shrink = true;
-    } else if (args[i] == "--plant-bug") {
-      plant_bug = true;
-    } else if (args[i] == "--dump-dir" && i + 1 < args.size()) {
-      dump_dir = args[++i];
-    } else if (args[i] == "--replay" && i + 1 < args.size()) {
-      replay_path = args[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", args[i].c_str());
-      return 2;
-    }
-  }
+  bench::BenchReporter reporter(
+      argc, argv, "check_campaign",
+      {{"--runs N", &runs, "schedules to run, seeds S, S+1, ... (default 100)"},
+       {"--seed S", &first_seed, "first seed (default 1)"},
+       {"--ops N", &ops, "ops per generated schedule (default 40)"},
+       {"--shrink", &shrink, "minimize a failing schedule before exiting"},
+       {"--dump-dir DIR", &dump_dir,
+        "where failing traces are written (default .)"},
+       {"--replay PATH", &replay_path,
+        "run one schedule from a dumped trace file and exit"},
+       {"--plant-bug", &plant_bug,
+        "plant the early-credit ordering bug; the run must catch it"}});
 
   check::CheckOptions options;
   options.plant_early_credit_bug = plant_bug;
@@ -153,26 +133,27 @@ int Main(int argc, char** argv) {
           "  planted bug caught; shrunk %zu -> %zu ops in %zu runs: %s\n",
           schedule.ops.size(), shrunk.schedule.ops.size(), shrunk.runs,
           shrunk.divergence.c_str());
-      WriteTrace(dump_dir + "/planted.trace", schedule);
-      WriteTrace(dump_dir + "/planted.shrunk.trace", shrunk.schedule);
+      int unwritten =
+          WriteTrace(dump_dir + "/planted.trace", schedule) +
+          WriteTrace(dump_dir + "/planted.shrunk.trace", shrunk.schedule);
       reporter.SetResult("planted", "found", 1);
       reporter.SetResult("planted", "shrunk_ops",
                          static_cast<double>(shrunk.schedule.ops.size()));
       reporter.SetResult("planted", "shrink_runs",
                          static_cast<double>(shrunk.runs));
-      if (!shrunk.still_failing ||
+      if (unwritten != 0 || !shrunk.still_failing ||
           shrunk.schedule.ops.size() > kPlantedShrinkTarget) {
         std::fprintf(stderr,
                      "FAIL: shrunk counterexample has %zu ops "
-                     "(target <= %zu) or stopped failing\n",
+                     "(target <= %zu), stopped failing, or was not "
+                     "written\n",
                      shrunk.schedule.ops.size(), kPlantedShrinkTarget);
         reporter.Finish();
         return 1;
       }
       std::printf("\nplanted-bug self-test passed (%zu-op counterexample)\n",
                   shrunk.schedule.ops.size());
-      reporter.Finish();
-      return 0;
+      return reporter.Finish();
     }
 
     // A real divergence: dump the schedule (and its minimized form) for

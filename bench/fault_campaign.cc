@@ -1,14 +1,13 @@
-// Fault campaign: run a replicated logging workload under a named (or
-// file-loaded) fault plan and verify the system's durability invariants
-// survived. Exits non-zero when any invariant breaks, so CI can sweep
-// plan × seed matrices and fail loudly.
+// Fault campaign: run a replicated logging workload under a fault plan and
+// verify the system's durability invariants survived. Exits non-zero when
+// any invariant breaks, so plan × seed matrices fail loudly.
 //
 //   fault_campaign --plan flash-fail --seed 3 --metrics out.json
 //
-// --plan accepts one of the embedded plans (flash-fail, ntb-flap,
-// crash-mid-destage — the same documents as bench/plans/*.json) or a path
-// to a plan file. A (plan, seed) pair is bit-deterministic: two runs
-// produce identical metric snapshots.
+// --plan takes a name under bench/plans/ (flash-fail, ntb-flap,
+// crash-mid-destage, retention-stress) or a path to a plan file. A (plan,
+// seed) pair is bit-deterministic: two runs produce identical metric
+// snapshots.
 
 #include <cstdio>
 #include <cstring>
@@ -27,54 +26,6 @@
 
 namespace xssd {
 namespace {
-
-struct EmbeddedPlan {
-  const char* name;
-  const char* json;
-};
-
-// Keep in sync with bench/plans/*.json (CI runs the names; the files are
-// the editable/documented form).
-constexpr EmbeddedPlan kEmbeddedPlans[] = {
-    {"flash-fail", R"({
-      "name": "flash-fail",
-      "faults": [
-        {"kind": "flash.program_fail", "at_us": 20, "duration_us": 400},
-        {"kind": "flash.program_fail", "at_us": 900, "duration_us": 2000,
-         "probability": 0.4}
-      ]
-    })"},
-    {"ntb-flap", R"({
-      "name": "ntb-flap",
-      "faults": [
-        {"kind": "ntb.link_down", "at_us": 0, "duration_us": 600},
-        {"kind": "ntb.link_stall", "at_us": 900, "duration_us": 300,
-         "probability": 0.5, "delay_us": 4}
-      ]
-    })"},
-    {"crash-mid-destage", R"({
-      "name": "crash-mid-destage",
-      "faults": [
-        {"kind": "crash", "site": "destage.emit_page", "after_hits": 4}
-      ]
-    })"},
-    {"retention-stress", R"({
-      "name": "retention-stress",
-      "faults": [
-        {"kind": "flash.retention", "at_us": 0, "duration_us": 2000000,
-         "probability": 0.3, "delay_us": 3000000},
-        {"kind": "flash.disturb", "at_us": 0, "duration_us": 2000000,
-         "probability": 0.5, "magnitude": 2000}
-      ]
-    })"},
-};
-
-Result<fault::FaultPlan> ResolvePlan(const std::string& arg) {
-  for (const EmbeddedPlan& p : kEmbeddedPlans) {
-    if (arg == p.name) return fault::ParseFaultPlan(p.json);
-  }
-  return fault::LoadFaultPlan(arg);
-}
 
 uint64_t TotalInjected(const fault::FaultInjector::Totals& t) {
   return t.flash_program_fails + t.flash_erase_fails +
@@ -285,33 +236,17 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "fault_campaign");
-
   std::string plan_arg = "flash-fail";
   uint64_t seed = 1;
-  const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--plan" && i + 1 < args.size()) {
-      plan_arg = args[++i];
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: fault_campaign [--plan name|path] [--seed N] "
-                   "[--metrics out.json]\n  embedded plans:");
-      for (const EmbeddedPlan& p : kEmbeddedPlans) {
-        std::fprintf(stderr, " %s", p.name);
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
-  }
-
-  Result<fault::FaultPlan> plan = ResolvePlan(plan_arg);
+  bench::BenchReporter reporter(
+      argc, argv, "fault_campaign",
+      {{"--plan NAME|PATH", &plan_arg,
+        "plan under bench/plans/ or plan file (default flash-fail)"},
+       {"--seed N", &seed, "seed (default 1)"}});
+  Result<fault::FaultPlan> plan = bench::LoadPlan(plan_arg);
   if (!plan.ok()) {
-    std::fprintf(stderr, "cannot load plan '%s': %s\n", plan_arg.c_str(),
-                 plan.status().ToString().c_str());
-    return 2;
+    reporter.Fail("cannot load plan '" + plan_arg +
+                  "': " + plan.status().ToString());
   }
 
   bench::PrintHeader("Fault campaign: " + plan->name + " (seed " +

@@ -124,11 +124,12 @@ RunResult RunOne(Method method, uint32_t workers, sim::SimTime measure,
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "fig09");
-  sim::SimTime measure = sim::Ms(400);
-  if (!reporter.positional().empty()) {
-    measure = sim::Ms(std::atoi(reporter.positional()[0].c_str()));
-  }
+  uint64_t measure_ms = 400;
+  bench::BenchReporter reporter(
+      argc, argv, "fig09",
+      {{"MEASURE_MS", &measure_ms, "measure window in ms (default 400)"}});
+  if (measure_ms == 0) reporter.Fail("MEASURE_MS must be a positive integer");
+  const sim::SimTime measure = sim::Ms(measure_ms);
 
   bench::PrintHeader("Figure 9: logging to local storage (TPC-C, 16 WH)");
   std::printf("%-14s %8s %14s %12s %10s %10s\n", "method", "workers",

@@ -73,8 +73,9 @@ double RunOne(core::BackingKind backing, pcie::MmioMode mode,
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::FlagSet({}).Parse(argc, argv);
   // Raw-intake runs intentionally lap the ring; silence the advisory note.
   SetLogLevel(LogLevel::kError);
   const uint32_t sizes[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};

@@ -73,8 +73,9 @@ CellResult RunOne(uint64_t queue_bytes, uint32_t write_bytes,
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::FlagSet({}).Parse(argc, argv);
   const uint32_t write_kb[] = {1, 2, 4, 8, 16, 32, 64};
   const uint64_t queue_kb[] = {4, 8, 16, 32, 64};
 

@@ -101,8 +101,9 @@ CellResult RunOne(ftl::SchedulingPolicy policy, double conv_frac,
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::FlagSet({}).Parse(argc, argv);
   const double fast_fracs[] = {0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60};
 
   bench::PrintHeader(

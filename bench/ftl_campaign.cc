@@ -3,7 +3,7 @@
 // bounded write amplification once GC runs continuously, bounded log-append
 // tail latency through GC storms (destage priority must hold), and exact
 // OOB mapping recovery from a mid-GC power cut. Exits non-zero when any
-// gate fails, so CI can sweep seeds and fail loudly.
+// gate fails, so seed sweeps fail loudly.
 //
 //   ftl_campaign --seed 3 --metrics out.json [--p99-bound-us N]
 //
@@ -16,7 +16,7 @@
 //    RebuildFromOob() must reproduce the frozen mapping exactly.
 //
 // A (seed) run is bit-deterministic: two invocations produce identical
-// metric snapshots (CI diffs them).
+// metric snapshots.
 
 #include <algorithm>
 #include <cstdio>
@@ -34,28 +34,9 @@
 namespace xssd {
 namespace {
 
-flash::Geometry CampaignGeometry() {
-  flash::Geometry g;
-  g.channels = 4;
-  g.dies_per_channel = 2;
-  g.blocks_per_plane = 16;
-  g.pages_per_block = 32;
-  g.page_bytes = 4096;
-  return g;  // 128 blocks, 4096 pages, 16 MiB
-}
-
-ftl::FtlConfig CampaignConfig() {
-  ftl::FtlConfig config;
-  config.buffer_pages = 64;
-  config.flush_watermark = 16;
-  // GC stops once free blocks reach twice this. The target must be
-  // *reachable*: valid pages at the campaign's fill level have to pack into
-  // the blocks left over after the free target and the open write points,
-  // or GC grinds toward it forever collecting near-fully-valid victims
-  // (write amplification approaches pages_per_block).
-  config.gc_low_watermark = 4;
-  return config;
-}
+using bench::CampaignConfig;
+using bench::CampaignGeometry;
+using bench::Gate;
 
 struct LatencyStats {
   double p50_us = 0;
@@ -76,16 +57,6 @@ LatencyStats Percentiles(std::vector<sim::SimTime>& lat) {
   out.max_us = static_cast<double>(lat.back()) / 1000.0;
   return out;
 }
-
-struct Gate {
-  int failures = 0;
-  void Check(bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "GATE FAILED: %s\n", what);
-      ++failures;
-    }
-  }
-};
 
 // Mixed steady-state churn: hot destage-class log appends over a small
 // ring, conventional buffered overwrites over a wider warm set. Returns
@@ -334,23 +305,13 @@ int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "ftl_campaign");
-
   uint64_t seed = 1;
   double p99_bound_us = 5000.0;
-  const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--p99-bound-us" && i + 1 < args.size()) {
-      p99_bound_us = std::strtod(args[++i].c_str(), nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: ftl_campaign [--seed N] [--p99-bound-us X] "
-                   "[--metrics out.json]\n");
-      return 2;
-    }
-  }
+  bench::BenchReporter reporter(
+      argc, argv, "ftl_campaign",
+      {{"--seed N", &seed, "seed (default 1)"},
+       {"--p99-bound-us X", &p99_bound_us,
+        "log-append p99 gate through GC storms (default 5000)"}});
 
   bench::PrintHeader("FTL steady-state campaign (seed " +
                      std::to_string(seed) + ")");

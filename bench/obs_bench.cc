@@ -1,10 +1,8 @@
 // Observability overhead bench: the cost of the PR's always-on pieces,
 // measured so the zero-perturbation claim ("sampling changes no events")
 // is paired with a wall-clock claim ("and it is cheap"). Writes
-// BENCH_obs.json — the per-PR point on the repo's perf trajectory — and
-// CI gates it against the floors in bench/baselines/obs_floor.json.
-//
-//   obs_bench [--out BENCH_obs.json] [--events N] [--seed S]
+// BENCH_obs.json — the per-PR point on the repo's perf trajectory — which
+// the gate tests hold to the floors in bench/baselines/obs_floor.json.
 //
 // Three measurements:
 //  * sampler off: a synthetic event mix (counter bumps, gauge updates,
@@ -21,10 +19,9 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_util.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -138,20 +135,11 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   uint64_t events = 2000000;
   uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: obs_bench [--out BENCH_obs.json] [--events N] "
-                   "[--seed S]\n");
-      return 2;
-    }
-  }
+  bench::FlagSet(
+      {{"--out PATH", &out_path, "result file (default BENCH_obs.json)"},
+       {"--events N", &events, "events per measurement (default 2000000)"},
+       {"--seed S", &seed, "seed (default 1)"}})
+      .Parse(argc, argv);
 
   MixStats off = RunMix(seed, events, /*sampled=*/false);
   MixStats on = RunMix(seed, events, /*sampled=*/true);

@@ -14,7 +14,7 @@
 //   scrub_campaign --seed 3 --metrics out.json
 //
 // A (seed) run is bit-deterministic: two invocations produce identical
-// metric snapshots (CI diffs them).
+// metric snapshots.
 
 #include <cstdio>
 #include <cstring>
@@ -31,15 +31,9 @@
 namespace xssd {
 namespace {
 
-flash::Geometry CampaignGeometry() {
-  flash::Geometry g;
-  g.channels = 4;
-  g.dies_per_channel = 2;
-  g.blocks_per_plane = 16;
-  g.pages_per_block = 32;
-  g.page_bytes = 4096;
-  return g;  // 128 blocks, 4096 pages, 16 MiB
-}
+using bench::CampaignConfig;
+using bench::CampaignGeometry;
+using bench::Gate;
 
 // Decay tuned so cold data crosses the ECC budget within the campaign's
 // ~24 s of virtual dwell even through the retry ladder (scrub off), while
@@ -58,14 +52,6 @@ flash::Reliability CampaignReliability() {
   return r;
 }
 
-ftl::FtlConfig CampaignConfig() {
-  ftl::FtlConfig config;
-  config.buffer_pages = 64;
-  config.flush_watermark = 16;
-  config.gc_low_watermark = 4;
-  return config;
-}
-
 ftl::ScrubConfig CampaignScrub(bool enabled) {
   ftl::ScrubConfig config;
   config.enabled = enabled;
@@ -78,16 +64,6 @@ ftl::ScrubConfig CampaignScrub(bool enabled) {
   config.refresh_margin = 0.5;
   return config;
 }
-
-struct Gate {
-  int failures = 0;
-  void Check(bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "GATE FAILED: %s\n", what);
-      ++failures;
-    }
-  }
-};
 
 uint8_t OracleByte(uint64_t lpn, uint64_t seed) {
   return static_cast<uint8_t>(lpn * 131 + seed * 7 + 1);
@@ -366,19 +342,9 @@ int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "scrub_campaign");
-
   uint64_t seed = 1;
-  const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: scrub_campaign [--seed N] [--metrics out.json]\n");
-      return 2;
-    }
-  }
+  bench::BenchReporter reporter(argc, argv, "scrub_campaign",
+                                {{"--seed N", &seed, "seed (default 1)"}});
 
   bench::PrintHeader("Media-reliability scrub campaign (seed " +
                      std::to_string(seed) + ")");

@@ -57,7 +57,7 @@ void FlightRecorder::Dump(std::ostream& out, std::string_view reason) const {
 
 Status FlightRecorder::DumpToFile(const std::string& path,
                                   std::string_view reason) const {
-  std::ofstream out(path, std::ios::trunc);
+  std::ofstream out(path, std::ios::app);
   if (!out) return Status::IoError("flightrec: cannot open " + path);
   Dump(out, reason);
   out.flush();
@@ -65,14 +65,28 @@ Status FlightRecorder::DumpToFile(const std::string& path,
   return Status::OK();
 }
 
+Status FlightRecorder::StartDumpFile(std::string path) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) return Status::IoError("flightrec: cannot open " + path);
+  dump_path_ = std::move(path);
+  return Status::OK();
+}
+
 void FlightRecorder::AutoDump(std::string_view reason) {
   ++auto_dumps_;
   if (m_auto_dumps_) m_auto_dumps_->Add();
-  if (!options_.dump_path.empty()) {
-    Status status = DumpToFile(options_.dump_path, reason);
+  if (!dumped_reasons_.emplace(reason).second) {
+    ++suppressed_dumps_;
+    if (registry_) {
+      registry_->GetCounter("obs.flightrec.suppressed_dumps")->Add();
+    }
+    return;
+  }
+  if (!dump_path_.empty()) {
+    Status status = DumpToFile(dump_path_, reason);
     if (status.ok()) {
       std::fprintf(stderr, "flightrec: dumped to %s (%s)\n",
-                   options_.dump_path.c_str(), std::string(reason).c_str());
+                   dump_path_.c_str(), std::string(reason).c_str());
       return;
     }
     std::fprintf(stderr, "flightrec: %s; dumping to stderr\n",
@@ -82,6 +96,7 @@ void FlightRecorder::AutoDump(std::string_view reason) {
 }
 
 void FlightRecorder::SetMetrics(MetricsRegistry* registry) {
+  registry_ = registry;
   if (registry == nullptr) {
     m_appends_ = m_evicted_ = m_auto_dumps_ = nullptr;
     return;

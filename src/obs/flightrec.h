@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,8 +20,6 @@ struct FlightRecorderOptions {
   /// cover the interesting prefix of any crash site while keeping the
   /// recorder O(100 KiB) regardless of campaign length.
   size_t capacity = 512;
-  /// AutoDump() destination; empty dumps to stderr.
-  std::string dump_path;
 };
 
 /// \brief Black-box flight recorder: a bounded ring of annotated events
@@ -33,7 +32,10 @@ struct FlightRecorderOptions {
 /// and always cheap (string append into a preallocated ring; no I/O, no
 /// simulator interaction, no randomness — attaching a recorder cannot
 /// perturb a run). The ring is dumped automatically at crash sites and on
-/// Corruption escalation (AutoDump), and on demand at bench exit.
+/// Corruption escalation (AutoDump), and on demand at bench exit. Only the
+/// first AutoDump per reason is written — the one closest to the root
+/// cause; repeats are counted, so a storm of identical escalations cannot
+/// flood the output.
 ///
 /// Single-threaded like the rest of the model: recorders are only written
 /// from simulator callbacks (or the serial merge), never from parallel
@@ -65,25 +67,28 @@ class FlightRecorder {
   uint64_t appended() const { return appended_; }
   uint64_t evicted() const { return evicted_; }
   uint64_t auto_dumps() const { return auto_dumps_; }
+  /// AutoDumps not written because their reason had already been dumped.
+  uint64_t suppressed_dumps() const { return suppressed_dumps_; }
 
   /// Human-readable dump of the retained ring, oldest first.
   void Dump(std::ostream& out, std::string_view reason) const;
+  /// Append a Dump() to `path`.
   Status DumpToFile(const std::string& path, std::string_view reason) const;
 
-  /// Crash-site dump: to options_.dump_path when set, stderr otherwise.
-  /// Failures to write the file fall back to stderr — a post-mortem dump
-  /// must never be lost to a bad path.
+  /// Make `path` the AutoDump destination, truncating it: one run's dumps
+  /// accumulate in one file. Without a dump path, AutoDump writes stderr.
+  Status StartDumpFile(std::string path);
+
+  /// Crash-site dump of the ring, written only the first time `reason`
+  /// is seen. Failures to write the file fall back to stderr — a
+  /// post-mortem dump must never be lost to a bad path.
   void AutoDump(std::string_view reason);
 
   /// Register `obs.flightrec.*` self-metrics (appends/evictions/dumps);
-  /// nullptr detaches. The obs.* namespace keeps them out of the CI
-  /// zero-perturbation comparison.
+  /// nullptr detaches. `obs.flightrec.suppressed_dumps` registers on the
+  /// first suppressed dump, so runs without one keep their snapshot. The
+  /// obs.* namespace keeps them out of the zero-perturbation comparison.
   void SetMetrics(MetricsRegistry* registry);
-
-  void set_dump_path(std::string path) {
-    options_.dump_path = std::move(path);
-  }
-  const std::string& dump_path() const { return options_.dump_path; }
 
  private:
   FlightRecorderOptions options_;
@@ -92,7 +97,11 @@ class FlightRecorder {
   uint64_t appended_ = 0;
   uint64_t evicted_ = 0;
   uint64_t auto_dumps_ = 0;
+  uint64_t suppressed_dumps_ = 0;
+  std::string dump_path_;
+  std::set<std::string, std::less<>> dumped_reasons_;
 
+  MetricsRegistry* registry_ = nullptr;
   Counter* m_appends_ = nullptr;
   Counter* m_evicted_ = nullptr;
   Counter* m_auto_dumps_ = nullptr;

@@ -9,15 +9,10 @@
 
 namespace xssd::obs {
 
-/// The per-stage log2-bucket histogram used by the breakdown reporter is
-/// the simulator-layer one; re-exported here so obs/ consumers need not
-/// reach into sim/ directly.
-using Log2Histogram = sim::Log2Histogram;
-
 /// \brief Duration aggregate: exact count/total/min/max plus log2 buckets
 /// for percentiles. One per (request kind, stage key) in the breakdown.
 struct DurationStat {
-  Log2Histogram hist;
+  sim::Log2Histogram hist;
   uint64_t count = 0;
   double total = 0;
   double min = 0;
@@ -61,7 +56,7 @@ struct DurationStat {
     *out += ", \"p999_ns\": " + JsonNumber(PercentileClamped(99.9));
     *out += ", \"buckets\": [";
     bool first = true;
-    for (const Log2Histogram::Bucket& b : hist.NonEmptyBuckets()) {
+    for (const sim::Log2Histogram::Bucket& b : hist.NonEmptyBuckets()) {
       if (!first) *out += ", ";
       first = false;
       *out += "[" + std::to_string(b.lo) + ", " + std::to_string(b.hi) +

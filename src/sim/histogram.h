@@ -14,9 +14,8 @@ namespace xssd::sim {
 /// into 16 linear sub-buckets. A reconstructed percentile therefore lies
 /// within half a sub-bucket of the true sample, a relative error of at most
 /// 1/(2*16) ~= 3.2% (and 0 below 32). Memory is a constant ~8 KiB
-/// regardless of sample count — the backing `sim::LatencyRecorder` switches
-/// to this representation in bounded mode so multi-million-sample campaigns
-/// stop holding every sample.
+/// regardless of sample count, which suits per-window latency views and
+/// the breakdown's per-stage aggregates.
 class Log2Histogram {
  public:
   /// Unit-width buckets cover [0, kLinearMax); 16 sub-buckets per octave

@@ -74,36 +74,78 @@ TEST(FlightRecorder, DumpCarriesReasonCountsAndEntries) {
   EXPECT_NE(text.find("pri reboot into epoch 2"), std::string::npos);
 }
 
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST(FlightRecorder, DumpToFileWritesTheRing) {
   FlightRecorder fr;
   fr.Record(sim::Ms(1), "watchdog", "rule cliff: ftl.write_amp > 1.5");
   std::string path = TempPath("flightrec_dump.txt");
   ASSERT_TRUE(fr.DumpToFile(path, "unit test").ok());
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("rule cliff"), std::string::npos);
-  EXPECT_NE(buf.str().find("unit test"), std::string::npos);
+  EXPECT_NE(ReadAll(path).find("rule cliff"), std::string::npos);
+  EXPECT_NE(ReadAll(path).find("unit test"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, AutoDumpGoesToTheConfiguredPath) {
-  FlightRecorderOptions options;
-  options.dump_path = TempPath("flightrec_auto.txt");
-  FlightRecorder fr(options);
+  std::string path = TempPath("flightrec_auto.txt");
+  {
+    std::ofstream stale(path);
+    stale << "left over from an earlier run\n";
+  }
+  FlightRecorder fr;
+  ASSERT_TRUE(fr.StartDumpFile(path).ok());
   fr.Record(sim::Us(3), "fault", "uncorrectable flash read injected");
   fr.AutoDump("injected crash at ftl.gc.relocate");
   EXPECT_EQ(fr.auto_dumps(), 1u);
 
-  std::ifstream in(options.dump_path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("injected crash at ftl.gc.relocate"),
+  std::string text = ReadAll(path);
+  EXPECT_EQ(text.find("left over"), std::string::npos);
+  EXPECT_NE(text.find("injected crash at ftl.gc.relocate"),
             std::string::npos);
-  EXPECT_NE(buf.str().find("uncorrectable flash read injected"),
+  EXPECT_NE(text.find("uncorrectable flash read injected"),
             std::string::npos);
-  std::remove(options.dump_path.c_str());
+  std::remove(path.c_str());
+}
+
+// A storm of identical escalations writes one dump, the first (closest to
+// the root cause); a new reason still dumps, and later dumps append
+// rather than overwrite.
+TEST(FlightRecorder, OnlyTheFirstDumpPerReasonIsWritten) {
+  std::string path = TempPath("flightrec_per_reason.txt");
+  FlightRecorder fr;
+  MetricsRegistry registry;
+  fr.SetMetrics(&registry);
+  ASSERT_TRUE(fr.StartDumpFile(path).ok());
+  fr.Record(sim::Us(1), "ftl", "first escalation");
+  fr.AutoDump("Corruption escalation on host read");
+  EXPECT_EQ(registry.FindCounter("obs.flightrec.suppressed_dumps"), nullptr);
+  for (int i = 0; i < 5; ++i) {
+    fr.Record(sim::Us(2 + i), "ftl", "later escalation");
+    fr.AutoDump("Corruption escalation on host read");
+  }
+  fr.AutoDump("injected crash at cmb.persist");
+  ASSERT_TRUE(fr.DumpToFile(path, "bench exit").ok());
+
+  EXPECT_EQ(fr.auto_dumps(), 7u);
+  EXPECT_EQ(fr.suppressed_dumps(), 5u);
+  EXPECT_EQ(registry.FindCounter("obs.flightrec.suppressed_dumps")->value(),
+            5u);
+  std::string text = ReadAll(path);
+  for (const char* reason : {"reason: Corruption escalation on host read",
+                             "reason: injected crash at cmb.persist",
+                             "reason: bench exit"}) {
+    EXPECT_NE(text.find(reason), std::string::npos) << reason;
+    EXPECT_EQ(text.find(reason), text.rfind(reason)) << reason;
+  }
+  // The written escalation dump is the first one: it predates the repeats.
+  EXPECT_LT(text.find("first escalation"), text.find("later escalation"));
+  EXPECT_LT(text.find("reason: Corruption"), text.find("later escalation"));
+  std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, SelfMetricsAreObsNamespaced) {
