@@ -271,9 +271,12 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
   barrier_ = ~0ull;
 
   uint64_t pages_before = stats_.pages_written;
+  // The next tick's event owns the poller, which holds itself only weakly:
+  // it is freed once it stops rescheduling.
   auto poll = std::make_shared<std::function<void()>>();
+  std::weak_ptr<std::function<void()>> self_ref = poll;
   *poll = [this, page_budget, pages_before, saved_threshold, saved_barrier,
-           done = std::move(done), poll]() mutable {
+           done = std::move(done), self_ref]() mutable {
     bool budget_left =
         stats_.pages_written - pages_before + inflight_ < page_budget;
     // Also done when everything was issued and nothing is in flight —
@@ -293,7 +296,7 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
       return;
     }
     Pump();
-    sim_->Schedule(sim::Us(5), *poll);
+    sim_->Schedule(sim::Us(5), [poll = self_ref.lock()] { (*poll)(); });
   };
   (*poll)();
 }

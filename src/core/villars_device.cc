@@ -352,6 +352,7 @@ void VillarsDevice::TruncateLog(uint64_t offset) {
     // the newest epoch, so the stale pages are ignored, and [0, offset)
     // re-destages under the new epoch stamp.
     ++epoch_;
+    retired_destage_.push_back(std::move(destage_));
     destage_ = std::make_unique<DestageModule>(sim_, ftl_.get(), cmb_.get(),
                                                config_.destage, epoch_);
     if (metrics_registry_ != nullptr) {
@@ -384,6 +385,7 @@ void VillarsDevice::Reboot() {
   cmb_->ResetForReboot();
   // The destage module restarts with a fresh cursor in the new epoch; the
   // conventional side keeps all destaged pages (recovery reads them).
+  retired_destage_.push_back(std::move(destage_));
   destage_ = std::make_unique<DestageModule>(sim_, ftl_.get(), cmb_.get(),
                                              config_.destage, epoch_);
   if (metrics_registry_ != nullptr) {

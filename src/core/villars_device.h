@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/cmb_module.h"
 #include "core/config.h"
@@ -154,6 +155,10 @@ class VillarsDevice : public pcie::MmioDevice {
   std::unique_ptr<nvme::Controller> controller_;
   std::unique_ptr<CmbModule> cmb_;
   std::unique_ptr<DestageModule> destage_;
+  /// Modules replaced by Reboot()/TruncateLog(), kept alive: events they
+  /// scheduled before the swap (latency timers, flash completions) still
+  /// run against them.
+  std::vector<std::unique_ptr<DestageModule>> retired_destage_;
   std::unique_ptr<TransportModule> transport_;
 
   uint64_t bar0_base_ = 0;

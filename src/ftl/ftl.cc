@@ -552,7 +552,10 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
   // loud Corruption into silent zeros. It degrades to a retire instead.
   auto lost = std::make_shared<uint64_t>(0);
   auto done_ptr = std::make_shared<WriteCallback>(std::move(done));
+  // The chain's pending I/O callbacks own `step`, which holds itself only
+  // weakly: it is freed once the chain stops.
   auto step = std::make_shared<std::function<void(uint32_t)>>();
+  std::weak_ptr<std::function<void(uint32_t)>> step_ref = step;
   auto self = this;
   auto dispose = [self, victim, geom, mode, lost, done_ptr]() {
     if (mode == CollectMode::kGc) {
@@ -612,8 +615,10 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
           (*done_ptr)(status);
         });
   };
-  *step = [self, victim, geom, mode, for_gc, lost, step, done_ptr,
+  *step = [self, victim, geom, mode, for_gc, lost, step_ref, done_ptr,
            dispose = std::move(dispose)](uint32_t page) {
+    // Whoever called this step holds a strong reference.
+    std::shared_ptr<std::function<void(uint32_t)>> step = step_ref.lock();
     if (self->Halted()) {
       // Power was cut at some crash site; freeze the mid-collect state.
       // The victim stays unsealed and un-erased — exactly what recovery

@@ -50,13 +50,16 @@ fault::FaultPlan CrashPlan(const std::string& site, uint32_t after_hits,
 size_t AppendUntil(host::StorageNode& node, const std::vector<uint8_t>& stream,
                    sim::Rng& rng, const std::function<bool()>& stop) {
   auto submitted = std::make_shared<size_t>(0);
+  // Pending appends own the chain; it holds itself only weakly, so it is
+  // freed once no append is in flight.
   auto append_next = std::make_shared<std::function<void()>>();
-  *append_next = [&node, &stream, &rng, submitted, append_next]() {
+  std::weak_ptr<std::function<void()>> self = append_next;
+  *append_next = [&node, &stream, &rng, submitted, self]() {
     size_t chunk = std::min<size_t>(32 + rng.Uniform(700),
                                     stream.size() - *submitted);
     if (chunk == 0) return;
     node.client().Append(stream.data() + *submitted, chunk,
-                         [append_next](Status) { (*append_next)(); });
+                         [next = self.lock()](Status) { (*next)(); });
     *submitted += chunk;
   };
   (*append_next)();
