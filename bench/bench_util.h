@@ -195,13 +195,32 @@ inline ftl::FtlConfig CampaignConfig() {
   return config;
 }
 
+/// The fault and HA campaigns' Villars device: 2x2 dies of 16x32 pages
+/// behind a 256-LBA destage ring.
+inline core::VillarsConfig CampaignVillarsConfig(uint64_t seed) {
+  core::VillarsConfig config;
+  config.geometry.channels = 2;
+  config.geometry.dies_per_channel = 2;
+  config.geometry.blocks_per_plane = 16;
+  config.geometry.pages_per_block = 32;
+  config.destage.ring_lba_count = 256;
+  config.seed = seed;
+  return config;
+}
+
 /// Campaign self-check: every failed condition is reported on stderr and
-/// counted; the campaign exits non-zero if any failed.
+/// counted; the campaign exits non-zero if any failed. A non-empty `label`
+/// (e.g. "flash-fail seed 3") tags each report.
 struct Gate {
+  std::string label;
   int failures = 0;
   void Check(bool ok, const char* what) {
     if (!ok) {
-      std::fprintf(stderr, "GATE FAILED: %s\n", what);
+      if (label.empty()) {
+        std::fprintf(stderr, "GATE FAILED: %s\n", what);
+      } else {
+        std::fprintf(stderr, "GATE FAILED [%s]: %s\n", label.c_str(), what);
+      }
       ++failures;
     }
   }

@@ -44,12 +44,7 @@ bool PlanHasCrash(const fault::FaultPlan& plan) {
 int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
                 uint64_t seed) {
   sim::Simulator sim;
-  core::VillarsConfig config;
-  config.geometry.channels = 2;
-  config.geometry.dies_per_channel = 2;
-  config.geometry.blocks_per_plane = 16;
-  config.geometry.pages_per_block = 32;
-  config.destage.ring_lba_count = 256;
+  core::VillarsConfig config = bench::CampaignVillarsConfig(seed);
   // The healing paths under test are opt-in; the campaign always runs with
   // retransmission and degraded-mode fallback armed.
   config.transport.retransmit_timeout = sim::Us(50);
@@ -64,7 +59,6 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   config.reliability.ecc_correctable_bits = 24;
   config.reliability.read_retry_levels = 4;
   config.reliability.retry_ber_factor = 0.5;
-  config.seed = seed;
 
   host::StorageNode primary(&sim, config, pcie::FabricConfig{}, "pri");
   host::StorageNode secondary(&sim, config, pcie::FabricConfig{}, "sec");
@@ -134,39 +128,31 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     for (int i = 0; i < 100 && !drained; ++i) sim.RunFor(sim::Ms(1));
   }
 
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT FAILED [%s seed %llu]: %s\n",
-                   plan.name.c_str(), static_cast<unsigned long long>(seed),
-                   what);
-      ++failures;
-    }
-  };
+  bench::Gate gate{plan.name + " seed " + std::to_string(seed)};
 
   const std::string label = plan.name.empty() ? "plan" : plan.name;
   if (injector.crashed()) {
     // Crash path: reboot and recover; the chain walk must cover the
     // acknowledged prefix (graceful) and never fabricate or reorder bytes.
-    check(drained, "crash fired but device never finished halting");
+    gate.Check(drained, "crash fired but device never finished halting");
     uint64_t acknowledged = primary.device().cmb().local_credit();
     sim.RunFor(sim::Ms(5));  // let in-flight flash programs settle
     primary.device().Reboot();
     Result<host::RecoveredLog> recovered = host::RecoverLog(
         sim, primary.driver(), primary.device().destage().ring_start_lba(),
         primary.device().destage().ring_lba_count());
-    check(recovered.ok(), "post-crash recovery scan failed");
+    gate.Check(recovered.ok(), "post-crash recovery scan failed");
     if (recovered.ok()) {
       if (crash_graceful) {
-        check(recovered->end_offset() >= acknowledged,
-              "recovery lost acknowledged bytes");
+        gate.Check(recovered->end_offset() >= acknowledged,
+                   "recovery lost acknowledged bytes");
       }
-      check(recovered->end_offset() <= submitted,
-            "recovery returned bytes never submitted");
-      check(std::memcmp(recovered->data.data(),
-                        stream.data() + recovered->start_offset,
-                        recovered->data.size()) == 0,
-            "recovered bytes differ from the reference stream");
+      gate.Check(recovered->end_offset() <= submitted,
+                 "recovery returned bytes never submitted");
+      gate.Check(std::memcmp(recovered->data.data(),
+                             stream.data() + recovered->start_offset,
+                             recovered->data.size()) == 0,
+                 "recovered bytes differ from the reference stream");
       reporter.SetResult(label, "recovered_end",
                          static_cast<double>(recovered->end_offset()));
     }
@@ -175,27 +161,29 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   } else {
     // Fault-but-no-crash path: the workload must complete durably — every
     // byte replicated and destaged despite the injected faults.
-    check(posted_all, "append workload never completed");
-    check(host::x_fsync(sim, primary.client()) == 0, "x_fsync failed");
+    gate.Check(posted_all, "append workload never completed");
+    gate.Check(host::x_fsync(sim, primary.client()) == 0, "x_fsync failed");
     sim.RunFor(sim::Ms(30));  // drain destage through any retry backoffs
 
-    check(primary.device().cmb().local_credit() == stream.size(),
-          "primary credit does not cover the stream");
-    check(secondary.device().cmb().local_credit() == stream.size(),
-          "secondary lost or duplicated replicated bytes");
+    gate.Check(primary.device().cmb().local_credit() == stream.size(),
+               "primary credit does not cover the stream");
+    gate.Check(secondary.device().cmb().local_credit() == stream.size(),
+               "secondary lost or duplicated replicated bytes");
     std::vector<uint8_t> replica(stream.size());
     secondary.device().cmb().CopyOut(0, replica.data(), replica.size());
-    check(replica == stream, "replica differs from the reference stream");
-    check(primary.device().destage().destaged() >= stream.size(),
-          "destage never caught up");
+    gate.Check(replica == stream, "replica differs from the reference stream");
+    gate.Check(primary.device().destage().destaged() >= stream.size(),
+               "destage never caught up");
     std::vector<uint8_t> tail(stream.size());
-    check(host::x_pread(sim, primary.client(), primary.driver(), tail.data(),
-                        tail.size()) == static_cast<ssize_t>(tail.size()),
-          "x_pread of the destaged tail failed");
-    check(tail == stream, "destaged bytes differ from the reference stream");
+    gate.Check(host::x_pread(sim, primary.client(), primary.driver(),
+                             tail.data(), tail.size()) ==
+                   static_cast<ssize_t>(tail.size()),
+               "x_pread of the destaged tail failed");
+    gate.Check(tail == stream,
+               "destaged bytes differ from the reference stream");
     if (injector.totals().ntb_dropped > 0) {
-      check(primary.device().transport().retransmit_rounds() >= 1,
-            "writes were dropped but retransmission never ran");
+      gate.Check(primary.device().transport().retransmit_rounds() >= 1,
+                 "writes were dropped but retransmission never ran");
     }
     reporter.SetResult(
         label, "retransmit_rounds",
@@ -203,23 +191,23 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   }
 
   // A campaign that injected nothing proves nothing.
-  check(TotalInjected(injector.totals()) > 0, "plan injected no faults");
+  gate.Check(TotalInjected(injector.totals()) > 0, "plan injected no faults");
   if (PlanHasCrash(plan)) {
-    check(injector.crashed(), "plan has a crash clause that never fired");
+    gate.Check(injector.crashed(), "plan has a crash clause that never fired");
   }
 
   obs::BreakdownReporter breakdown("fault_campaign");
   breakdown.AddRun(label, spans);
   breakdown.ExportGauges(&reporter.registry(),
                          "bench.fault_campaign." + label + ".");
-  check(breakdown.conservation_violations() == 0,
-        "latency attribution violated segment/e2e conservation");
+  gate.Check(breakdown.conservation_violations() == 0,
+             "latency attribution violated segment/e2e conservation");
 
   reporter.SetResult(label, "submitted", static_cast<double>(submitted));
   reporter.SetResult(label, "faults_injected",
                      static_cast<double>(TotalInjected(injector.totals())));
   reporter.SetResult(label, "invariant_failures",
-                     static_cast<double>(failures));
+                     static_cast<double>(gate.failures));
   // Nonzero means some fault/workload site asked for a past timestamp and
   // the scheduler clamped it to Now() — an ordering bug in the plan.
   reporter.SetResult(label, "schedule_past_clamps",
@@ -227,8 +215,8 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   std::printf("plan=%s seed=%llu submitted=%zu injected=%llu %s\n",
               label.c_str(), static_cast<unsigned long long>(seed), submitted,
               static_cast<unsigned long long>(TotalInjected(injector.totals())),
-              failures == 0 ? "OK" : "FAILED");
-  return failures == 0 ? 0 : 1;
+              gate.failures == 0 ? "OK" : "FAILED");
+  return gate.failures == 0 ? 0 : 1;
 }
 
 }  // namespace

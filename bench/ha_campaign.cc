@@ -106,13 +106,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   const Scenario scenario = Classify(plan, detection);
 
   sim::Simulator sim;
-  core::VillarsConfig config;
-  config.geometry.channels = 2;
-  config.geometry.dies_per_channel = 2;
-  config.geometry.blocks_per_plane = 16;
-  config.geometry.pages_per_block = 32;
-  config.destage.ring_lba_count = 256;
-  config.seed = seed;
+  core::VillarsConfig config = bench::CampaignVillarsConfig(seed);
   ha::ReplicaSupervisor::ConfigureDevice(&config, 3);
 
   std::vector<std::unique_ptr<host::StorageNode>> nodes;
@@ -147,15 +141,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     nodes[i]->device().EnableFlightRecorder(reporter.flight_recorder());
   }
 
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT FAILED [%s seed %llu]: %s\n",
-                   plan.name.c_str(), static_cast<unsigned long long>(seed),
-                   what);
-      ++failures;
-    }
-  };
+  bench::Gate gate{plan.name + " seed " + std::to_string(seed)};
   auto credit = [&](size_t i) {
     return nodes[i]->device().cmb().local_credit();
   };
@@ -236,12 +222,14 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     inbound_injector->SetFlightRecorder(reporter.flight_recorder());
   }
 
-  check(append_chunked(nodes[0]->client(), stream.data(), kAckedBytes) ==
-            kAckedBytes,
-        "phase-1 append did not complete");
-  check(host::x_fsync(sim, nodes[0]->client()) == 0, "phase-1 fsync failed");
+  gate.Check(append_chunked(nodes[0]->client(), stream.data(), kAckedBytes) ==
+                 kAckedBytes,
+             "phase-1 append did not complete");
+  gate.Check(host::x_fsync(sim, nodes[0]->client()) == 0,
+             "phase-1 fsync failed");
   const uint64_t acked = credit(0);
-  check(acked >= kAckedBytes, "phase-1 fsync acked fewer bytes than written");
+  gate.Check(acked >= kAckedBytes,
+             "phase-1 fsync acked fewer bytes than written");
 
   const std::string label = plan.name.empty() ? "plan" : plan.name;
   size_t leader = 0;
@@ -278,33 +266,35 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     append_next();
     sim.RunWhile([&]() { return posted_all || killed; });
     for (int i = 0; i < 100 && !killed; ++i) sim.RunFor(sim::Ms(1));
-    check(injector->crashed(), "kill-primary: crash clause never fired");
+    gate.Check(injector->crashed(), "kill-primary: crash clause never fired");
 
     sim.RunFor(sim::Ms(4));  // detect, elect, promote, fence in survivors
     leader = supervisor.leader_index();
-    check(supervisor.promotions() == 1, "promotion did not happen exactly once");
-    check(leader != 0, "dead member still believed leader");
-    check(supervisor.term() == 2, "promotion did not advance the term");
-    check(live_primaries() == 1, "not exactly one live primary");
-    check(credit(leader) >= acked, "promoted leader lost acknowledged bytes");
-    check(prefix_matches(leader, credit(leader)),
-          "promoted log differs from the reference stream");
+    gate.Check(supervisor.promotions() == 1,
+               "promotion did not happen exactly once");
+    gate.Check(leader != 0, "dead member still believed leader");
+    gate.Check(supervisor.term() == 2, "promotion did not advance the term");
+    gate.Check(live_primaries() == 1, "not exactly one live primary");
+    gate.Check(credit(leader) >= acked,
+               "promoted leader lost acknowledged bytes");
+    gate.Check(prefix_matches(leader, credit(leader)),
+               "promoted log differs from the reference stream");
 
     // The new leader serves writes; eager acks require the surviving
     // secondary to be fenced in at the new term.
-    check(append_chunked(nodes[leader]->client(),
-                         stream.data() + nodes[leader]->client().written(),
-                         kPostBytes) == kPostBytes,
-          "post-failover append did not complete");
-    check(host::x_fsync(sim, nodes[leader]->client()) == 0,
-          "post-failover fsync failed");
-    check(supervisor.promotions() == 1, "a second promotion happened");
-    check(supervisor.demotions() == 0, "kill-primary caused a demotion");
+    gate.Check(append_chunked(nodes[leader]->client(),
+                              stream.data() + nodes[leader]->client().written(),
+                              kPostBytes) == kPostBytes,
+               "post-failover append did not complete");
+    gate.Check(host::x_fsync(sim, nodes[leader]->client()) == 0,
+               "post-failover fsync failed");
+    gate.Check(supervisor.promotions() == 1, "a second promotion happened");
+    gate.Check(supervisor.demotions() == 0, "kill-primary caused a demotion");
     size_t other = 3 - leader;  // the surviving secondary (member 0 is dead)
-    check(credit(other) == credit(leader),
-          "surviving secondary did not converge");
-    check(prefix_matches(other, credit(other)),
-          "surviving secondary's log differs from the reference stream");
+    gate.Check(credit(other) == credit(leader),
+               "surviving secondary did not converge");
+    gate.Check(prefix_matches(other, credit(other)),
+               "surviving secondary's log differs from the reference stream");
   } else if (scenario == Scenario::kPartition) {
     sim::SimTime first_at = fault::FaultSpec::kForever;
     sim::SimTime outbound_end = 0;
@@ -317,8 +307,8 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
       first_at = std::min(first_at, spec.at);
       inbound_end = std::max(inbound_end, spec.end());
     }
-    check(sim.Now() < first_at,
-          "phase-1 workload overran the partition start; raise at_us");
+    gate.Check(sim.Now() < first_at,
+               "phase-1 workload overran the partition start; raise at_us");
 
     // Inside the partition, the isolated primary keeps accepting appends it
     // can no longer replicate. The suffix uses an inverted pattern: were
@@ -329,41 +319,43 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     for (uint64_t off = 0; off < kSuffixBytes; ++off) {
       doomed[off] = static_cast<uint8_t>(PatternByte(acked + off) ^ 0xFF);
     }
-    check(host::x_pwrite(sim, nodes[0]->client(), doomed.data(),
-                         doomed.size()) ==
-              static_cast<ssize_t>(doomed.size()),
-          "partition: local append on the isolated primary failed");
+    gate.Check(host::x_pwrite(sim, nodes[0]->client(), doomed.data(),
+                              doomed.size()) ==
+                   static_cast<ssize_t>(doomed.size()),
+               "partition: local append on the isolated primary failed");
 
     // Majority side elects while the minority's outbound link is down; once
     // it heals, the deposed primary's retransmits must die at the fence.
     run_until(outbound_end + sim::Us(600));
-    check(supervisor.promotions() == 1,
-          "majority did not promote exactly once");
+    gate.Check(supervisor.promotions() == 1,
+               "majority did not promote exactly once");
     leader = supervisor.leader_index();
-    check(leader != 0, "partitioned member still believed leader");
-    check(supervisor.term() == 2, "promotion did not advance the term");
-    check(fenced_total() >= 1,
-          "no stale write from the deposed primary was fenced");
+    gate.Check(leader != 0, "partitioned member still believed leader");
+    gate.Check(supervisor.term() == 2, "promotion did not advance the term");
+    gate.Check(fenced_total() >= 1,
+               "no stale write from the deposed primary was fenced");
 
     // Inbound heal: the deposed primary hears the new leader, truncates its
     // divergent suffix, and rejoins as a secondary.
     run_until(inbound_end + sim::Ms(2));
-    check(supervisor.demotions() == 1, "deposed primary never stood down");
-    check(supervisor.joins() >= 1, "deposed primary was never re-admitted");
-    check(live_primaries() == 1, "not exactly one live primary after heal");
+    gate.Check(supervisor.demotions() == 1, "deposed primary never stood down");
+    gate.Check(supervisor.joins() >= 1,
+               "deposed primary was never re-admitted");
+    gate.Check(live_primaries() == 1,
+               "not exactly one live primary after heal");
 
-    check(append_chunked(nodes[leader]->client(),
-                         stream.data() + nodes[leader]->client().written(),
-                         kPostBytes) == kPostBytes,
-          "post-failover append did not complete");
-    check(host::x_fsync(sim, nodes[leader]->client()) == 0,
-          "post-failover fsync failed");
+    gate.Check(append_chunked(nodes[leader]->client(),
+                              stream.data() + nodes[leader]->client().written(),
+                              kPostBytes) == kPostBytes,
+               "post-failover append did not complete");
+    gate.Check(host::x_fsync(sim, nodes[leader]->client()) == 0,
+               "post-failover fsync failed");
     sim.RunFor(sim::Ms(2));  // stream the rejoined member to convergence
-    check(credit(leader) >= acked, "new leader lost acknowledged bytes");
+    gate.Check(credit(leader) >= acked, "new leader lost acknowledged bytes");
     for (size_t i = 0; i < 3; ++i) {
-      check(credit(i) == credit(leader), "member did not converge");
-      check(prefix_matches(i, credit(i)),
-            "member log differs from the reference stream");
+      gate.Check(credit(i) == credit(leader), "member did not converge");
+      gate.Check(prefix_matches(i, credit(i)),
+                 "member log differs from the reference stream");
     }
   } else {
     // Flap: every fault window is shorter than the failure-detection
@@ -371,32 +363,32 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     // heals the dropped traffic.
     run_until(sim::Us(1500));
     sim.RunFor(sim::Ms(2));
-    check(supervisor.promotions() == 0, "flap caused a promotion");
-    check(supervisor.demotions() == 0, "flap caused a demotion");
-    check(supervisor.removals() == 0, "flap caused a membership removal");
-    check(supervisor.leader_index() == 0, "flap moved the leader");
-    check(live_primaries() == 1, "not exactly one live primary");
-    check(append_chunked(nodes[0]->client(), stream.data() + acked,
-                         kSuffixBytes) == kSuffixBytes,
-          "post-flap append did not complete");
-    check(host::x_fsync(sim, nodes[0]->client()) == 0,
-          "post-flap fsync failed");
+    gate.Check(supervisor.promotions() == 0, "flap caused a promotion");
+    gate.Check(supervisor.demotions() == 0, "flap caused a demotion");
+    gate.Check(supervisor.removals() == 0, "flap caused a membership removal");
+    gate.Check(supervisor.leader_index() == 0, "flap moved the leader");
+    gate.Check(live_primaries() == 1, "not exactly one live primary");
+    gate.Check(append_chunked(nodes[0]->client(), stream.data() + acked,
+                              kSuffixBytes) == kSuffixBytes,
+               "post-flap append did not complete");
+    gate.Check(host::x_fsync(sim, nodes[0]->client()) == 0,
+               "post-flap fsync failed");
     leader = 0;
     for (size_t i = 0; i < 3; ++i) {
-      check(credit(i) == credit(0), "member did not converge after flap");
-      check(prefix_matches(i, credit(i)),
-            "member log differs from the reference stream");
+      gate.Check(credit(i) == credit(0), "member did not converge after flap");
+      gate.Check(prefix_matches(i, credit(i)),
+                 "member log differs from the reference stream");
     }
-    check(injector->totals().ntb_dropped >= 1, "plan injected no faults");
+    gate.Check(injector->totals().ntb_dropped >= 1, "plan injected no faults");
   }
-  check(credit(leader) >= acked, "final leader lost acknowledged bytes");
+  gate.Check(credit(leader) >= acked, "final leader lost acknowledged bytes");
 
   obs::BreakdownReporter breakdown("ha_campaign");
   breakdown.AddRun(label, spans);
   breakdown.ExportGauges(&reporter.registry(),
                          "bench.ha_campaign." + label + ".");
-  check(breakdown.conservation_violations() == 0,
-        "latency attribution violated segment/e2e conservation");
+  gate.Check(breakdown.conservation_violations() == 0,
+             "latency attribution violated segment/e2e conservation");
 
   reporter.SetResult(label, "acked", static_cast<double>(acked));
   reporter.SetResult(label, "final_credit",
@@ -411,7 +403,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   reporter.SetResult(label, "fenced_writes",
                      static_cast<double>(fenced_total()));
   reporter.SetResult(label, "invariant_failures",
-                     static_cast<double>(failures));
+                     static_cast<double>(gate.failures));
   // Nonzero means some scenario step asked for a past timestamp and the
   // scheduler clamped it to Now() — an ordering bug in the scenario.
   reporter.SetResult(label, "schedule_past_clamps",
@@ -423,9 +415,9 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
               static_cast<unsigned long long>(credit(leader)),
               static_cast<unsigned long long>(supervisor.promotions()),
               static_cast<unsigned long long>(fenced_total()),
-              failures == 0 ? "OK" : "FAILED");
+              gate.failures == 0 ? "OK" : "FAILED");
   supervisor.Stop();
-  return failures == 0 ? 0 : 1;
+  return gate.failures == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -61,7 +61,6 @@ class Harness {
   bool BuildCluster();
   void AttachObservers();
   void DetachObservers(host::StorageNode& node);
-  void AttachDestageObservers();  ///< re-run after every Reboot()
   void ArmFaults();
 
   void ExecAppend(const Op& op);
@@ -153,7 +152,15 @@ void Harness::AttachObservers() {
   device.transport().SetShadowHook([this](uint32_t index, uint64_t value) {
     model_->OnShadow(index, value);
   });
-  AttachDestageObservers();
+  device.destage().SetEmitObserver(
+      [this](const core::DestagePageHeader& header, uint64_t lba) {
+        model_->OnEmit(header, lba);
+      });
+  device.destage().SetDurableObserver([this](uint64_t begin, uint64_t end) {
+    model_->OnPageDurable(begin, end);
+  });
+  device.destage().SetDestagedObserver(
+      [this](uint64_t destaged) { model_->OnDestaged(destaged); });
 }
 
 void Harness::DetachObservers(host::StorageNode& node) {
@@ -163,19 +170,6 @@ void Harness::DetachObservers(host::StorageNode& node) {
   node.device().destage().SetEmitObserver({});
   node.device().destage().SetDurableObserver({});
   node.device().destage().SetDestagedObserver({});
-}
-
-void Harness::AttachDestageObservers() {
-  core::DestageModule& destage = primary().device().destage();
-  destage.SetEmitObserver(
-      [this](const core::DestagePageHeader& header, uint64_t lba) {
-        model_->OnEmit(header, lba);
-      });
-  destage.SetDurableObserver([this](uint64_t begin, uint64_t end) {
-    model_->OnPageDurable(begin, end);
-  });
-  destage.SetDestagedObserver(
-      [this](uint64_t destaged) { model_->OnDestaged(destaged); });
 }
 
 void Harness::ArmFaults() {
@@ -407,10 +401,8 @@ void Harness::CrashEpilogue() {
   model_->OnRecovery(recovered->start_offset, recovered->data,
                      recovered->epoch);
 
-  // The device is in a fresh epoch now; so is the model. The destage
-  // module was recreated by Reboot(), so the taps must be re-attached.
+  // The device is in a fresh epoch now; so is the model.
   model_->OnReboot();
-  AttachDestageObservers();
 
   if (schedule_.secondaries > 0) {
     // Replicated crash schedules end at recovery validation: the

@@ -9,10 +9,33 @@ namespace xssd::core {
 DestageModule::DestageModule(sim::Simulator* sim, ftl::Ftl* ftl,
                              CmbModule* cmb, const DestageConfig& config,
                              uint32_t epoch)
-    : sim_(sim), ftl_(ftl), cmb_(cmb), config_(config), epoch_(epoch) {
+    : sim_(sim),
+      ftl_(ftl),
+      cmb_(cmb),
+      config_(config),
+      epoch_(epoch),
+      latency_threshold_(config.latency_threshold) {
   XSSD_CHECK(config_.ring_lba_count > 0);
   XSSD_CHECK(config_.ring_start_lba + config_.ring_lba_count <=
              ftl_->lpn_count());
+}
+
+void DestageModule::Reset(uint32_t epoch) {
+  ++generation_;
+  epoch_ = epoch;
+  latency_threshold_ = config_.latency_threshold;
+  credit_seen_ = 0;
+  destaged_ = 0;
+  destage_cursor_ = 0;
+  next_sequence_ = 0;
+  barrier_ = ~0ull;
+  inflight_ = 0;
+  timer_armed_ = false;
+  frozen_ = false;
+  halted_ = false;
+  oldest_pending_since_ = 0;
+  completed_.Clear();
+  stats_ = DestageStats{};
 }
 
 void DestageModule::SetMetrics(obs::MetricsRegistry* registry,
@@ -77,7 +100,7 @@ void DestageModule::Pump() {
     }
     // Not a full page: wait for the latency threshold before padding.
     sim::SimTime age = sim_->Now() - oldest_pending_since_;
-    if (age >= config_.latency_threshold) {
+    if (age >= latency_threshold_) {
       EmitPage(static_cast<uint32_t>(pending));
       continue;
     }
@@ -89,9 +112,10 @@ void DestageModule::Pump() {
 void DestageModule::ArmTimer() {
   if (timer_armed_) return;
   timer_armed_ = true;
-  sim::SimTime fire_at = oldest_pending_since_ + config_.latency_threshold;
+  sim::SimTime fire_at = oldest_pending_since_ + latency_threshold_;
   sim::SimTime delay = fire_at > sim_->Now() ? fire_at - sim_->Now() : 0;
-  sim_->Schedule(delay, [this]() {
+  sim_->Schedule(delay, [this, generation = generation_]() {
+    if (generation != generation_) return;
     timer_armed_ = false;
     Pump();
   });
@@ -186,8 +210,14 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
   obs::ScopedContext span_scope(spans_, span);
   ftl_->WriteDirect(
       ftl::IoClass::kDestage, lba, std::move(copy),
-      [this, lba, page = std::move(page), begin, end, len, issued_at,
-       attempt, span](Status status) mutable {
+      [this, generation = generation_, lba, page = std::move(page), begin,
+       end, len, issued_at, attempt, span](Status status) mutable {
+        if (generation != generation_) {
+          // Issued before a Reset(): the page belongs to a stream that no
+          // longer exists.
+          if (spans_) spans_->EndSpan(span);
+          return;
+        }
         if (!status.ok()) {
           if (m_write_failures_) m_write_failures_->Add();
           if (attempt < config_.max_write_retries) {
@@ -197,9 +227,10 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
             ++stats_.write_retries;
             if (m_write_retries_) m_write_retries_->Add();
             sim::SimTime backoff = config_.retry_backoff << attempt;
-            sim_->Schedule(backoff, [this, lba, page = std::move(page), begin,
-                                     end, len, issued_at, attempt,
-                                     span]() mutable {
+            sim_->Schedule(backoff, [this, generation, lba,
+                                     page = std::move(page), begin, end, len,
+                                     issued_at, attempt, span]() mutable {
+              if (generation != generation_) return;
               if (halted_) {
                 // Hard crash while backing off: the device is gone; the
                 // write never happens.
@@ -265,8 +296,7 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
   frozen_ = false;
   // Temporarily lift the latency threshold and barrier: on power loss the
   // device flushes everything persisted, immediately.
-  sim::SimTime saved_threshold = config_.latency_threshold;
-  config_.latency_threshold = 0;
+  latency_threshold_ = 0;
   uint64_t saved_barrier = barrier_;
   barrier_ = ~0ull;
 
@@ -275,8 +305,9 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
   // it is freed once it stops rescheduling.
   auto poll = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> self_ref = poll;
-  *poll = [this, page_budget, pages_before, saved_threshold, saved_barrier,
-           done = std::move(done), self_ref]() mutable {
+  *poll = [this, generation = generation_, page_budget, pages_before,
+           saved_barrier, done = std::move(done), self_ref]() mutable {
+    if (generation != generation_) return;
     bool budget_left =
         stats_.pages_written - pages_before + inflight_ < page_budget;
     // Also done when everything was issued and nothing is in flight —
@@ -289,7 +320,7 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
         XSSD_LOG(kWarning) << "supercap budget exhausted during power-loss "
                               "destage";
       }
-      config_.latency_threshold = saved_threshold;
+      latency_threshold_ = config_.latency_threshold;
       barrier_ = saved_barrier;
       frozen_ = true;  // device halts after the emergency destage
       done();

@@ -59,6 +59,18 @@ class DestageModule {
   uint64_t ring_start_lba() const { return config_.ring_start_lba; }
   uint64_t ring_lba_count() const { return config_.ring_lba_count; }
 
+  /// Epoch stamped into every page header.
+  uint32_t epoch() const { return epoch_; }
+
+  /// Restart the destage stream in `epoch`, in place: the module then
+  /// matches one newly built at that epoch (progress, stats, barrier,
+  /// latency threshold), while its instrumentation and observers stay
+  /// attached. Events scheduled before the reset — latency timers, flash
+  /// completions, retry backoffs, an unfinished power-loss destage (whose
+  /// `done` never fires) — are fenced off by a generation count: a stale
+  /// page completion closes its span and changes nothing else.
+  void Reset(uint32_t epoch);
+
   /// Advanced-API barrier: stream offsets >= `stream_offset` are withheld
   /// from destaging (active x_alloc areas). ~0 disables.
   void SetBarrier(uint64_t stream_offset);
@@ -115,7 +127,6 @@ class DestageModule {
   // -- Conformance observation taps (src/check) -----------------------------
   // Pure observers, called in addition to the normal control flow; the
   // checker's reference model cross-checks each step. Detach with nullptr.
-  // Note a Reboot() recreates this module, so a checker must re-attach.
 
   /// A page was built and issued (fires strictly in stream order, before
   /// the flash write; retried pages do not re-fire).
@@ -164,9 +175,13 @@ class DestageModule {
   sim::Simulator* sim_;
   ftl::Ftl* ftl_;
   CmbModule* cmb_;
-  DestageConfig config_;
+  const DestageConfig config_;
   uint32_t epoch_;
+  /// Bumped by Reset(); events carry the value they were scheduled under.
+  uint64_t generation_ = 0;
 
+  /// config_.latency_threshold, lifted to 0 while a power-loss destage runs.
+  sim::SimTime latency_threshold_;
   uint64_t credit_seen_ = 0;
   uint64_t destaged_ = 0;        ///< contiguous, completion-ordered
   uint64_t destage_cursor_ = 0;  ///< issued (may be ahead of destaged_)

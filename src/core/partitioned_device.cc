@@ -1,7 +1,5 @@
 #include "core/partitioned_device.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace xssd::core {
@@ -25,43 +23,20 @@ PartitionedVillars::PartitionedVillars(sim::Simulator* sim,
         HandleVendorAdmin(cmd, std::move(done));
       });
 
-  uint64_t offset = 0;
   for (const PartitionConfig& pc : config.partitions) {
-    auto partition = std::make_unique<Partition>();
-    partition->config = pc;
-    partition->bar_offset = offset;
-    partition->cmb = std::make_unique<CmbModule>(sim_, pc.cmb);
-    partition->destage = std::make_unique<DestageModule>(
-        sim_, ftl_.get(), partition->cmb.get(), pc.destage, /*epoch=*/0);
-    partition->transport =
-        std::make_unique<TransportModule>(sim_, fabric_, pc.transport);
-    partition->transport->set_ring_bytes(pc.cmb.ring_bytes);
-
-    CmbModule* cmb = partition->cmb.get();
-    DestageModule* destage = partition->destage.get();
-    TransportModule* transport = partition->transport.get();
-    cmb->SetCreditHook([destage, transport](uint64_t credit) {
-      destage->OnCreditAdvance(credit);
-      transport->OnLocalCredit(credit);
-    });
-    cmb->SetArrivalHook(
-        [transport](uint64_t stream_offset, const uint8_t* data,
-                    size_t len) {
-          transport->OnCmbArrival(stream_offset, data, len);
-        });
-
-    partition_offset_.push_back(offset);
-    offset += kCtrlPageBytes + pc.cmb.ring_bytes;
-    partitions_.push_back(std::move(partition));
+    partitions_.push_back(std::make_unique<FastSide>(
+        sim_, fabric_, ftl_.get(), pc.cmb, pc.destage, pc.transport,
+        name_ + "/p" + std::to_string(partitions_.size())));
+    partition_offset_.push_back(bar_bytes_);
+    bar_bytes_ += partitions_.back()->bar_bytes();
   }
-  bar_bytes_ = offset;
 
   // Destage rings of different tenants must not overlap on the shared
   // conventional side.
   for (size_t i = 0; i < partitions_.size(); ++i) {
     for (size_t j = i + 1; j < partitions_.size(); ++j) {
-      const DestageConfig& a = partitions_[i]->config.destage;
-      const DestageConfig& b = partitions_[j]->config.destage;
+      const DestageConfig& a = config.partitions[i].destage;
+      const DestageConfig& b = config.partitions[j].destage;
       bool disjoint =
           a.ring_start_lba + a.ring_lba_count <= b.ring_start_lba ||
           b.ring_start_lba + b.ring_lba_count <= a.ring_start_lba;
@@ -75,96 +50,13 @@ PartitionedVillars::~PartitionedVillars() = default;
 Status PartitionedVillars::Attach(uint64_t bar0_base, uint64_t cmb_base) {
   XSSD_RETURN_IF_ERROR(fabric_->AddMmioRegion(
       bar0_base, nvme::kBar0Bytes, controller_.get(), name_ + "/bar0"));
-  XSSD_RETURN_IF_ERROR(
-      fabric_->AddMmioRegion(cmb_base, bar_bytes_, this, name_ + "/cmb"));
+  for (size_t i = 0; i < partitions_.size(); ++i) {
+    XSSD_RETURN_IF_ERROR(fabric_->AddMmioRegion(
+        cmb_base + partition_offset_[i], partitions_[i]->bar_bytes(),
+        partitions_[i].get(), name_ + "/cmb/p" + std::to_string(i)));
+  }
   cmb_base_ = cmb_base;
   return Status::OK();
-}
-
-PartitionedVillars::Partition* PartitionedVillars::Find(uint64_t offset) {
-  for (auto& partition : partitions_) {
-    uint64_t size =
-        kCtrlPageBytes + partition->config.cmb.ring_bytes;
-    if (offset >= partition->bar_offset &&
-        offset < partition->bar_offset + size) {
-      return partition.get();
-    }
-  }
-  return nullptr;
-}
-
-void PartitionedVillars::OnMmioWrite(uint64_t offset, const uint8_t* data,
-                                     size_t len) {
-  Partition* partition = Find(offset);
-  if (partition == nullptr) return;
-  uint64_t rel = offset - partition->bar_offset;
-  if (rel >= kRingWindowOffset) {
-    partition->cmb->OnRingWrite(rel - kRingWindowOffset, data, len);
-    return;
-  }
-  if (rel >= kRegShadowBase && rel + len <= kRegShadowBase + 8 * kMaxPeers &&
-      len == 8) {
-    uint64_t value = 0;
-    std::memcpy(&value, data, 8);
-    partition->transport->OnShadowWrite(
-        static_cast<uint32_t>((rel - kRegShadowBase) / 8), value);
-    return;
-  }
-  if (rel == kRegDestageBarrier && len == 8) {
-    uint64_t value = 0;
-    std::memcpy(&value, data, 8);
-    partition->destage->SetBarrier(value);
-    return;
-  }
-}
-
-uint64_t PartitionedVillars::ReadRegister(const Partition& partition,
-                                          uint64_t reg) const {
-  switch (reg) {
-    case kRegCredit:
-      return partition.transport->EffectiveCredit(
-          partition.cmb->local_credit());
-    case kRegLocalCredit:
-      return partition.cmb->local_credit();
-    case kRegQueueBytes:
-      return partition.cmb->queue_bytes();
-    case kRegRingBytes:
-      return partition.cmb->ring_bytes();
-    case kRegDestaged:
-      return partition.destage->destaged();
-    case kRegDestageStartLba:
-      return partition.destage->ring_start_lba();
-    case kRegDestageLbaCount:
-      return partition.destage->ring_lba_count();
-    case kRegTransportStatus:
-      return partition.transport->StatusWord(partition.cmb->local_credit());
-    case kRegDestageBarrier:
-      return partition.destage->barrier();
-    default:
-      if (reg >= kRegShadowBase && reg < kRegShadowBase + 8 * kMaxPeers) {
-        return partition.transport->shadow_counter(
-            static_cast<uint32_t>((reg - kRegShadowBase) / 8));
-      }
-      return 0;
-  }
-}
-
-void PartitionedVillars::OnMmioRead(uint64_t offset, uint8_t* out,
-                                    size_t len) {
-  std::memset(out, 0, len);
-  Partition* partition = Find(offset);
-  if (partition == nullptr) return;
-  uint64_t rel = offset - partition->bar_offset;
-  if (rel >= kRingWindowOffset) {
-    partition->cmb->ReadRing(rel - kRingWindowOffset, out, len);
-    return;
-  }
-  uint64_t reg = rel & ~7ull;
-  uint64_t value = ReadRegister(*partition, reg);
-  size_t shift = rel - reg;
-  for (size_t i = 0; i < len && shift + i < 8; ++i) {
-    out[i] = static_cast<uint8_t>(value >> (8 * (shift + i)));
-  }
 }
 
 void PartitionedVillars::HandleVendorAdmin(
@@ -173,65 +65,13 @@ void PartitionedVillars::HandleVendorAdmin(
   cpl.cid = cmd.cid;
   cpl.status = nvme::CmdStatus::kSuccess;
   // cdw13 selects the partition (a virtual function in SR-IOV terms).
-  uint32_t index = cmd.cdw13;
-  if (index >= partitions_.size()) {
+  if (cmd.cdw13 >= partitions_.size()) {
     cpl.status = nvme::CmdStatus::kInvalidField;
-    done(cpl);
-    return;
-  }
-  Partition& partition = *partitions_[index];
-  switch (static_cast<nvme::AdminOpcode>(cmd.opcode)) {
-    case nvme::AdminOpcode::kXssdSetRole: {
-      if (cmd.cdw10 > static_cast<uint32_t>(Role::kSecondary)) {
-        cpl.status = nvme::CmdStatus::kInvalidField;
-        break;
-      }
-      partition.transport->SetRole(static_cast<Role>(cmd.cdw10));
-      if (static_cast<Role>(cmd.cdw10) == Role::kSecondary) {
-        uint64_t addr = (static_cast<uint64_t>(cmd.cdw12) << 32) | cmd.cdw11;
-        partition.transport->ConfigureSecondary(addr);
-      }
-      break;
-    }
-    case nvme::AdminOpcode::kXssdAddPeer: {
-      uint64_t addr = (static_cast<uint64_t>(cmd.cdw12) << 32) | cmd.cdw11;
-      if (!partition.transport->AddPeer(addr).ok()) {
-        cpl.status = nvme::CmdStatus::kInvalidField;
-      }
-      break;
-    }
-    case nvme::AdminOpcode::kXssdClearPeers:
-      partition.transport->ClearPeers();
-      break;
-    case nvme::AdminOpcode::kXssdSetUpdatePeriod:
-      partition.transport->set_update_period(sim::Ns(cmd.cdw10));
-      break;
-    case nvme::AdminOpcode::kXssdSetReplication: {
-      if (cmd.cdw10 > static_cast<uint32_t>(ReplicationProtocol::kChain)) {
-        cpl.status = nvme::CmdStatus::kInvalidField;
-        break;
-      }
-      partition.transport->set_protocol(
-          static_cast<ReplicationProtocol>(cmd.cdw10));
-      break;
-    }
-    case nvme::AdminOpcode::kXssdSetDestagePolicy: {
-      if (cmd.cdw10 >
-          static_cast<uint32_t>(
-              ftl::SchedulingPolicy::kConventionalPriority)) {
-        cpl.status = nvme::CmdStatus::kInvalidField;
-        break;
-      }
-      ftl_->scheduler().set_policy(
-          static_cast<ftl::SchedulingPolicy>(cmd.cdw10));
-      break;
-    }
-    case nvme::AdminOpcode::kXssdGetLogRing:
-      cpl.result = static_cast<uint32_t>(partition.destage->next_sequence());
-      break;
-    default:
-      cpl.status = nvme::CmdStatus::kInvalidOpcode;
-      break;
+  } else if (static_cast<nvme::AdminOpcode>(cmd.opcode) ==
+             nvme::AdminOpcode::kXssdSetDestagePolicy) {
+    cpl.status = SetDestagePolicy(*ftl_, cmd.cdw10);
+  } else {
+    partitions_[cmd.cdw13]->HandleAdmin(cmd, &cpl);
   }
   done(cpl);
 }

@@ -5,11 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cmb_module.h"
 #include "core/config.h"
-#include "core/destage_module.h"
-#include "core/registers.h"
-#include "core/transport_module.h"
+#include "core/fast_side.h"
 #include "flash/array.h"
 #include "ftl/ftl.h"
 #include "nvme/controller.h"
@@ -40,17 +37,18 @@ struct PartitionedConfig {
 /// subsumes the per-writer-counter extension of §7.1 (one partition per
 /// pinned writer behaves exactly like one credit counter per core).
 ///
-/// Each partition is a complete fast side: its own staging queue, PM ring,
-/// credit counter, destage ring (a disjoint LBA range on the shared
-/// conventional side), and its own replication configuration. The
-/// conventional side — flash array, FTL, NVMe controller — is shared, as a
-/// single physical function would be.
+/// Each partition is a complete fast side (FastSide): its own staging
+/// queue, PM ring, credit counter, destage ring (a disjoint LBA range on
+/// the shared conventional side), and its own replication configuration.
+/// The conventional side — flash array, FTL, NVMe controller — is shared,
+/// as a single physical function would be; vendor admin commands pick
+/// their partition by cdw13.
 ///
 /// The CMB BAR lays partitions out back to back, each with the standard
 /// control page + ring window, so an unmodified host::XLogClient pointed
 /// at a partition's base address works as-is — tenants need no special
 /// client.
-class PartitionedVillars : public pcie::MmioDevice {
+class PartitionedVillars {
  public:
   PartitionedVillars(sim::Simulator* sim, pcie::PcieFabric* fabric,
                      const PartitionedConfig& config, std::string name);
@@ -72,41 +70,24 @@ class PartitionedVillars : public pcie::MmioDevice {
   /// Whole-BAR size.
   uint64_t cmb_bar_bytes() const { return bar_bytes_; }
 
-  // pcie::MmioDevice — dispatches into the owning partition.
-  void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
-  void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override;
-
-  CmbModule& cmb(size_t index) { return *partitions_[index]->cmb; }
+  CmbModule& cmb(size_t index) { return partitions_[index]->cmb(); }
   DestageModule& destage(size_t index) {
-    return *partitions_[index]->destage;
+    return partitions_[index]->destage();
   }
   TransportModule& transport(size_t index) {
-    return *partitions_[index]->transport;
+    return partitions_[index]->transport();
   }
   ftl::Ftl& ftl() { return *ftl_; }
   flash::Array& flash_array() { return *array_; }
   nvme::Controller& controller() { return *controller_; }
 
   uint64_t EffectiveCredit(size_t index) const {
-    return partitions_[index]->transport->EffectiveCredit(
-        partitions_[index]->cmb->local_credit());
+    return partitions_[index]->EffectiveCredit();
   }
 
  private:
-  struct Partition {
-    PartitionConfig config;
-    uint64_t bar_offset;  // of the control page within the CMB BAR
-    std::unique_ptr<CmbModule> cmb;
-    std::unique_ptr<DestageModule> destage;
-    std::unique_ptr<TransportModule> transport;
-  };
-
-  /// Partition containing BAR offset `offset`, or nullptr.
-  Partition* Find(uint64_t offset);
-
   void HandleVendorAdmin(const nvme::Command& cmd,
                          std::function<void(nvme::Completion)> done);
-  uint64_t ReadRegister(const Partition& partition, uint64_t reg) const;
 
   sim::Simulator* sim_;
   pcie::PcieFabric* fabric_;
@@ -115,7 +96,8 @@ class PartitionedVillars : public pcie::MmioDevice {
   std::unique_ptr<flash::Array> array_;
   std::unique_ptr<ftl::Ftl> ftl_;
   std::unique_ptr<nvme::Controller> controller_;
-  std::vector<std::unique_ptr<Partition>> partitions_;
+  std::vector<std::unique_ptr<FastSide>> partitions_;
+  /// Offset of each partition's control page within the CMB BAR.
   std::vector<uint64_t> partition_offset_;
   uint64_t bar_bytes_ = 0;
   uint64_t cmb_base_ = 0;

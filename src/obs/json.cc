@@ -61,194 +61,7 @@ std::string JsonNumber(double value) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON validator (RFC 8259 syntax only).
-
-namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool Check(std::string* error) {
-    SkipWs();
-    if (!Value()) return Fail(error);
-    SkipWs();
-    if (pos_ != text_.size()) {
-      reason_ = "trailing characters";
-      return Fail(error);
-    }
-    return true;
-  }
-
- private:
-  bool Fail(std::string* error) {
-    if (error != nullptr) {
-      *error = "invalid JSON at byte " + std::to_string(pos_) + ": " +
-               (reason_.empty() ? "syntax error" : reason_);
-    }
-    return false;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool Eat(char c) {
-    if (Peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool Value() {
-    switch (Peek()) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    if (!Eat('{')) return false;
-    SkipWs();
-    if (Eat('}')) return true;
-    while (true) {
-      SkipWs();
-      if (!String()) {
-        reason_ = "expected object key";
-        return false;
-      }
-      SkipWs();
-      if (!Eat(':')) {
-        reason_ = "expected ':'";
-        return false;
-      }
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Eat(',')) continue;
-      if (Eat('}')) return true;
-      reason_ = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-  bool Array() {
-    if (!Eat('[')) return false;
-    SkipWs();
-    if (Eat(']')) return true;
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Eat(',')) continue;
-      if (Eat(']')) return true;
-      reason_ = "expected ',' or ']'";
-      return false;
-    }
-  }
-
-  bool String() {
-    if (!Eat('"')) return false;
-    while (pos_ < text_.size()) {
-      unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) {
-        reason_ = "unescaped control character in string";
-        return false;
-      }
-      if (c == '\\') {
-        ++pos_;
-        char esc = Peek();
-        if (esc == 'u') {
-          ++pos_;
-          for (int i = 0; i < 4; ++i, ++pos_) {
-            if (!std::isxdigit(static_cast<unsigned char>(Peek()))) {
-              reason_ = "bad \\u escape";
-              return false;
-            }
-          }
-          continue;
-        }
-        if (esc == '"' || esc == '\\' || esc == '/' || esc == 'b' ||
-            esc == 'f' || esc == 'n' || esc == 'r' || esc == 't') {
-          ++pos_;
-          continue;
-        }
-        reason_ = "bad escape";
-        return false;
-      }
-      ++pos_;
-    }
-    reason_ = "unterminated string";
-    return false;
-  }
-
-  bool Digits() {
-    if (!std::isdigit(static_cast<unsigned char>(Peek()))) return false;
-    while (std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    return true;
-  }
-
-  bool Number() {
-    Eat('-');
-    if (Peek() == '0') {
-      ++pos_;  // leading zero may not be followed by more digits
-    } else if (!Digits()) {
-      reason_ = "expected value";
-      return false;
-    }
-    if (Eat('.') && !Digits()) {
-      reason_ = "digits required after '.'";
-      return false;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      if (!Digits()) {
-        reason_ = "digits required in exponent";
-        return false;
-      }
-    }
-    return true;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string reason_;
-};
-
-}  // namespace
-
-bool IsValidJson(std::string_view text, std::string* error) {
-  return JsonChecker(text).Check(error);
-}
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON parser (DOM variant of the checker above).
+// Minimal recursive-descent JSON parser (RFC 8259 syntax, DOM output).
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;

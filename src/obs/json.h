@@ -21,11 +21,6 @@ std::string JsonEscape(std::string_view s);
 /// (not representable in JSON) degrade to 0.
 std::string JsonNumber(double value);
 
-/// Strict RFC 8259 syntax check (no DOM). Used by the observability tests
-/// to prove exported snapshots and traces are well-formed; `error` (if
-/// non-null) receives a byte offset + reason on failure.
-bool IsValidJson(std::string_view text, std::string* error = nullptr);
-
 /// \brief Minimal JSON DOM for small config inputs (fault plans, tooling).
 ///
 /// Deliberately tiny: values are held by value, object fields keep their
@@ -53,8 +48,9 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
-/// Parse one JSON document (must consume the whole input). Rejects the
-/// same syntax IsValidJson rejects; additionally bounds nesting depth.
+/// Parse one JSON document (must consume the whole input) with strict
+/// RFC 8259 syntax and bounded nesting depth. A failed parse's status reads
+/// "invalid JSON at byte N: reason".
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// \brief Snapshots a MetricsRegistry to machine-readable JSON.

@@ -42,19 +42,14 @@ Simulator::~Simulator() {
 
 Simulator::SchedulerBackend Simulator::DefaultBackend() {
   static const SchedulerBackend cached = [] {
-#ifdef XSSD_SIM_HEAP_SCHEDULER
-    SchedulerBackend fallback = SchedulerBackend::kHeap;
-#else
-    SchedulerBackend fallback = SchedulerBackend::kWheel;
-#endif
     const char* env = std::getenv("XSSD_SIM_SCHEDULER");
-    if (env == nullptr || env[0] == '\0') return fallback;
+    if (env == nullptr || env[0] == '\0') return SchedulerBackend::kWheel;
     if (std::strcmp(env, "heap") == 0) return SchedulerBackend::kHeap;
     if (std::strcmp(env, "wheel") == 0) return SchedulerBackend::kWheel;
     if (std::strcmp(env, "parallel") == 0) return SchedulerBackend::kParallel;
     XSSD_LOG(kWarning) << "unknown XSSD_SIM_SCHEDULER=" << env
-                       << " (want heap|wheel|parallel); using build default";
-    return fallback;
+                       << " (want heap|wheel|parallel); using wheel";
+    return SchedulerBackend::kWheel;
   }();
   return cached;
 }

@@ -63,8 +63,8 @@ class TimeObserver {
 ///  - kParallel: the wheel backend plus conservative parallel execution of
 ///    Run()/RunUntil() when the model is partitioned into more than one
 ///    domain (one worker thread per simulated PCIe fabric; see below).
-/// Select per-process with XSSD_SIM_SCHEDULER=heap|wheel|parallel, per-build
-/// with -DXSSD_SIM_HEAP_SCHEDULER=ON, or per-instance via the constructor.
+/// Select per-process with XSSD_SIM_SCHEDULER=heap|wheel|parallel or
+/// per-instance via the constructor.
 ///
 /// ## Domains and the parallel backend
 ///
@@ -130,7 +130,7 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Backend chosen by the XSSD_SIM_SCHEDULER environment variable
-  /// ("wheel", "heap" or "parallel"), falling back to the build default.
+  /// ("wheel", "heap" or "parallel"), falling back to the wheel.
   static SchedulerBackend DefaultBackend();
 
   /// While alive, idle-context scheduling (calls made outside any event —

@@ -219,5 +219,66 @@ TEST_F(DestageTest, PowerLossRespectsEnergyBudget) {
   EXPECT_LE(destage_.stats().pages_written - already, 2u + 1);
 }
 
+TEST_F(DestageTest, ResetMatchesAFreshModule) {
+  obs::MetricsRegistry registry;
+  destage_.SetMetrics(&registry);
+  // Dirty every piece of state: a barrier, pages in flight, a partial page
+  // on the latency timer, and a power-loss destage mid-poll with the
+  // threshold and barrier lifted.
+  destage_.SetBarrier(3 * Capacity());
+  WriteStream(0, 2 * Capacity() + 100, 0x11);
+  sim_.RunFor(sim::Us(5));
+  destage_.set_frozen(true);
+  bool drained = false;
+  destage_.DestageAllForPowerLoss(/*page_budget=*/16,
+                                  [&]() { drained = true; });
+  ASSERT_GT(destage_.destage_cursor(), destage_.destaged());
+
+  cmb_.ResetForReboot();
+  destage_.Reset(/*epoch=*/2);
+  DestageModule fresh(&sim_, &ftl_, &cmb_, DestageTestConfig(), 2);
+  auto expect_fresh = [&]() {
+    EXPECT_EQ(destage_.epoch(), fresh.epoch());
+    EXPECT_EQ(destage_.destaged(), fresh.destaged());
+    EXPECT_EQ(destage_.destage_cursor(), fresh.destage_cursor());
+    EXPECT_EQ(destage_.next_sequence(), fresh.next_sequence());
+    EXPECT_EQ(destage_.barrier(), fresh.barrier());
+    EXPECT_EQ(destage_.stats().pages_written, 0u);
+    EXPECT_EQ(destage_.stats().partial_pages, 0u);
+    EXPECT_EQ(destage_.stats().filler_bytes, 0u);
+    EXPECT_EQ(destage_.stats().stream_bytes, 0u);
+  };
+  expect_fresh();
+
+  // The old stream's completions, timer and drain poll all fire here and
+  // change nothing: no observer or metric hears of them, the drain is
+  // abandoned, and the floor stays at the reset.
+  int observed = 0;
+  destage_.SetDurableObserver([&](uint64_t, uint64_t) { ++observed; });
+  destage_.SetDestagedObserver([&](uint64_t) { ++observed; });
+  obs::Counter* pages = registry.GetCounter("destage.pages_written");
+  uint64_t pages_at_reset = pages->value();
+  sim_.Run();
+  expect_fresh();
+  EXPECT_EQ(observed, 0);
+  EXPECT_EQ(pages->value(), pages_at_reset);
+  EXPECT_FALSE(drained);
+  EXPECT_EQ(cmb_.destaged_floor(), 0u);
+
+  // The new stream behaves like a fresh one: the latency threshold holds a
+  // partial page again, and the timer re-arms.
+  WriteStream(0, 100, 0x22);
+  sim_.RunFor(sim::Us(50));
+  EXPECT_EQ(destage_.destaged(), 0u);
+  sim_.Run();
+  EXPECT_EQ(destage_.destaged(), 100u);
+  EXPECT_EQ(destage_.stats().pages_written, 1u);
+  EXPECT_EQ(cmb_.destaged_floor(), 100u);
+  Result<ParsedDestagePage> page = ReadRingSlot(0);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(page->header.sequence, 0u);
+  EXPECT_EQ(page->header.epoch, 2u);
+}
+
 }  // namespace
 }  // namespace xssd::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "host/sync.h"
 #include "host/xlog_client.h"
 #include "nvme/driver.h"
@@ -145,6 +147,36 @@ TEST_F(PartitionedTest, VendorCommandsTargetPartitionByCdw13) {
   });
   sim_.RunWhile([&]() { return got; });
   EXPECT_FALSE(result.ok());
+}
+
+TEST_F(PartitionedTest, SetTermReachesOnlyTheAddressedPartition) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
+  cmd.cdw10 = 7;  // term
+  cmd.cdw11 = 0;  // writer slot
+  cmd.cdw13 = 1;  // tenant B only
+  bool got = false;
+  nvme::Completion result;
+  driver_.Admin(cmd, [&](nvme::Completion cpl) {
+    result = cpl;
+    got = true;
+  });
+  sim_.RunWhile([&]() { return got; });
+  ASSERT_TRUE(result.ok());
+
+  auto read_term = [&](size_t partition) {
+    uint8_t raw[8] = {0};
+    EXPECT_TRUE(fabric_
+                    .FunctionalRead(device_.partition_base(partition) +
+                                        kRegTerm,
+                                    raw, 8)
+                    .ok());
+    uint64_t value = 0;
+    std::memcpy(&value, raw, 8);
+    return value;
+  };
+  EXPECT_EQ(read_term(1), 7u);
+  EXPECT_EQ(read_term(0), 0u);
 }
 
 TEST_F(PartitionedTest, ConcurrentTenantsInterleaveSafely) {

@@ -148,6 +148,45 @@ TEST_F(VillarsDeviceTest, PowerFailThenRebootBumpsEpochAndHalts) {
   EXPECT_EQ(ReadRegister(kRegLocalCredit), 0u);  // fresh fast side
 }
 
+// The default 16 KiB flash page carries this much stream payload.
+constexpr uint64_t kPagePayload = 16352;
+
+TEST_F(VillarsDeviceTest, TruncateBelowCursorRestartsDestageInNewEpoch) {
+  // One full page goes to flash at once; the 100 B tail waits on the
+  // latency timer when the truncate cuts below both.
+  std::vector<uint8_t> data(kPagePayload + 100, 0x5A);
+  host::x_pwrite(sim_, node_.client(), data.data(), data.size());
+  host::x_fsync(sim_, node_.client());
+  VillarsDevice& device = node_.device();
+  ASSERT_EQ(device.destage().destage_cursor(), kPagePayload);
+  ASSERT_EQ(device.destage().destaged(), 0u);
+
+  device.TruncateLog(10);
+  sim_.RunFor(sim::Ms(2));
+  EXPECT_EQ(device.epoch(), 1u);
+  EXPECT_EQ(device.destage().destaged(), 10u);
+  EXPECT_EQ(device.destage().stats().stream_bytes, 10u);
+  EXPECT_EQ(device.destage().stats().pages_written, 1u);
+  EXPECT_EQ(device.cmb().destaged_floor(), 10u);
+}
+
+TEST_F(VillarsDeviceTest, RebootDropsTheCompletionOfAnInFlightPage) {
+  std::vector<uint8_t> data(kPagePayload, 0x3C);
+  host::x_pwrite(sim_, node_.client(), data.data(), data.size());
+  host::x_fsync(sim_, node_.client());
+  VillarsDevice& device = node_.device();
+  ASSERT_EQ(device.destage().destage_cursor(), kPagePayload);
+  ASSERT_EQ(device.destage().destaged(), 0u);  // the page is in flight
+
+  device.CrashHard();
+  device.Reboot();
+  sim_.RunFor(sim::Ms(2));
+  EXPECT_EQ(device.cmb().local_credit(), 0u);
+  EXPECT_EQ(device.cmb().destaged_floor(), 0u);
+  EXPECT_EQ(device.destage().destaged(), 0u);
+  EXPECT_EQ(device.destage().stats().pages_written, 0u);
+}
+
 TEST_F(VillarsDeviceTest, RingWindowIsReadable) {
   std::vector<uint8_t> data = {9, 8, 7, 6};
   host::x_pwrite(sim_, node_.client(), data.data(), data.size());

@@ -203,8 +203,8 @@ TEST_F(CriticalPathTest, ReporterAggregatesAndEmitsValidJson) {
   EXPECT_EQ(reporter.request_count(), 1u);
   EXPECT_EQ(reporter.conservation_violations(), 0u);
   std::string json = reporter.ToJson();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(json, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(json);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(json.find("\"append\""), std::string::npos);
   EXPECT_NE(json.find("\"dev/cmb.stage\""), std::string::npos);
   EXPECT_NE(json.find("\"dev/request.self\""), std::string::npos);

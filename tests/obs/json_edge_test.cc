@@ -51,10 +51,8 @@ TEST(JsonExporter, EdgeCaseMetricNamesRoundTripThroughParser) {
   registry.GetCounter("a.b.c.d.e.f")->Add(2);
   registry.GetGauge("-leading-dash")->Set(3);
   std::string out = JsonExporter(&registry).ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(out, &error)) << error << "\n" << out;
   Result<JsonValue> doc = ParseJson(out);
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << out;
   const JsonValue* counters = doc->Find("counters");
   ASSERT_NE(counters, nullptr);
   const JsonValue* name = counters->Find("UPPER.lower_0-9");
@@ -67,8 +65,6 @@ TEST(JsonEscape, HostileStringsSurviveAValidDocument) {
   // quote or control byte in one must still yield a parseable document.
   for (const char* hostile : {"say \"hi\"", "back\\slash", "new\nline"}) {
     std::string doc = "{\"name\": \"" + JsonEscape(hostile) + "\"}";
-    std::string error;
-    EXPECT_TRUE(IsValidJson(doc, &error)) << error << "\n" << doc;
     Result<JsonValue> parsed = ParseJson(doc);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     const JsonValue* name = parsed->Find("name");
@@ -82,8 +78,8 @@ TEST(JsonExporter, NonFiniteGaugeExportsValidJson) {
   registry.GetGauge("ratio")->Set(std::nan(""));
   registry.GetGauge("rate")->Set(INFINITY);
   std::string out = JsonExporter(&registry).ToString();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(out, &error)) << error << "\n" << out;
+  Result<JsonValue> parsed = ParseJson(out);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << out;
 }
 
 TEST(ParseJson, RejectsMalformedDocuments) {
@@ -102,9 +98,15 @@ TEST(ParseJson, RejectsMalformedDocuments) {
       "{} {}",                // two documents
       "{\"a\": 0x10}",        // hex is not JSON
       "[\"\x01\"]",           // raw control byte inside a string
+      "01",                   // leading zero
+      "[1 2]",                // missing comma
+      "{\"a\": 1,}",          // trailing comma in an object
   };
   for (const char* text : bad) {
-    EXPECT_FALSE(ParseJson(text).ok()) << "accepted: " << text;
+    Result<JsonValue> parsed = ParseJson(text);
+    EXPECT_FALSE(parsed.ok()) << "accepted: " << text;
+    EXPECT_NE(parsed.status().ToString().find("invalid JSON at byte"),
+              std::string::npos);
   }
 }
 
@@ -125,6 +127,15 @@ TEST(ParseJson, DecodesEscapedKeysAndValues) {
   const JsonValue* number = doc->Find("n");
   ASSERT_NE(number, nullptr);
   EXPECT_EQ(number->number, -2.5);
+
+  doc = ParseJson("[{}, -3e2, true, false, null, [\"\\u00e9\", \"\\n\"]]");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->items.size(), 6u);
+  EXPECT_TRUE(doc->items[0].is_object());
+  EXPECT_EQ(doc->items[1].number, -300);
+  EXPECT_TRUE(doc->items[4].is_null());
+  EXPECT_EQ(doc->items[5].items[0].string, "\xc3\xa9");
+  EXPECT_EQ(doc->items[5].items[1].string, "\n");
 }
 
 }  // namespace

@@ -92,8 +92,8 @@ TEST(MetricsRegistryDeathTest, RejectsMalformedNames) {
 TEST(JsonExporter, EmptyRegistrySnapshotIsValidJson) {
   MetricsRegistry registry;
   std::string snapshot = JsonExporter(&registry).ToString();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(snapshot, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(snapshot);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(snapshot.find("\"counters\""), std::string::npos);
   EXPECT_NE(snapshot.find("\"gauges\""), std::string::npos);
   EXPECT_NE(snapshot.find("\"latencies\""), std::string::npos);
@@ -107,8 +107,8 @@ TEST(JsonExporter, SnapshotCarriesEveryMetricKind) {
   for (int i = 1; i <= 10; ++i) latency->Add(i);
 
   std::string snapshot = JsonExporter(&registry).ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(snapshot, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(snapshot);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(snapshot.find("\"flash.reads\": 42"), std::string::npos)
       << snapshot;
   EXPECT_NE(snapshot.find("\"ftl.free_blocks\": 17"), std::string::npos)

@@ -50,8 +50,8 @@ TEST(SnapshotDeterminism, IdenticalRunsProduceIdenticalSnapshots) {
 
 TEST(SnapshotDeterminism, SnapshotIsValidJsonAndCoversDeviceNamespaces) {
   std::string snapshot = SnapshotOfRun();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(snapshot, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(snapshot);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   // The instrumented hot paths must all have reported in.
   for (const char* key :
        {"\"cmb.append_bytes\"", "\"cmb.persisted_bytes\"",
@@ -91,8 +91,8 @@ TEST(SnapshotDeterminism, WorkloadActuallyMovedBytes) {
 
 TEST(SnapshotDeterminism, PrefixSeparatesNodes) {
   std::string snapshot = SnapshotOfRun("pri.");
-  std::string error;
-  ASSERT_TRUE(IsValidJson(snapshot, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(snapshot);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(snapshot.find("\"pri.cmb.append_bytes\""), std::string::npos);
   // No unprefixed device names leak in.
   EXPECT_EQ(snapshot.find("\"cmb.append_bytes\""), std::string::npos);

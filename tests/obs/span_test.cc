@@ -204,8 +204,8 @@ TEST(SpanRecorder, BreakdownJsonIsByteIdenticalAcrossIdenticalRuns) {
   WorkloadResult b = RunWorkload(true, false);
   ASSERT_FALSE(a.breakdown_json.empty());
   EXPECT_EQ(a.breakdown_json, b.breakdown_json);
-  std::string error;
-  EXPECT_TRUE(IsValidJson(a.breakdown_json, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(a.breakdown_json);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
 TEST(SpanRecorder, DisabledTracingAllocatesNothingAndChangesNoCounter) {

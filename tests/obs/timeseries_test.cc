@@ -296,8 +296,8 @@ TEST(TimeSeriesSampler, ExportIsValidAndDeterministicJson) {
   run(&a);
   run(&b);
   EXPECT_EQ(a, b);
-  std::string error;
-  EXPECT_TRUE(IsValidJson(a, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(a);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(a.find("\"t.ops\""), std::string::npos);
   EXPECT_NE(a.find("\"t.lat_ns\""), std::string::npos);
 }

@@ -16,25 +16,26 @@
 namespace xssd::obs {
 namespace {
 
+// Validity is judged by ParseJson, the one JSON parser in obs/; the suite
+// keeps the name of the checker it replaced.
 TEST(IsValidJson, AcceptsAndRejectsTheObviousCases) {
-  EXPECT_TRUE(IsValidJson("{}"));
-  EXPECT_TRUE(IsValidJson("[1, 2.5, -3e2, \"s\", true, false, null]"));
-  EXPECT_TRUE(IsValidJson("{\"a\": {\"b\": [\"\\u00e9\", \"\\n\"]}}"));
-  std::string error;
-  EXPECT_FALSE(IsValidJson("{", &error));
-  EXPECT_FALSE(IsValidJson("{\"a\": 1,}", &error));
-  EXPECT_FALSE(IsValidJson("[1 2]", &error));
-  EXPECT_FALSE(IsValidJson("01", &error));
-  EXPECT_FALSE(IsValidJson("\"unterminated", &error));
-  EXPECT_FALSE(IsValidJson("{} trailing", &error));
-  EXPECT_NE(error.find("invalid JSON"), std::string::npos);
+  EXPECT_TRUE(ParseJson("{}").ok());
+  EXPECT_TRUE(ParseJson("[1, 2.5, -3e2, \"s\", true, false, null]").ok());
+  EXPECT_TRUE(ParseJson("{\"a\": {\"b\": [\"\\u00e9\", \"\\n\"]}}").ok());
+  for (const char* text : {"{", "{\"a\": 1,}", "[1 2]", "01", "\"unterminated",
+                           "{} trailing"}) {
+    Result<JsonValue> parsed = ParseJson(text);
+    EXPECT_FALSE(parsed.ok()) << "accepted: " << text;
+    EXPECT_NE(parsed.status().ToString().find("invalid JSON"),
+              std::string::npos);
+  }
 }
 
 TEST(ChromeTraceWriter, EmptyTraceIsValidJson) {
   ChromeTraceWriter writer;
   std::string text = writer.ToString();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
 }
 
@@ -57,8 +58,8 @@ TEST(ChromeTraceWriter, RecordsSimulatorEventsAsValidJson) {
   EXPECT_EQ(writer.dropped(), 0u);
 
   std::string text = writer.ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(text.find("\"run-a\""), std::string::npos);
 }
 
@@ -68,8 +69,8 @@ TEST(ChromeTraceWriter, ProcessGroupsSeparateRuns) {
   uint32_t pid_b = writer.BeginProcess("second-run");
   EXPECT_NE(pid_a, pid_b);
   std::string text = writer.ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(text.find("\"first-run\""), std::string::npos);
   EXPECT_NE(text.find("\"second-run\""), std::string::npos);
 }
@@ -80,8 +81,8 @@ TEST(ChromeTraceWriter, InstantAndCounterSamplesAreRecorded) {
   writer.OnInstant("gc.start", sim::Us(5));
   writer.OnCounterSample("queue_depth", sim::Us(6), 3.5);
   std::string text = writer.ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(text.find("\"gc.start\""), std::string::npos);
   EXPECT_NE(text.find("\"queue_depth\""), std::string::npos);
 }
@@ -91,8 +92,8 @@ TEST(ChromeTraceWriter, NamesNeedingEscapesStayWellFormed) {
   writer.BeginProcess("quote\"back\\slash\nnewline");
   writer.OnInstant("tab\there", 0);
   std::string text = writer.ToString();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
 TEST(ChromeTraceWriter, CapsBufferAndCountsDrops) {
@@ -113,8 +114,8 @@ TEST(ChromeTraceWriter, CapsBufferAndCountsDrops) {
   EXPECT_GT(writer.dropped(), 0u);
   // A truncated recording still renders a loadable document.
   std::string text = writer.ToString();
-  std::string error;
-  EXPECT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
 /// Pulls the `"id": N` values of every flow event with the given phase
@@ -159,8 +160,8 @@ TEST(ChromeTraceWriter, FlowIdsStayUniqueAcrossProcessGroups) {
   }
 
   std::string text = writer.ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
   std::vector<uint64_t> starts = FlowIds(text, 's', "sim");
   std::vector<uint64_t> finishes = FlowIds(text, 'f', "sim");
@@ -188,8 +189,8 @@ TEST(ChromeTraceWriter, SpanFlowsUseTheirOwnBindingDomain) {
   writer.EmitSpan("dev/append", sim::Us(2), sim::Us(9), 1);
 
   std::string text = writer.ToString();
-  std::string error;
-  ASSERT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(FlowIds(text, 's', "span"), std::vector<uint64_t>{1});
   EXPECT_EQ(FlowIds(text, 'f', "span"), std::vector<uint64_t>{1});
   EXPECT_EQ(FlowIds(text, 's', "sim"), std::vector<uint64_t>{1});
@@ -207,8 +208,8 @@ TEST(ChromeTraceWriter, WriteFileRoundTrips) {
   std::ifstream in(path);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  std::string error;
-  EXPECT_TRUE(IsValidJson(text, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(text.find("\"file-run\""), std::string::npos);
 }
 

@@ -202,8 +202,8 @@ TEST_F(WatchdogWindowTest, AppendJsonIsValidAndCarriesRuleState) {
   // The sampler's export embeds the watchdog block when one is attached.
   std::string json;
   sampler.AppendJson(&json);
-  std::string error;
-  ASSERT_TRUE(IsValidJson(json, &error)) << error;
+  Result<JsonValue> parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(json.find("\"watchdog\""), std::string::npos);
   EXPECT_NE(json.find("\"cliff\""), std::string::npos);
   EXPECT_NE(json.find("\"alerts\": 1"), std::string::npos);
