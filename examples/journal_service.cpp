@@ -7,6 +7,7 @@
 // Build & run:   ./build/examples/journal_service
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "host/node.h"
@@ -56,8 +57,11 @@ int main() {
       std::swap((*order)[i - 1], (*order)[rng.Uniform(i)]);
     }
 
+    // The pending write's callback owns `fill`, which holds itself only
+    // weakly, so the chain is freed once it stops.
     auto fill = std::make_shared<std::function<void(size_t)>>();
-    *fill = [&, id, batch, base, order, fill](size_t index) {
+    std::weak_ptr<std::function<void(size_t)>> fill_ref = fill;
+    *fill = [&, id, batch, base, order, fill_ref](size_t index) {
       if (index == order->size()) {
         Status freed = node.client().XFree(base);
         if (!freed.ok()) {
@@ -69,8 +73,9 @@ int main() {
       }
       std::vector<uint8_t> block(256, static_cast<uint8_t>(id * 16 + batch));
       node.client().WriteAt(base + (*order)[index], block.data(),
-                            block.size(), [fill, index](Status) {
-                              (*fill)(index + 1);
+                            block.size(),
+                            [self = fill_ref.lock(), index](Status) {
+                              (*self)(index + 1);
                             });
     };
     (*fill)(0);

@@ -12,27 +12,9 @@
 #include <string>
 
 #include "host/node.h"
-#include "host/sync.h"
 #include "host/xcalls.h"
 
 using namespace xssd;
-
-namespace {
-
-Status Promote(host::StorageNode& node) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(core::Role::kPrimary);
-  host::SyncRunner runner(&node.simulator());
-  return runner.Await([&](std::function<void(Status)> done) {
-    node.driver().Admin(cmd, [done = std::move(done)](
-                                 nvme::Completion cpl) mutable {
-      done(cpl.ok() ? Status::OK() : Status::IoError("promote failed"));
-    });
-  });
-}
-
-}  // namespace
 
 int main() {
   sim::Simulator sim;
@@ -89,7 +71,7 @@ int main() {
   // (paper §7.1 — promotion is the database's decision, done in software).
   primary.device().PowerFail([]() {});
   sim.RunFor(sim::Ms(5));
-  status = Promote(sec_a);
+  status = host::AdminSync(sec_a, core::SetRoleCmd(core::Role::kPrimary, 0));
   std::printf("primary lost; sec-a promoted: %s (role now %u)\n",
               status.ToString().c_str(),
               static_cast<unsigned>(sec_a.device().transport().role()));

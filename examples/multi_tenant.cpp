@@ -1,14 +1,17 @@
 // Multi-tenant X-SSD (paper §7.2): a hyperscaler packs two virtual
 // databases onto one device. The CMB is segmented into independent
 // partitions — each tenant gets its own PM ring, credit counter, and
-// destage ring on the shared conventional side — and an unmodified client
-// simply points at its partition's base address.
+// destage ring on the shared conventional side. The device is an ordinary
+// VillarsDevice: tenant A is partition 0 (the config's cmb/destage), tenant
+// B its one extra partition, and an unmodified client simply points at its
+// partition's base address.
 //
 // Build & run:   ./build/examples/multi_tenant
 
 #include <cstdio>
 
-#include "core/partitioned_device.h"
+#include "core/validate.h"
+#include "core/villars_device.h"
 #include "db/log_backend.h"
 #include "db/log_manager.h"
 #include "db/tpcc.h"
@@ -23,18 +26,19 @@ int main() {
   pcie::PcieFabric fabric(&sim, pcie::FabricConfig{}, "host");
 
   // Two tenants: a big one with a roomy ring, a small one.
-  core::PartitionedConfig config;
-  core::PartitionConfig big, small;
-  big.cmb.ring_bytes = 128 * 1024;
-  big.destage.ring_start_lba = 0;
-  big.destage.ring_lba_count = 1024;
+  core::VillarsConfig config;
+  config.cmb.ring_bytes = 128 * 1024;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 1024;
+  core::PartitionConfig small;
   small.cmb.ring_bytes = 64 * 1024;
   small.cmb.queue_bytes = 16 * 1024;
   small.destage.ring_start_lba = 1024;
   small.destage.ring_lba_count = 512;
-  config.partitions = {big, small};
+  config.extra_partitions = {small};
+  if (!core::ValidateConfig(config).ok()) return 1;
 
-  core::PartitionedVillars device(&sim, &fabric, config, "mt-xssd");
+  core::VillarsDevice device(&sim, &fabric, config, "mt-xssd");
   if (!device.Attach(0xF000'0000, 0xE000'0000).ok()) return 1;
   nvme::Driver driver(&sim, &fabric, &device.controller(), 0xF000'0000);
   if (!driver.Initialize().ok()) return 1;
@@ -74,8 +78,10 @@ int main() {
   std::printf("tenant B: %8.0f txn/s, %7.1f us mean commit latency\n",
               result_b.txns_per_sec, result_b.latency_us.Mean());
   std::printf("credits: A=%lu B=%lu (independent counters)\n",
-              device.cmb(0).local_credit(), device.cmb(1).local_credit());
+              device.cmb().local_credit(),
+              device.partition(1).cmb().local_credit());
   std::printf("destaged: A=%lu B=%lu bytes into disjoint flash rings\n",
-              device.destage(0).destaged(), device.destage(1).destaged());
+              device.destage().destaged(),
+              device.partition(1).destage().destaged());
   return 0;
 }

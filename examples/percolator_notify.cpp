@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "db/log_record.h"
@@ -34,8 +35,11 @@ int main() {
   int active_producers = kProducers;
   uint64_t produced = 0;
   uint64_t produced_bytes = 0;
+  // Each chain below is owned by its pending callbacks and holds itself
+  // only weakly, so it is freed once it stops.
   auto produce = std::make_shared<std::function<void(int, int)>>();
-  *produce = [&, produce](int id, int remaining) {
+  std::weak_ptr<std::function<void(int, int)>> produce_ref = produce;
+  *produce = [&, produce_ref](int id, int remaining) {
     if (remaining == 0) {
       if (--active_producers == 0) {
         // End-of-stream flush: a filler run larger than the observer's
@@ -55,14 +59,15 @@ int main() {
     std::vector<uint8_t> wire;
     db::SerializeLogRecord(note, &wire);
     produced_bytes += wire.size();
-    node.client().Append(wire.data(), wire.size(), [&, produce, id,
+    auto self = produce_ref.lock();
+    node.client().Append(wire.data(), wire.size(), [&, self, id,
                                                     remaining](Status s) {
       if (!s.ok()) {
         --active_producers;
         return;
       }
-      sim.Schedule(sim::Us(5 + rng.Uniform(40)), [produce, id, remaining]() {
-        (*produce)(id, remaining - 1);
+      sim.Schedule(sim::Us(5 + rng.Uniform(40)), [self, id, remaining]() {
+        (*self)(id, remaining - 1);
       });
     });
   };
@@ -76,11 +81,12 @@ int main() {
   std::vector<uint8_t> backlog;
   bool stop = false;
   auto observe = std::make_shared<std::function<void()>>();
-  *observe = [&, observe]() {
+  std::weak_ptr<std::function<void()>> observe_ref = observe;
+  *observe = [&, observe_ref]() {
     if (stop) return;
     node.client().ReadTail(
         &node.driver(), 256,
-        [&, observe](Status s, std::vector<uint8_t> chunk) {
+        [&, self = observe_ref.lock()](Status s, std::vector<uint8_t> chunk) {
           if (!s.ok()) {
             stop = true;
             return;
@@ -100,7 +106,7 @@ int main() {
             ++observed;
           }
           backlog.erase(backlog.begin(), backlog.begin() + offset);
-          (*observe)();
+          (*self)();
         });
   };
   (*observe)();

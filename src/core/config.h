@@ -2,6 +2,7 @@
 #define XSSD_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/units.h"
 #include "flash/geometry.h"
@@ -120,6 +121,15 @@ struct PowerConfig {
   uint32_t supercap_page_budget = 64;
 };
 
+/// \brief One partition of a multi-tenant CMB (paper §7.2): a fast side
+/// with its own staging queue and PM ring, credit counter, destage ring
+/// and replication configuration.
+struct PartitionConfig {
+  CmbConfig cmb;
+  DestageConfig destage;
+  TransportConfig transport;
+};
+
 /// \brief Full Villars device configuration.
 struct VillarsConfig {
   flash::Geometry geometry;
@@ -128,13 +138,34 @@ struct VillarsConfig {
   ftl::FtlConfig ftl;
   /// Patrol scrubber (off by default — see ScrubConfig::enabled).
   ftl::ScrubConfig scrub;
+  /// Partition 0's fast side: the only one of a single-tenant device.
   CmbConfig cmb;
   DestageConfig destage;
   TransportConfig transport;
+  /// Partitions 1.. of a multi-tenant device, each a further fast side on
+  /// the shared conventional side, with a destage ring disjoint from every
+  /// other partition's.
+  std::vector<PartitionConfig> extra_partitions;
   PowerConfig power;
   ftl::SchedulingPolicy scheduling = ftl::SchedulingPolicy::kNeutral;
   uint64_t seed = 42;
 };
+
+/// Every partition of `config`, partition 0 first.
+inline std::vector<PartitionConfig> Partitions(const VillarsConfig& config) {
+  std::vector<PartitionConfig> partitions = {
+      {config.cmb, config.destage, config.transport}};
+  partitions.insert(partitions.end(), config.extra_partitions.begin(),
+                    config.extra_partitions.end());
+  return partitions;
+}
+
+/// Whether two destage rings share a logical block.
+inline bool DestageRingsOverlap(const DestageConfig& a,
+                                const DestageConfig& b) {
+  return a.ring_start_lba < b.ring_start_lba + b.ring_lba_count &&
+         b.ring_start_lba < a.ring_start_lba + a.ring_lba_count;
+}
 
 }  // namespace xssd::core
 

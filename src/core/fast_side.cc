@@ -198,4 +198,65 @@ nvme::CmdStatus SetDestagePolicy(ftl::Ftl& ftl, uint32_t policy) {
   return nvme::CmdStatus::kSuccess;
 }
 
+nvme::Command SetRoleCmd(Role role, uint64_t mailbox_addr) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
+  cmd.cdw10 = static_cast<uint32_t>(role);
+  cmd.cdw11 = static_cast<uint32_t>(mailbox_addr);
+  cmd.cdw12 = static_cast<uint32_t>(mailbox_addr >> 32);
+  return cmd;
+}
+
+nvme::Command AddPeerCmd(size_t slot, uint64_t window) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
+  cmd.cdw10 = static_cast<uint32_t>(slot);
+  cmd.cdw11 = static_cast<uint32_t>(window);
+  cmd.cdw12 = static_cast<uint32_t>(window >> 32);
+  return cmd;
+}
+
+nvme::Command RemovePeerCmd(size_t slot) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdRemovePeer);
+  cmd.cdw10 = static_cast<uint32_t>(slot);
+  return cmd;
+}
+
+nvme::Command ClearPeersCmd() {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdClearPeers);
+  return cmd;
+}
+
+nvme::Command SetTermCmd(uint64_t term, size_t writer_slot) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
+  cmd.cdw10 = static_cast<uint32_t>(term);
+  cmd.cdw11 = static_cast<uint32_t>(writer_slot);
+  return cmd;
+}
+
+nvme::Command SetUpdatePeriodCmd(sim::SimTime period) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetUpdatePeriod);
+  cmd.cdw10 = static_cast<uint32_t>(period);
+  return cmd;
+}
+
+nvme::Command SetReplicationCmd(ReplicationProtocol protocol) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
+  cmd.cdw10 = static_cast<uint32_t>(protocol);
+  return cmd;
+}
+
+nvme::Command TruncateCmd(uint64_t offset) {
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdTruncate);
+  cmd.cdw10 = static_cast<uint32_t>(offset);
+  cmd.cdw11 = static_cast<uint32_t>(offset >> 32);
+  return cmd;
+}
+
 }  // namespace xssd::core

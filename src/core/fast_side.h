@@ -22,9 +22,9 @@ namespace xssd::core {
 /// direct ring window, and one ring-sized intake alias per peer slot (a
 /// write into alias s is attributed to member slot s and term-fenced) —
 /// and it serves the vendor admin commands that configure its modules. The
-/// owning device supplies the conventional side its destage ring lands on
-/// and drives the power events: VillarsDevice holds one fast side,
-/// PartitionedVillars one per partition.
+/// owning VillarsDevice holds one fast side per CMB partition, supplies the
+/// conventional side their destage rings land on, and drives the power
+/// events.
 class FastSide : public pcie::MmioDevice {
  public:
   FastSide(sim::Simulator* sim, pcie::PcieFabric* fabric, ftl::Ftl* ftl,
@@ -37,6 +37,7 @@ class FastSide : public pcie::MmioDevice {
   /// Control page + direct ring window + one ring-sized intake alias per
   /// configured peer slot (CmbConfig::peer_intake_slots; 0 = legacy BAR).
   uint64_t bar_bytes() const { return bar_bytes_; }
+  const std::string& name() const { return name_; }
 
   // pcie::MmioDevice — this fast side's BAR range.
   void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
@@ -74,6 +75,23 @@ class FastSide : public pcie::MmioDevice {
 /// kXssdSetDestagePolicy, a device-level command: set the channel
 /// scheduling policy of the conventional side `ftl` to `policy`.
 nvme::CmdStatus SetDestagePolicy(ftl::Ftl& ftl, uint32_t policy);
+
+// Vendor admin command builders: the one encoder of the wire format that
+// FastSide::HandleAdmin (and VillarsDevice, for kXssdTruncate) decodes. A
+// slot or scalar goes in cdw10, a 64-bit bus address is split low/high
+// over cdw11/cdw12, and the truncate offset low/high over cdw10/cdw11.
+// Every command addresses partition 0; set cdw13 to pick another.
+
+nvme::Command SetRoleCmd(Role role, uint64_t mailbox_addr);
+/// Mirror into the peer reachable at bus address `window`, as member slot
+/// `slot`.
+nvme::Command AddPeerCmd(size_t slot, uint64_t window);
+nvme::Command RemovePeerCmd(size_t slot);
+nvme::Command ClearPeersCmd();
+nvme::Command SetTermCmd(uint64_t term, size_t writer_slot);
+nvme::Command SetUpdatePeriodCmd(sim::SimTime period);
+nvme::Command SetReplicationCmd(ReplicationProtocol protocol);
+nvme::Command TruncateCmd(uint64_t offset);
 
 }  // namespace xssd::core
 

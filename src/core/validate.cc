@@ -1,7 +1,9 @@
 #include "core/validate.h"
 
 #include <string>
+#include <vector>
 
+#include "core/page_format.h"
 #include "core/registers.h"
 
 namespace xssd::core {
@@ -82,40 +84,23 @@ Status ValidateFtl(const ftl::FtlConfig& ftl) {
 Status ValidateConfig(const VillarsConfig& config) {
   XSSD_RETURN_IF_ERROR(ValidateGeometry(config.geometry));
   XSSD_RETURN_IF_ERROR(ValidateFtl(config.ftl));
-  XSSD_RETURN_IF_ERROR(ValidateFastSide(config.cmb, config.destage,
-                                        config.geometry, config.ftl,
-                                        "fast side"));
-  if (config.power.supercap_page_budget == 0) {
-    return Status::InvalidArgument("supercap budget cannot destage anything");
-  }
-  return Status::OK();
-}
-
-Status ValidateConfig(const PartitionedConfig& config) {
-  XSSD_RETURN_IF_ERROR(ValidateGeometry(config.geometry));
-  XSSD_RETURN_IF_ERROR(ValidateFtl(config.ftl));
-  if (config.partitions.empty()) {
-    return Status::InvalidArgument("need at least one partition");
-  }
-  for (size_t i = 0; i < config.partitions.size(); ++i) {
+  std::vector<PartitionConfig> partitions = Partitions(config);
+  for (size_t i = 0; i < partitions.size(); ++i) {
     XSSD_RETURN_IF_ERROR(ValidateFastSide(
-        config.partitions[i].cmb, config.partitions[i].destage,
-        config.geometry, config.ftl,
-        "partition " + std::to_string(i)));
+        partitions[i].cmb, partitions[i].destage, config.geometry, config.ftl,
+        i == 0 ? "fast side" : "partition " + std::to_string(i)));
   }
-  for (size_t i = 0; i < config.partitions.size(); ++i) {
-    for (size_t j = i + 1; j < config.partitions.size(); ++j) {
-      const DestageConfig& a = config.partitions[i].destage;
-      const DestageConfig& b = config.partitions[j].destage;
-      bool disjoint =
-          a.ring_start_lba + a.ring_lba_count <= b.ring_start_lba ||
-          b.ring_start_lba + b.ring_lba_count <= a.ring_start_lba;
-      if (!disjoint) {
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    for (size_t j = i + 1; j < partitions.size(); ++j) {
+      if (DestageRingsOverlap(partitions[i].destage, partitions[j].destage)) {
         return Status::InvalidArgument(
             "partitions " + std::to_string(i) + " and " + std::to_string(j) +
             " have overlapping destage rings");
       }
     }
+  }
+  if (config.power.supercap_page_budget == 0) {
+    return Status::InvalidArgument("supercap budget cannot destage anything");
   }
   return Status::OK();
 }

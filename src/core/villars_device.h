@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "core/fast_side.h"
@@ -19,16 +20,25 @@ namespace xssd::core {
 ///
 /// One object assembles the whole of Figure 4:
 ///  - the *conventional side*: flash array + FTL + NVMe controller (BAR0);
-///  - the *fast side* (FastSide): CMB module (PM ring behind a
-///    byte-addressable BAR), Destage module, and Transport module.
+///  - one *fast side* (FastSide) per partition: CMB module (PM ring behind
+///    a byte-addressable BAR), Destage module, and Transport module.
 ///
-/// The device registers two MMIO regions on its host's PCIe fabric: BAR0
-/// (NVMe registers/doorbells) and the CMB BAR (control page + ring window),
-/// served by the fast side. Vendor-specific NVMe admin commands switch
-/// roles, add peers, and tune destage/replication policy — "changing the
-/// networking mode ... is done via software" (§4.2). The device itself
-/// decides when the epoch advances, and owns the power events and the
-/// device-level commands (kXssdSetDestagePolicy, kXssdTruncate).
+/// A single-tenant device has one partition. A multi-tenant one
+/// (VillarsConfig::extra_partitions) segments the CMB SR-IOV style (paper
+/// §7.2, which also subsumes the per-writer counters of §7.1): every
+/// partition has its own credit counter, destage ring (a disjoint LBA
+/// range on the shared conventional side) and replication configuration.
+///
+/// The device registers BAR0 (NVMe registers/doorbells) and the CMB BAR on
+/// its host's PCIe fabric. The CMB BAR lays the partitions out back to
+/// back, each with the standard control page + ring window served by its
+/// fast side, so an unmodified host::XLogClient pointed at partition_base()
+/// works as-is. Vendor-specific NVMe admin commands switch roles, add
+/// peers, and tune destage/replication policy — "changing the networking
+/// mode ... is done via software" (§4.2); cdw13 picks the partition. The
+/// device itself decides when the epoch advances, and owns the power
+/// events (which reach every partition) and the device-level commands
+/// (kXssdSetDestagePolicy, kXssdTruncate).
 class VillarsDevice {
  public:
   VillarsDevice(sim::Simulator* sim, pcie::PcieFabric* fabric,
@@ -43,17 +53,23 @@ class VillarsDevice {
 
   uint64_t bar0_base() const { return bar0_base_; }
   uint64_t cmb_base() const { return cmb_base_; }
-  /// Bus address of the ring window (cmb_base + control page).
+  /// Bus address of partition 0's ring window (cmb_base + control page).
   uint64_t ring_window_base() const { return cmb_base_ + kRingWindowOffset; }
-  /// Control page + direct ring window + one ring-sized intake alias per
-  /// configured peer slot (CmbConfig::peer_intake_slots; 0 = legacy BAR).
-  uint64_t cmb_bar_bytes() const { return fast_side_->bar_bytes(); }
+  /// Whole CMB BAR: the sum of every partition's FastSide::bar_bytes().
+  uint64_t cmb_bar_bytes() const;
+
+  size_t partition_count() const { return partitions_.size(); }
+  /// Bus address of partition `index`'s control page (give this to an
+  /// XLogClient as its cmb_base): cmb_base plus the BAR bytes of every
+  /// partition below `index`.
+  uint64_t partition_base(size_t index) const;
+  FastSide& partition(size_t index) { return *partitions_[index]; }
 
   // -- Power events ---------------------------------------------------------
 
-  /// Sudden power interruption: drain the staging queue, destage the PM
-  /// ring (bounded by the supercap budget), then halt. `done` fires when
-  /// the emergency destage finishes.
+  /// Sudden power interruption: halt, then in every partition drain the
+  /// staging queue and destage the PM ring (each bounded by the supercap
+  /// budget). `done` fires when the last emergency destage finishes.
   void PowerFail(std::function<void()> done);
 
   /// Hard crash (firmware wedge / supercap failure): the device halts with
@@ -62,25 +78,29 @@ class VillarsDevice {
   /// recovery — the worst case the recovery chain walk must handle.
   void CrashHard();
 
-  /// Bring the device back: fast side restarts empty in a new epoch; the
-  /// conventional side (flash) retains everything destaged.
+  /// Bring the device back: every partition restarts empty in its next
+  /// epoch; the conventional side (flash) retains everything destaged.
   void Reboot();
 
   /// HA resync: discard stream bytes at or above `offset` (the rejoining
   /// secondary's unreplicated suffix). If pages beyond the cut were already
   /// issued to flash, the destage stream restarts in a fresh epoch so the
   /// recovery chain walk ignores them; otherwise the cursor simply stops
-  /// short of the cut. Exposed over admin as kXssdTruncate.
-  void TruncateLog(uint64_t offset);
+  /// short of the cut. Exposed over admin as kXssdTruncate, which applies
+  /// to the partition cdw13 names.
+  void TruncateLog(uint64_t offset, size_t partition = 0);
 
-  bool halted() const { return fast_side_->halted(); }
-  uint32_t epoch() const { return fast_side_->destage().epoch(); }
+  /// All partitions halt and restart together.
+  bool halted() const { return partitions_[0]->halted(); }
+  /// Partition 0's destage epoch.
+  uint32_t epoch() const { return partitions_[0]->destage().epoch(); }
 
   // -- Component access -----------------------------------------------------
 
-  CmbModule& cmb() { return fast_side_->cmb(); }
-  DestageModule& destage() { return fast_side_->destage(); }
-  TransportModule& transport() { return fast_side_->transport(); }
+  /// Partition 0's modules (use partition(i) for the others).
+  CmbModule& cmb() { return partitions_[0]->cmb(); }
+  DestageModule& destage() { return partitions_[0]->destage(); }
+  TransportModule& transport() { return partitions_[0]->transport(); }
   ftl::Ftl& ftl() { return *ftl_; }
   /// Patrol scrubber over this device's FTL (running only when
   /// config.scrub.enabled; halted with the device, re-armed on Reboot).
@@ -90,8 +110,14 @@ class VillarsDevice {
   const VillarsConfig& config() const { return config_; }
   const std::string& name() const { return name_; }
 
-  /// Credit the host sees (protocol-dependent on a primary).
-  uint64_t EffectiveCredit() const { return fast_side_->EffectiveCredit(); }
+  /// Credit the host sees on partition 0 (protocol-dependent on a primary).
+  uint64_t EffectiveCredit() const {
+    return partitions_[0]->EffectiveCredit();
+  }
+
+  // Instrumentation. Partition 0 uses the names given; partition i >= 1
+  // adds "p<i>." to the metric prefix and "/p<i>" to the span node tag,
+  // the flight-recorder tag and the fault-site namespace.
 
   /// Register metrics for every component under `prefix` (e.g. "cmb.*",
   /// "destage.*", "flash.*").
@@ -133,7 +159,8 @@ class VillarsDevice {
   std::unique_ptr<ftl::Ftl> ftl_;
   std::unique_ptr<ftl::PatrolScrubber> scrubber_;
   std::unique_ptr<nvme::Controller> controller_;
-  std::unique_ptr<FastSide> fast_side_;
+  /// One fast side per partition, partition 0 first.
+  std::vector<std::unique_ptr<FastSide>> partitions_;
 
   uint64_t bar0_base_ = 0;
   uint64_t cmb_base_ = 0;

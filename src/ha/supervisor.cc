@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/flightrec.h"
-#include "host/sync.h"
 
 namespace xssd::ha {
 
@@ -29,59 +28,16 @@ Heartbeat DecodeHeartbeat(const uint8_t in[kHeartbeatBytes]) {
   return hb;
 }
 
-nvme::Command SetTermCmd(uint64_t term, size_t writer_slot) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
-  cmd.cdw10 = static_cast<uint32_t>(term);
-  cmd.cdw11 = static_cast<uint32_t>(writer_slot);
-  return cmd;
-}
-
-nvme::Command SetRoleCmd(core::Role role, uint64_t mailbox_addr) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(role);
-  cmd.cdw11 = static_cast<uint32_t>(mailbox_addr);
-  cmd.cdw12 = static_cast<uint32_t>(mailbox_addr >> 32);
-  return cmd;
-}
-
-nvme::Command ClearPeersCmd() {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdClearPeers);
-  return cmd;
-}
-
-nvme::Command RemovePeerCmd(size_t slot) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdRemovePeer);
-  cmd.cdw10 = static_cast<uint32_t>(slot);
-  return cmd;
-}
-
-nvme::Command SetReplicationCmd(core::ReplicationProtocol protocol) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
-  cmd.cdw10 = static_cast<uint32_t>(protocol);
-  return cmd;
-}
-
-nvme::Command SetUpdatePeriodCmd(sim::SimTime period) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetUpdatePeriod);
-  cmd.cdw10 = static_cast<uint32_t>(period);
-  return cmd;
-}
-
-nvme::Command TruncateCmd(uint64_t offset) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdTruncate);
-  cmd.cdw10 = static_cast<uint32_t>(offset);
-  cmd.cdw11 = static_cast<uint32_t>(offset >> 32);
-  return cmd;
-}
-
 }  // namespace
+
+using core::AddPeerCmd;
+using core::ClearPeersCmd;
+using core::RemovePeerCmd;
+using core::SetReplicationCmd;
+using core::SetRoleCmd;
+using core::SetTermCmd;
+using core::SetUpdatePeriodCmd;
+using core::TruncateCmd;
 
 ReplicaSupervisor::ReplicaSupervisor(sim::Simulator* sim,
                                      std::vector<host::StorageNode*> nodes,
@@ -123,18 +79,6 @@ uint64_t ReplicaSupervisor::ReadLocalCredit(size_t i) {
   uint64_t value = 0;
   std::memcpy(&value, raw, 8);
   return value;
-}
-
-Status ReplicaSupervisor::AdminSyncBlocking(size_t i,
-                                            const nvme::Command& cmd) {
-  host::SyncRunner runner(sim_);
-  return runner.Await([&](std::function<void(Status)> done) {
-    nodes_[i]->driver().Admin(
-        cmd, [done = std::move(done)](nvme::Completion cpl) mutable {
-          done(cpl.ok() ? Status::OK()
-                        : Status::IoError("ha: admin command failed"));
-        });
-  });
 }
 
 Status ReplicaSupervisor::Setup() {
@@ -179,27 +123,25 @@ Status ReplicaSupervisor::Setup() {
 
   // Form the group at term 1, member 0 leading. Followers first, so the
   // leader starts mirroring only into fenced-in members.
+  host::StorageNode& leader = *nodes_[0];
   for (size_t j = 1; j < n; ++j) {
-    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(j, SetTermCmd(1, 0)));
+    host::StorageNode& follower = *nodes_[j];
+    XSSD_RETURN_IF_ERROR(host::AdminSync(follower, SetTermCmd(1, 0)));
     uint64_t mailbox = DataWindow(0) + core::kRegShadowBase + 8ull * j;
-    XSSD_RETURN_IF_ERROR(
-        AdminSyncBlocking(j, SetRoleCmd(core::Role::kSecondary, mailbox)));
-    XSSD_RETURN_IF_ERROR(
-        AdminSyncBlocking(j, SetUpdatePeriodCmd(config_.update_period)));
+    XSSD_RETURN_IF_ERROR(host::AdminSync(
+        follower, SetRoleCmd(core::Role::kSecondary, mailbox)));
+    XSSD_RETURN_IF_ERROR(host::AdminSync(
+        follower, SetUpdatePeriodCmd(config_.update_period)));
   }
-  XSSD_RETURN_IF_ERROR(AdminSyncBlocking(0, SetTermCmd(1, 0)));
+  XSSD_RETURN_IF_ERROR(host::AdminSync(leader, SetTermCmd(1, 0)));
   for (size_t j = 1; j < n; ++j) {
-    nvme::Command add;
-    add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-    add.cdw10 = static_cast<uint32_t>(j);
-    add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-    add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(0, add));
+    XSSD_RETURN_IF_ERROR(
+        host::AdminSync(leader, AddPeerCmd(j, DataWindow(j))));
   }
   XSSD_RETURN_IF_ERROR(
-      AdminSyncBlocking(0, SetReplicationCmd(config_.protocol)));
+      host::AdminSync(leader, SetReplicationCmd(config_.protocol)));
   XSSD_RETURN_IF_ERROR(
-      AdminSyncBlocking(0, SetRoleCmd(core::Role::kPrimary, 0)));
+      host::AdminSync(leader, SetRoleCmd(core::Role::kPrimary, 0)));
 
   for (size_t i = 0; i < n; ++i) {
     agents_[i] = Agent{};
@@ -358,12 +300,7 @@ void ReplicaSupervisor::Promote(size_t i, uint64_t new_term) {
   cmds.push_back(SetTermCmd(new_term, i));
   cmds.push_back(ClearPeersCmd());
   for (size_t j : live) {
-    nvme::Command add;
-    add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-    add.cdw10 = static_cast<uint32_t>(j);
-    add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-    add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-    cmds.push_back(add);
+    cmds.push_back(AddPeerCmd(j, DataWindow(j)));
   }
   cmds.push_back(SetReplicationCmd(config_.protocol));
   cmds.push_back(SetRoleCmd(core::Role::kPrimary, 0));
@@ -475,18 +412,14 @@ void ReplicaSupervisor::LeaderDuties(size_t i) {
                            "leader " + std::to_string(i) +
                                " re-admitting member " + std::to_string(j));
       }
-      nvme::Command add;
-      add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-      add.cdw10 = static_cast<uint32_t>(j);
-      add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-      add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-      RunAdminChain(i, {add}, 0, [this, i, j](Status status) {
-        agents_[i].busy = false;
-        if (status.ok()) {
-          agents_[i].in_group[j] = true;
-          ++joins_;
-        }
-      });
+      RunAdminChain(i, {AddPeerCmd(j, DataWindow(j))}, 0,
+                    [this, i, j](Status status) {
+                      agents_[i].busy = false;
+                      if (status.ok()) {
+                        agents_[i].in_group[j] = true;
+                        ++joins_;
+                      }
+                    });
       return;
     }
   }

@@ -172,7 +172,6 @@ class ReplicaSupervisor {
   /// first failure or OK after the last completion.
   void RunAdminChain(size_t i, std::vector<nvme::Command> cmds, size_t next,
                      std::function<void(Status)> done);
-  Status AdminSyncBlocking(size_t i, const nvme::Command& cmd);
 
   sim::Simulator* sim_;
   std::vector<host::StorageNode*> nodes_;

@@ -109,7 +109,7 @@ Result<uint64_t> StorageNode::ConnectScratchpadWindowTo(uint32_t slot,
   return NodeLayout::kNtbBase + window_offset;
 }
 
-Status ReplicationGroup::AdminSync(StorageNode& node, nvme::Command cmd) {
+Status AdminSync(StorageNode& node, const nvme::Command& cmd) {
   // The admin submission (and anything the device arms while handling it,
   // e.g. the shadow-update timer) belongs to the target node's domain.
   sim::Simulator::DomainScope scope(&node.simulator(),
@@ -146,40 +146,20 @@ Status ReplicationGroup::Setup(core::ReplicationProtocol protocol,
     if (!back.ok()) return back.status();
 
     // Tell the primary about its peer.
-    nvme::Command add_peer;
-    add_peer.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-    add_peer.cdw10 = peer_index;
-    add_peer.cdw11 = static_cast<uint32_t>(*fwd);
-    add_peer.cdw12 = static_cast<uint32_t>(*fwd >> 32);
-    XSSD_RETURN_IF_ERROR(AdminSync(primary, add_peer));
+    XSSD_RETURN_IF_ERROR(
+        AdminSync(primary, core::AddPeerCmd(peer_index, *fwd)));
 
     // Configure the secondary: role + where its shadow mailbox lives.
     uint64_t shadow_addr =
         *back + core::kRegShadowBase + 8ull * peer_index;
-    nvme::Command set_role;
-    set_role.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-    set_role.cdw10 = static_cast<uint32_t>(core::Role::kSecondary);
-    set_role.cdw11 = static_cast<uint32_t>(shadow_addr);
-    set_role.cdw12 = static_cast<uint32_t>(shadow_addr >> 32);
-    XSSD_RETURN_IF_ERROR(AdminSync(secondary, set_role));
-
-    nvme::Command period;
-    period.opcode =
-        static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetUpdatePeriod);
-    period.cdw10 = static_cast<uint32_t>(update_period);
-    XSSD_RETURN_IF_ERROR(AdminSync(secondary, period));
+    XSSD_RETURN_IF_ERROR(AdminSync(
+        secondary, core::SetRoleCmd(core::Role::kSecondary, shadow_addr)));
+    XSSD_RETURN_IF_ERROR(
+        AdminSync(secondary, core::SetUpdatePeriodCmd(update_period)));
   }
 
-  nvme::Command set_protocol;
-  set_protocol.opcode =
-      static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
-  set_protocol.cdw10 = static_cast<uint32_t>(protocol);
-  XSSD_RETURN_IF_ERROR(AdminSync(primary, set_protocol));
-
-  nvme::Command set_role;
-  set_role.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  set_role.cdw10 = static_cast<uint32_t>(core::Role::kPrimary);
-  return AdminSync(primary, set_role);
+  XSSD_RETURN_IF_ERROR(AdminSync(primary, core::SetReplicationCmd(protocol)));
+  return AdminSync(primary, core::SetRoleCmd(core::Role::kPrimary, 0));
 }
 
 }  // namespace xssd::host

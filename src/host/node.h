@@ -122,11 +122,12 @@ class ReplicationGroup {
   size_t secondary_count() const { return nodes_.size() - 1; }
 
  private:
-  /// Issue one admin command synchronously via the node's driver.
-  Status AdminSync(StorageNode& node, nvme::Command cmd);
-
   std::vector<StorageNode*> nodes_;
 };
+
+/// Issue one admin command to `node`'s device through its driver, inside
+/// the node's scheduler domain. Blocking (pumps the simulator).
+Status AdminSync(StorageNode& node, const nvme::Command& cmd);
 
 }  // namespace xssd::host
 

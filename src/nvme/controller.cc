@@ -267,13 +267,4 @@ void Controller::PostCompletion(uint16_t qid, Completion cpl) {
   });
 }
 
-void Controller::ExecuteForTest(const Command& cmd,
-                                std::function<void(Completion)> done) {
-  if (cmd.opcode >= 0xC0 || cmd.nsid == 0) {
-    ExecuteAdmin(0, cmd, std::move(done));
-  } else {
-    ExecuteAdmin(0, cmd, std::move(done));
-  }
-}
-
 }  // namespace xssd::nvme

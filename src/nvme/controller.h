@@ -72,11 +72,6 @@ class Controller : public pcie::MmioDevice {
   void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override;
 
-  /// Queue-0 (admin) submission entry point used by tests to bypass the
-  /// doorbell machinery. Normal traffic goes through the driver.
-  void ExecuteForTest(const Command& cmd,
-                      std::function<void(Completion)> done);
-
   ftl::Ftl* ftl() { return ftl_; }
   const std::string& name() const { return name_; }
 

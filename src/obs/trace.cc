@@ -59,7 +59,7 @@ void ChromeTraceWriter::OnEventBegin(sim::SimTime when, uint64_t seq) {
       pending_flows_.erase(it);
     }
   }
-  if (options_.emit_fired) Push(Event{'X', pid_, when, seq, "event"});
+  Push(Event{'X', pid_, when, seq, "event"});
 }
 
 void ChromeTraceWriter::OnEventEnd(sim::SimTime when, uint64_t seq) {

@@ -49,8 +49,6 @@ struct ChromeTraceOptions {
   /// Recording stops (events are counted as dropped) past this many
   /// buffered events, so a long run cannot OOM the host.
   size_t max_events = 1u << 20;
-  /// Emit one zero-duration complete event per fired simulator event.
-  bool emit_fired = true;
   /// Also emit flow arrows from schedule site to fire site (doubles the
   /// event count; off by default). Each schedule→fire pair gets a fresh
   /// writer-global flow id, so arrows stay distinct across process groups

@@ -1,8 +1,6 @@
 #include "obs/watchdog.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "obs/flightrec.h"
 #include "obs/timeseries.h"
@@ -158,21 +156,6 @@ void SloWatchdog::AddRule(SloRule rule) {
                                            state.rule.name + ".alerts");
   }
   rules_.push_back(std::move(state));
-}
-
-Status SloWatchdog::LoadRulesText(std::string_view json_text) {
-  Result<std::vector<SloRule>> rules = ParseSloRules(json_text);
-  if (!rules.ok()) return rules.status();
-  for (SloRule& rule : *rules) AddRule(std::move(rule));
-  return Status::OK();
-}
-
-Status SloWatchdog::LoadRulesFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("slo rules: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return LoadRulesText(text.str());
 }
 
 void SloWatchdog::SetMetrics(MetricsRegistry* registry) {

@@ -65,8 +65,6 @@ class SloWatchdog {
   SloWatchdog& operator=(const SloWatchdog&) = delete;
 
   void AddRule(SloRule rule);
-  Status LoadRulesText(std::string_view json_text);
-  Status LoadRulesFile(const std::string& path);
 
   /// Register `obs.watchdog.alerts`, `obs.watchdog.fatal_alerts`, and one
   /// `obs.watchdog.rule.<name>.alerts` per rule; nullptr detaches.

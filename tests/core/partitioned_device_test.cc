@@ -1,4 +1,4 @@
-#include "core/partitioned_device.h"
+#include "core/villars_device.h"
 
 #include <gtest/gtest.h>
 
@@ -7,22 +7,24 @@
 #include "host/sync.h"
 #include "host/xlog_client.h"
 #include "nvme/driver.h"
+#include "obs/metrics.h"
 
 namespace xssd::core {
 namespace {
 
-PartitionedConfig TwoTenantConfig() {
-  PartitionedConfig config;
+// A multi-tenant device: tenant A is partition 0, tenant B the one extra
+// partition.
+VillarsConfig TwoTenantConfig() {
+  VillarsConfig config;
   config.geometry.channels = 2;
   config.geometry.dies_per_channel = 2;
   config.geometry.blocks_per_plane = 16;
   config.geometry.pages_per_block = 32;
 
-  PartitionConfig tenant_a;
-  tenant_a.cmb.ring_bytes = 64 * 1024;
-  tenant_a.cmb.queue_bytes = 16 * 1024;
-  tenant_a.destage.ring_start_lba = 0;
-  tenant_a.destage.ring_lba_count = 32;
+  config.cmb.ring_bytes = 64 * 1024;
+  config.cmb.queue_bytes = 16 * 1024;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 32;
 
   PartitionConfig tenant_b;
   tenant_b.cmb.ring_bytes = 32 * 1024;
@@ -30,7 +32,7 @@ PartitionedConfig TwoTenantConfig() {
   tenant_b.destage.ring_start_lba = 32;  // disjoint destage ring
   tenant_b.destage.ring_lba_count = 32;
 
-  config.partitions = {tenant_a, tenant_b};
+  config.extra_partitions = {tenant_b};
   return config;
 }
 
@@ -61,9 +63,22 @@ class PartitionedTest : public ::testing::Test {
     });
   }
 
+  nvme::Completion Admin(const nvme::Command& cmd) {
+    nvme::Completion result;
+    bool got = false;
+    driver_.Admin(cmd, [&](nvme::Completion cpl) {
+      result = cpl;
+      got = true;
+    });
+    sim_.RunWhile([&]() { return got; });
+    return result;
+  }
+
+  CmbModule& cmb_b() { return device_.partition(1).cmb(); }
+
   sim::Simulator sim_;
   pcie::PcieFabric fabric_;
-  PartitionedVillars device_;
+  VillarsDevice device_;
   nvme::Driver driver_;
   std::unique_ptr<host::XLogClient> client_a_;
   std::unique_ptr<host::XLogClient> client_b_;
@@ -79,12 +94,12 @@ TEST_F(PartitionedTest, ClientsSeeTheirOwnGeometry) {
 TEST_F(PartitionedTest, IndependentCreditCounters) {
   std::vector<uint8_t> a(3000, 0xAA), b(1000, 0xBB);
   ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
-  EXPECT_EQ(device_.cmb(0).local_credit(), 3000u);
-  EXPECT_EQ(device_.cmb(1).local_credit(), 0u);  // isolated
+  EXPECT_EQ(device_.cmb().local_credit(), 3000u);
+  EXPECT_EQ(cmb_b().local_credit(), 0u);  // isolated
 
   ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
-  EXPECT_EQ(device_.cmb(0).local_credit(), 3000u);
-  EXPECT_EQ(device_.cmb(1).local_credit(), 1000u);
+  EXPECT_EQ(device_.cmb().local_credit(), 3000u);
+  EXPECT_EQ(cmb_b().local_credit(), 1000u);
 }
 
 TEST_F(PartitionedTest, TenantsDataDoesNotCrossRings) {
@@ -92,9 +107,9 @@ TEST_F(PartitionedTest, TenantsDataDoesNotCrossRings) {
   ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
   ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
   std::vector<uint8_t> out(500);
-  device_.cmb(0).CopyOut(0, out.data(), 500);
+  device_.cmb().CopyOut(0, out.data(), 500);
   EXPECT_EQ(out, a);
-  device_.cmb(1).CopyOut(0, out.data(), 500);
+  cmb_b().CopyOut(0, out.data(), 500);
   EXPECT_EQ(out, b);
 }
 
@@ -103,8 +118,8 @@ TEST_F(PartitionedTest, TenantsDestageToDisjointLbaRanges) {
   ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
   ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
   sim_.RunFor(sim::Ms(2));  // allow threshold destage for both
-  EXPECT_EQ(device_.destage(0).destaged(), 2000u);
-  EXPECT_EQ(device_.destage(1).destaged(), 2000u);
+  EXPECT_EQ(device_.destage().destaged(), 2000u);
+  EXPECT_EQ(device_.partition(1).destage().destaged(), 2000u);
 
   // Each tenant reads its own destaged tail via the shared block device.
   std::vector<uint8_t> tail(2000);
@@ -124,45 +139,21 @@ TEST_F(PartitionedTest, TenantsDestageToDisjointLbaRanges) {
 }
 
 TEST_F(PartitionedTest, VendorCommandsTargetPartitionByCdw13) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
-  cmd.cdw10 = static_cast<uint32_t>(ReplicationProtocol::kLazy);
+  nvme::Command cmd = SetReplicationCmd(ReplicationProtocol::kLazy);
   cmd.cdw13 = 1;  // tenant B only
-  bool got = false;
-  nvme::Completion result;
-  driver_.Admin(cmd, [&](nvme::Completion cpl) {
-    result = cpl;
-    got = true;
-  });
-  sim_.RunWhile([&]() { return got; });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(device_.transport(1).protocol(), ReplicationProtocol::kLazy);
-  EXPECT_EQ(device_.transport(0).protocol(), ReplicationProtocol::kEager);
+  ASSERT_TRUE(Admin(cmd).ok());
+  EXPECT_EQ(device_.partition(1).transport().protocol(),
+            ReplicationProtocol::kLazy);
+  EXPECT_EQ(device_.transport().protocol(), ReplicationProtocol::kEager);
 
   cmd.cdw13 = 9;  // no such partition
-  got = false;
-  driver_.Admin(cmd, [&](nvme::Completion cpl) {
-    result = cpl;
-    got = true;
-  });
-  sim_.RunWhile([&]() { return got; });
-  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(Admin(cmd).ok());
 }
 
 TEST_F(PartitionedTest, SetTermReachesOnlyTheAddressedPartition) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
-  cmd.cdw10 = 7;  // term
-  cmd.cdw11 = 0;  // writer slot
+  nvme::Command cmd = SetTermCmd(7, 0);  // term 7, writer slot 0
   cmd.cdw13 = 1;  // tenant B only
-  bool got = false;
-  nvme::Completion result;
-  driver_.Admin(cmd, [&](nvme::Completion cpl) {
-    result = cpl;
-    got = true;
-  });
-  sim_.RunWhile([&]() { return got; });
-  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(Admin(cmd).ok());
 
   auto read_term = [&](size_t partition) {
     uint8_t raw[8] = {0};
@@ -195,9 +186,9 @@ TEST_F(PartitionedTest, ConcurrentTenantsInterleaveSafely) {
   ASSERT_TRUE(done_a && done_b);
 
   std::vector<uint8_t> out(20000);
-  device_.cmb(0).CopyOut(0, out.data(), out.size());
+  device_.cmb().CopyOut(0, out.data(), out.size());
   EXPECT_EQ(out, a);
-  device_.cmb(1).CopyOut(0, out.data(), out.size());
+  cmb_b().CopyOut(0, out.data(), out.size());
   EXPECT_EQ(out, b);
 }
 
@@ -207,6 +198,60 @@ TEST_F(PartitionedTest, BarLayoutIsBackToBack) {
             kCmb + kCtrlPageBytes + 64 * 1024);
   EXPECT_EQ(device_.cmb_bar_bytes(),
             2 * kCtrlPageBytes + 64 * 1024 + 32 * 1024);
+}
+
+TEST_F(PartitionedTest, PowerEventsReachBothTenants) {
+  std::vector<uint8_t> a(3000, 0xAA), b(1000, 0xBB);
+  ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
+  ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
+
+  bool done = false;
+  device_.PowerFail([&]() { done = true; });
+  sim_.RunWhile([&]() { return done; });
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(device_.partition(1).halted());
+  EXPECT_EQ(device_.destage().destaged(), device_.cmb().local_credit());
+  EXPECT_EQ(device_.partition(1).destage().destaged(),
+            cmb_b().local_credit());
+  EXPECT_EQ(cmb_b().local_credit(), 1000u);
+
+  device_.Reboot();
+  // A partition left halted would drop the append below for ever.
+  ASSERT_FALSE(device_.partition(1).halted());
+  for (size_t i = 0; i < device_.partition_count(); ++i) {
+    EXPECT_EQ(device_.partition(i).destage().epoch(), 1u) << i;
+    EXPECT_EQ(device_.partition(i).cmb().local_credit(), 0u) << i;
+  }
+  ASSERT_TRUE(client_b_->Reconnect().ok());
+  ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
+  EXPECT_EQ(cmb_b().local_credit(), 1000u);
+  EXPECT_EQ(device_.cmb().local_credit(), 0u);
+}
+
+TEST_F(PartitionedTest, MetricsArePerPartition) {
+  obs::MetricsRegistry registry;
+  device_.EnableMetrics(&registry);
+  std::vector<uint8_t> a(3000, 0xAA), b(1000, 0xBB);
+  ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
+  ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
+  const obs::Counter* bytes_a = registry.FindCounter("cmb.append_bytes");
+  const obs::Counter* bytes_b = registry.FindCounter("p1.cmb.append_bytes");
+  ASSERT_NE(bytes_a, nullptr);
+  ASSERT_NE(bytes_b, nullptr);
+  EXPECT_EQ(bytes_a->value(), 3000u);
+  EXPECT_EQ(bytes_b->value(), 1000u);
+}
+
+TEST_F(PartitionedTest, TruncateIsPerPartition) {
+  std::vector<uint8_t> a(3000, 0xAA), b(1000, 0xBB);
+  ASSERT_TRUE(AppendDurableSync(*client_a_, a).ok());
+  ASSERT_TRUE(AppendDurableSync(*client_b_, b).ok());
+
+  nvme::Command cmd = TruncateCmd(400);
+  cmd.cdw13 = 1;  // tenant B only
+  ASSERT_TRUE(Admin(cmd).ok());
+  EXPECT_EQ(cmb_b().local_credit(), 400u);
+  EXPECT_EQ(device_.cmb().local_credit(), 3000u);
 }
 
 }  // namespace

@@ -67,39 +67,50 @@ TEST(Validate, ZeroSupercapBudgetRejected) {
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 
+// A device always has partition 0, so the emptiest partition a config can
+// express is an extra one with no queue, no ring and no destage blocks.
 TEST(ValidatePartitioned, EmptyPartitionsRejected) {
-  PartitionedConfig config;
+  VillarsConfig config;
+  PartitionConfig empty;
+  empty.cmb.queue_bytes = 0;
+  empty.cmb.ring_bytes = 0;
+  empty.destage.ring_lba_count = 0;
+  config.extra_partitions = {empty};
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, DisjointTenantsAccepted) {
-  PartitionedConfig config;
-  PartitionConfig a, b;
-  a.destage.ring_start_lba = 0;
-  a.destage.ring_lba_count = 100;
+  VillarsConfig config;
+  PartitionConfig b;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 100;
   b.destage.ring_start_lba = 100;
   b.destage.ring_lba_count = 100;
-  config.partitions = {a, b};
+  config.extra_partitions = {b};
   EXPECT_TRUE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, OverlappingDestageRingsRejected) {
-  PartitionedConfig config;
-  PartitionConfig a, b;
-  a.destage.ring_start_lba = 0;
-  a.destage.ring_lba_count = 100;
-  b.destage.ring_start_lba = 50;  // overlaps a
+  VillarsConfig config;
+  PartitionConfig b;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 100;
+  b.destage.ring_start_lba = 50;  // overlaps partition 0
   b.destage.ring_lba_count = 100;
-  config.partitions = {a, b};
+  config.extra_partitions = {b};
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, PerPartitionChecksApply) {
-  PartitionedConfig config;
+  VillarsConfig config;
   PartitionConfig a;
   a.cmb.queue_bytes = 0;
-  config.partitions = {a};
-  EXPECT_FALSE(ValidateConfig(config).ok());
+  a.destage.ring_start_lba = config.destage.ring_lba_count;  // disjoint
+  config.extra_partitions = {a};
+  Status status = ValidateConfig(config);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("partition 1"), std::string::npos)
+      << status.message();
 }
 
 }  // namespace

@@ -38,8 +38,9 @@ std::string RunDir(const std::string& tag) {
 /// Start `spec` in `dir` with stdout/stderr redirected into it; -1 when
 /// the process could not be started.
 pid_t Spawn(const BenchSpec& spec, const std::string& dir) {
-  std::vector<std::string> args = {std::string(XSSD_BENCH_DIR) + "/" +
-                                   spec.bench};
+  std::vector<std::string> args = {
+      std::string(spec.example ? XSSD_EXAMPLE_DIR : XSSD_BENCH_DIR) + "/" +
+      spec.bench};
   args.insert(args.end(), spec.args.begin(), spec.args.end());
   std::vector<std::string> env;
   for (char** e = environ; *e != nullptr; ++e) {

@@ -21,6 +21,7 @@ struct BenchSpec {
   std::string bench;
   std::vector<std::string> args;
   std::string scheduler = "wheel";
+  bool example = false;  ///< `bench` names an examples/ program
 };
 
 /// A finished run: its directory (outputs plus stdout.txt / stderr.txt)

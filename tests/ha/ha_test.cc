@@ -13,7 +13,6 @@
 #include "fault/fault_plan.h"
 #include "ha/supervisor.h"
 #include "host/node.h"
-#include "host/sync.h"
 #include "host/xcalls.h"
 
 namespace xssd {
@@ -159,21 +158,8 @@ TEST(ReplicaSupervisor, StaleWriterIsFencedByTerm) {
                          "fence");
   ASSERT_TRUE(node.Init().ok());
 
-  nvme::Command set_term;
-  set_term.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
-  set_term.cdw10 = 2;  // current term
-  set_term.cdw11 = 1;  // member slot 1 is the authorised writer
-  host::SyncRunner runner(&sim);
-  ASSERT_TRUE(runner
-                  .Await([&](std::function<void(Status)> done) {
-                    node.driver().Admin(
-                        set_term,
-                        [done = std::move(done)](nvme::Completion cpl) mutable {
-                          done(cpl.ok() ? Status::OK()
-                                        : Status::IoError("admin failed"));
-                        });
-                  })
-                  .ok());
+  // Term 2 is current; member slot 1 is the authorised writer.
+  ASSERT_TRUE(host::AdminSync(node, core::SetTermCmd(2, 1)).ok());
 
   const uint64_t ring_bytes = node.device().config().cmb.ring_bytes;
   const uint64_t alias0 =
@@ -326,26 +312,6 @@ TEST(ReplicationGroupErrors, SetupFailsWhenPeerDiesMidSetup) {
   EXPECT_FALSE(status.ok());
 }
 
-Status AdminCmd(host::StorageNode& node, nvme::Command cmd) {
-  host::SyncRunner runner(&node.simulator());
-  return runner.Await([&](std::function<void(Status)> done) {
-    node.driver().Admin(cmd,
-                        [done = std::move(done)](nvme::Completion cpl) mutable {
-                          done(cpl.ok() ? Status::OK()
-                                        : Status::IoError("admin failed"));
-                        });
-  });
-}
-
-nvme::Command RoleCmd(core::Role role, uint64_t mailbox = 0) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(role);
-  cmd.cdw11 = static_cast<uint32_t>(mailbox);
-  cmd.cdw12 = static_cast<uint32_t>(mailbox >> 32);
-  return cmd;
-}
-
 TEST(ReplicationGroupErrors, DemotionRepromotionRoundTrip) {
   // Manual (supervisor-less) role round trip: p0 -> demoted -> re-promoted,
   // with replication live in both directions along the way.
@@ -365,16 +331,13 @@ TEST(ReplicationGroupErrors, DemotionRepromotionRoundTrip) {
 
   // Swap roles: s1 leads, p0 follows (shadow mailbox slot 0 on s1).
   const uint64_t window = host::NodeLayout::kNtbBase;  // slot 0, both ways
-  ASSERT_TRUE(AdminCmd(p0, RoleCmd(core::Role::kSecondary,
-                                   window + core::kRegShadowBase))
-                  .ok());
-  nvme::Command add;
-  add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-  add.cdw10 = 0;
-  add.cdw11 = static_cast<uint32_t>(window);
-  add.cdw12 = static_cast<uint32_t>(window >> 32);
-  ASSERT_TRUE(AdminCmd(s1, add).ok());
-  ASSERT_TRUE(AdminCmd(s1, RoleCmd(core::Role::kPrimary)).ok());
+  const nvme::Command follow =
+      core::SetRoleCmd(core::Role::kSecondary, window + core::kRegShadowBase);
+  const nvme::Command add = core::AddPeerCmd(0, window);
+  const nvme::Command lead = core::SetRoleCmd(core::Role::kPrimary, 0);
+  ASSERT_TRUE(host::AdminSync(p0, follow).ok());
+  ASSERT_TRUE(host::AdminSync(s1, add).ok());
+  ASSERT_TRUE(host::AdminSync(s1, lead).ok());
   ASSERT_TRUE(s1.client().Reconnect().ok());
   EXPECT_EQ(s1.client().written(), wal.size());
 
@@ -385,11 +348,10 @@ TEST(ReplicationGroupErrors, DemotionRepromotionRoundTrip) {
   EXPECT_GE(p0.device().cmb().local_credit(), wal.size() + second.size());
 
   // And back again: p0 re-promoted, s1 demoted.
-  ASSERT_TRUE(AdminCmd(s1, RoleCmd(core::Role::kSecondary,
-                                   window + core::kRegShadowBase))
-                  .ok());
-  ASSERT_TRUE(AdminCmd(p0, add).ok());  // same slot/window shape both ways
-  ASSERT_TRUE(AdminCmd(p0, RoleCmd(core::Role::kPrimary)).ok());
+  ASSERT_TRUE(host::AdminSync(s1, follow).ok());
+  // Same slot/window shape both ways.
+  ASSERT_TRUE(host::AdminSync(p0, add).ok());
+  ASSERT_TRUE(host::AdminSync(p0, lead).ok());
   ASSERT_TRUE(p0.client().Reconnect().ok());
   EXPECT_EQ(p0.client().written(), wal.size() + second.size());
 

@@ -25,16 +25,7 @@ core::VillarsConfig SmallConfig() {
 }
 
 Status AdminSetRole(host::StorageNode& node, core::Role role) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(role);
-  host::SyncRunner runner(&node.simulator());
-  return runner.Await([&](std::function<void(Status)> done) {
-    node.driver().Admin(cmd, [done = std::move(done)](
-                                 nvme::Completion cpl) mutable {
-      done(cpl.ok() ? Status::OK() : Status::IoError("admin failed"));
-    });
-  });
+  return host::AdminSync(node, core::SetRoleCmd(role, 0));
 }
 
 TEST(Failover, SecondaryPromotesAndServesWrites) {
