@@ -32,6 +32,11 @@ namespace xssd::bench {
 /// Villars configuration matching the paper's prototype environment (§6):
 /// PCIe Gen2 ×4 (2 GB/s) for the CMB experiments, SRAM 4 GB/s / DRAM
 /// 2 GB/s shared backing, 16 KiB flash pages, ~2 GB/s flash array.
+/// A fast side's CMB BAR spans core::CmbBarBytes(ring) = 4 KiB + ring ×
+/// (1 + kMaxPeers): ~1.13 MiB for the 128 KiB SRAM ring, 72 MiB + 4 KiB
+/// for the 8 MiB DRAM ring. It must fit between host::NodeLayout's CMB
+/// and BAR0 bases (256 MiB), so a ring above ~28 MiB makes
+/// StorageNode::Init fail with InvalidArgument.
 inline core::VillarsConfig PaperVillarsConfig(core::BackingKind backing) {
   core::VillarsConfig config;
   config.cmb.backing = backing;

@@ -107,7 +107,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
 
   sim::Simulator sim;
   core::VillarsConfig config = bench::CampaignVillarsConfig(seed);
-  ha::ReplicaSupervisor::ConfigureDevice(&config, 3);
+  ha::ReplicaSupervisor::ConfigureDevice(&config);
 
   std::vector<std::unique_ptr<host::StorageNode>> nodes;
   std::vector<host::StorageNode*> raw;

@@ -34,7 +34,31 @@ int main() {
   // writers interleaves, exactly the "different database worker threads
   // request transaction log buffers this way but fill the areas in
   // parallel" pattern.
-  std::function<void(int, int)> writer = [&](int id, int batch) {
+  std::function<void(int, int)> writer;
+  // Writes block `index` of writer `id`'s area at `base` (blocks go in
+  // `order`), then the next; x_frees the area after the last one.
+  std::function<void(int, int, uint64_t,
+                     std::shared_ptr<std::vector<size_t>>, size_t)>
+      fill = [&](int id, int batch, uint64_t base,
+                 std::shared_ptr<std::vector<size_t>> order, size_t index) {
+        if (index == order->size()) {
+          Status freed = node.client().XFree(base);
+          if (!freed.ok()) {
+            std::fprintf(stderr, "x_free failed: %s\n",
+                         freed.ToString().c_str());
+          }
+          writer(id, batch + 1);
+          return;
+        }
+        std::vector<uint8_t> block(256,
+                                   static_cast<uint8_t>(id * 16 + batch));
+        node.client().WriteAt(base + (*order)[index], block.data(),
+                              block.size(),
+                              [&fill, id, batch, base, order, index](Status) {
+                                fill(id, batch, base, order, index + 1);
+                              });
+      };
+  writer = [&](int id, int batch) {
     if (batch == kBatchesPerWriter) {
       ++done_writers;
       return;
@@ -57,28 +81,7 @@ int main() {
       std::swap((*order)[i - 1], (*order)[rng.Uniform(i)]);
     }
 
-    // The pending write's callback owns `fill`, which holds itself only
-    // weakly, so the chain is freed once it stops.
-    auto fill = std::make_shared<std::function<void(size_t)>>();
-    std::weak_ptr<std::function<void(size_t)>> fill_ref = fill;
-    *fill = [&, id, batch, base, order, fill_ref](size_t index) {
-      if (index == order->size()) {
-        Status freed = node.client().XFree(base);
-        if (!freed.ok()) {
-          std::fprintf(stderr, "x_free failed: %s\n",
-                       freed.ToString().c_str());
-        }
-        writer(id, batch + 1);
-        return;
-      }
-      std::vector<uint8_t> block(256, static_cast<uint8_t>(id * 16 + batch));
-      node.client().WriteAt(base + (*order)[index], block.data(),
-                            block.size(),
-                            [self = fill_ref.lock(), index](Status) {
-                              (*self)(index + 1);
-                            });
-    };
-    (*fill)(0);
+    fill(id, batch, base, order, 0);
   };
 
   for (int id = 0; id < kWriters; ++id) writer(id, 0);

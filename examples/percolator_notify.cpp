@@ -10,7 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "db/log_record.h"
@@ -35,11 +35,7 @@ int main() {
   int active_producers = kProducers;
   uint64_t produced = 0;
   uint64_t produced_bytes = 0;
-  // Each chain below is owned by its pending callbacks and holds itself
-  // only weakly, so it is freed once it stops.
-  auto produce = std::make_shared<std::function<void(int, int)>>();
-  std::weak_ptr<std::function<void(int, int)>> produce_ref = produce;
-  *produce = [&, produce_ref](int id, int remaining) {
+  std::function<void(int, int)> produce = [&](int id, int remaining) {
     if (remaining == 0) {
       if (--active_producers == 0) {
         // End-of-stream flush: a filler run larger than the observer's
@@ -59,20 +55,19 @@ int main() {
     std::vector<uint8_t> wire;
     db::SerializeLogRecord(note, &wire);
     produced_bytes += wire.size();
-    auto self = produce_ref.lock();
-    node.client().Append(wire.data(), wire.size(), [&, self, id,
+    node.client().Append(wire.data(), wire.size(), [&, id,
                                                     remaining](Status s) {
       if (!s.ok()) {
         --active_producers;
         return;
       }
-      sim.Schedule(sim::Us(5 + rng.Uniform(40)), [self, id, remaining]() {
-        (*self)(id, remaining - 1);
+      sim.Schedule(sim::Us(5 + rng.Uniform(40)), [&produce, id, remaining]() {
+        produce(id, remaining - 1);
       });
     });
   };
   for (int id = 0; id < kProducers; ++id) {
-    (*produce)(id, kNotificationsPerProducer);
+    produce(id, kNotificationsPerProducer);
   }
 
   // Observer: tail the destaged log, reassembling records across reads.
@@ -80,13 +75,10 @@ int main() {
   uint64_t observed_bytes = 0;
   std::vector<uint8_t> backlog;
   bool stop = false;
-  auto observe = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> observe_ref = observe;
-  *observe = [&, observe_ref]() {
+  std::function<void()> observe = [&]() {
     if (stop) return;
     node.client().ReadTail(
-        &node.driver(), 256,
-        [&, self = observe_ref.lock()](Status s, std::vector<uint8_t> chunk) {
+        &node.driver(), 256, [&](Status s, std::vector<uint8_t> chunk) {
           if (!s.ok()) {
             stop = true;
             return;
@@ -106,10 +98,10 @@ int main() {
             ++observed;
           }
           backlog.erase(backlog.begin(), backlog.begin() + offset);
-          (*self)();
+          observe();
         });
   };
-  (*observe)();
+  observe();
 
   // Run until all producers finish and the observer caught up.
   const uint64_t expected = kProducers * kNotificationsPerProducer;

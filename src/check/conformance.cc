@@ -102,8 +102,7 @@ bool Harness::BuildCluster() {
   bool supervised = schedule_.HasFailover() && schedule_.secondaries > 0;
   core::VillarsConfig config = HarnessConfig();
   if (supervised) {
-    ha::ReplicaSupervisor::ConfigureDevice(&config,
-                                           1 + schedule_.secondaries);
+    ha::ReplicaSupervisor::ConfigureDevice(&config);
   }
   nodes_.push_back(std::make_unique<host::StorageNode>(
       &sim_, config, pcie::FabricConfig{}, "pri", client_options));

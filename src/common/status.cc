@@ -24,8 +24,6 @@ const char* CodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
     case StatusCode::kAborted:
       return "Aborted";
     case StatusCode::kInternal:

@@ -21,7 +21,6 @@ enum class StatusCode {
   kUnavailable,
   kCorruption,
   kIoError,
-  kNotSupported,
   kAborted,
   kInternal,
   kDeadlineExceeded,
@@ -64,9 +63,6 @@ class Status {
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status NotSupported(std::string msg) {
-    return Status(StatusCode::kNotSupported, std::move(msg));
   }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));

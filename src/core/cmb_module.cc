@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "core/registers.h"
 #include "fault/fault_injector.h"
 
 namespace xssd::core {
@@ -135,12 +136,12 @@ void CmbModule::Persist(uint64_t stream_offset, std::vector<uint8_t> data,
   // Restore the chunk's context so credit-hook work (destage pump, shadow
   // push) nests under the chunk whose persistence triggered it.
   obs::ScopedContext span_scope(spans_, span);
-  uint64_t ring_at = stream_offset % config_.ring_bytes;
-  size_t first = static_cast<size_t>(
-      std::min<uint64_t>(data.size(), config_.ring_bytes - ring_at));
-  std::memcpy(ring_.data() + ring_at, data.data(), first);
-  if (first < data.size()) {
-    std::memcpy(ring_.data(), data.data() + first, data.size() - first);
+  RingSplit split =
+      SplitRingRange(stream_offset, data.size(), config_.ring_bytes);
+  std::memcpy(ring_.data() + split.offset, data.data(), split.head);
+  if (split.head < data.size()) {
+    std::memcpy(ring_.data(), data.data() + split.head,
+                data.size() - split.head);
   }
   received_.Insert(stream_offset, stream_offset + data.size());
   highest_received_ =
@@ -173,11 +174,11 @@ void CmbModule::CopyOut(uint64_t stream_offset, uint8_t* out,
                         size_t len) const {
   XSSD_CHECK(stream_offset + len <= credit_);
   XSSD_CHECK(stream_offset + config_.ring_bytes >= credit_);
-  uint64_t ring_at = stream_offset % config_.ring_bytes;
-  size_t first = static_cast<size_t>(
-      std::min<uint64_t>(len, config_.ring_bytes - ring_at));
-  std::memcpy(out, ring_.data() + ring_at, first);
-  if (first < len) std::memcpy(out + first, ring_.data(), len - first);
+  RingSplit split = SplitRingRange(stream_offset, len, config_.ring_bytes);
+  std::memcpy(out, ring_.data() + split.offset, split.head);
+  if (split.head < len) {
+    std::memcpy(out + split.head, ring_.data(), len - split.head);
+  }
 }
 
 bool CmbModule::HasPendingBeyondCredit() const {

@@ -40,12 +40,6 @@ struct CmbConfig {
   /// Fixed staging cost per chunk moved from the queue into the PM ring
   /// (queue pop + PM controller issue).
   sim::SimTime persist_overhead = sim::Ns(0);
-  /// Number of per-peer intake aliases of the ring window appended to the
-  /// CMB BAR. With P slots the BAR is laid out as [0,4K) control page,
-  /// [4K, 4K+ring) the direct host window, then P further ring-sized
-  /// aliases — a write into alias s is attributed to member slot s and
-  /// subject to the term fence (kRegTerm). 0 keeps the legacy layout.
-  uint32_t peer_intake_slots = 0;
 };
 
 /// \brief Destage module configuration (paper §4.3).
@@ -105,12 +99,6 @@ struct TransportConfig {
   /// watchdog rides the retransmit timer, so this requires
   /// retransmit_timeout > 0.
   sim::SimTime degrade_timeout = 0;
-  /// Mirror ring bytes into the peers' per-slot intake aliases (see
-  /// CmbConfig::peer_intake_slots) instead of the shared host window, so
-  /// the receiving device can attribute each push to a member slot and
-  /// apply the term fence. Requires every peer's CMB BAR to carry intake
-  /// aliases; set by the HA supervisor, off for the legacy topology.
-  bool use_intake_aliases = false;
 };
 
 /// \brief Power-loss protection model: supercapacitors hold the device up

@@ -297,39 +297,37 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
   // Temporarily lift the latency threshold and barrier: on power loss the
   // device flushes everything persisted, immediately.
   latency_threshold_ = 0;
-  uint64_t saved_barrier = barrier_;
+  auto drain = std::make_unique<PowerLossDrain>(
+      PowerLossDrain{generation_, page_budget, stats_.pages_written, barrier_,
+                     std::move(done)});
   barrier_ = ~0ull;
+  PollPowerLossDrain(std::move(drain));
+}
 
-  uint64_t pages_before = stats_.pages_written;
-  // The next tick's event owns the poller, which holds itself only weakly:
-  // it is freed once it stops rescheduling.
-  auto poll = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> self_ref = poll;
-  *poll = [this, generation = generation_, page_budget, pages_before,
-           saved_barrier, done = std::move(done), self_ref]() mutable {
-    if (generation != generation_) return;
-    bool budget_left =
-        stats_.pages_written - pages_before + inflight_ < page_budget;
-    // Also done when everything was issued and nothing is in flight —
-    // destaged_ can be pinned below credit when completion accounting was
-    // lost to a crash point, and no further progress is possible then.
-    bool drained = inflight_ == 0 && (destaged_ >= credit_seen_ ||
-                                      destage_cursor_ >= credit_seen_);
-    if (drained || !budget_left) {
-      if (!budget_left) {
-        XSSD_LOG(kWarning) << "supercap budget exhausted during power-loss "
-                              "destage";
-      }
-      latency_threshold_ = config_.latency_threshold;
-      barrier_ = saved_barrier;
-      frozen_ = true;  // device halts after the emergency destage
-      done();
-      return;
+void DestageModule::PollPowerLossDrain(std::unique_ptr<PowerLossDrain> drain) {
+  if (drain->generation != generation_) return;
+  bool budget_left = stats_.pages_written - drain->pages_before + inflight_ <
+                     drain->page_budget;
+  // Also done when everything was issued and nothing is in flight —
+  // destaged_ can be pinned below credit when completion accounting was
+  // lost to a crash point, and no further progress is possible then.
+  bool drained = inflight_ == 0 && (destaged_ >= credit_seen_ ||
+                                    destage_cursor_ >= credit_seen_);
+  if (drained || !budget_left) {
+    if (!budget_left) {
+      XSSD_LOG(kWarning) << "supercap budget exhausted during power-loss "
+                            "destage";
     }
-    Pump();
-    sim_->Schedule(sim::Us(5), [poll = self_ref.lock()] { (*poll)(); });
-  };
-  (*poll)();
+    latency_threshold_ = config_.latency_threshold;
+    barrier_ = drain->saved_barrier;
+    frozen_ = true;  // device halts after the emergency destage
+    drain->done();
+    return;
+  }
+  Pump();
+  sim_->Schedule(sim::Us(5), [this, drain = std::move(drain)]() mutable {
+    PollPowerLossDrain(std::move(drain));
+  });
 }
 
 }  // namespace xssd::core

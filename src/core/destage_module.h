@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/cmb_module.h"
 #include "core/config.h"
@@ -171,6 +172,19 @@ class DestageModule {
                  uint32_t attempt, obs::SpanContext span);
 
   void ArmTimer();
+
+  /// One power-loss destage: what DestageAllForPowerLoss restores and
+  /// reports when it ends. Each poll event holds it.
+  struct PowerLossDrain {
+    uint64_t generation;
+    uint32_t page_budget;
+    uint64_t pages_before;
+    uint64_t saved_barrier;
+    std::function<void()> done;
+  };
+  /// Finish the power-loss destage if drained or out of budget; otherwise
+  /// pump and poll again in 5 us.
+  void PollPowerLossDrain(std::unique_ptr<PowerLossDrain> drain);
 
   sim::Simulator* sim_;
   ftl::Ftl* ftl_;

@@ -11,8 +11,7 @@ FastSide::FastSide(sim::Simulator* sim, pcie::PcieFabric* fabric,
                    const DestageConfig& destage,
                    const TransportConfig& transport, std::string name)
     : name_(std::move(name)),
-      bar_bytes_(kCtrlPageBytes +
-                 cmb.ring_bytes * (1 + cmb.peer_intake_slots)),
+      bar_bytes_(CmbBarBytes(cmb.ring_bytes)),
       cmb_(sim, cmb),
       destage_(sim, ftl, &cmb_, destage),
       transport_(sim, fabric, transport) {
@@ -39,23 +38,19 @@ void FastSide::OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) {
     // Ring region: the direct host window first, then one intake alias per
     // peer slot (same ring, but writes are attributed to a member slot and
     // term-fenced — a deposed primary's stale pushes die here).
-    uint64_t rel = offset - kRingWindowOffset;
-    uint64_t window = rel / cmb_.ring_bytes();
-    uint64_t ring_offset = rel % cmb_.ring_bytes();
-    if (window > 0 &&
-        !transport_.AdmitRingWrite(static_cast<uint32_t>(window - 1))) {
+    RingWindowAccess access = DecodeRingWindow(offset, cmb_.ring_bytes());
+    if (access.window > 0 && !transport_.AdmitRingWrite(access.window - 1)) {
       return;
     }
-    cmb_.OnRingWrite(ring_offset, data, len);
+    cmb_.OnRingWrite(access.ring_offset, data, len);
     return;
   }
   // Control-page writes.
-  if (offset >= kRegShadowBase &&
-      offset + len <= kRegShadowBase + 8 * kMaxPeers && len == 8) {
+  uint32_t mailbox = ShadowMailboxIndex(offset);
+  if (mailbox < kMaxPeers && len == 8) {
     uint64_t value = 0;
     std::memcpy(&value, data, 8);
-    uint32_t index = static_cast<uint32_t>((offset - kRegShadowBase) / 8);
-    transport_.OnShadowWrite(index, value);
+    transport_.OnShadowWrite(mailbox, value);
     return;
   }
   if (offset == kRegDestageBarrier && len == 8) {
@@ -97,17 +92,16 @@ uint64_t FastSide::ReadRegister(uint64_t offset) const {
       return transport_.term();
     case kRegFencedWrites:
       return transport_.fenced_writes();
-    default:
-      if (offset >= kRegShadowBase && offset < kRegShadowBase + 8 * kMaxPeers) {
-        return transport_.shadow_counter(
-            static_cast<uint32_t>((offset - kRegShadowBase) / 8));
-      }
+    default: {
+      uint32_t mailbox = ShadowMailboxIndex(offset);
+      if (mailbox < kMaxPeers) return transport_.shadow_counter(mailbox);
       if (offset >= kRegWriterTermBase &&
           offset < kRegWriterTermBase + 8 * kMaxPeers) {
         return transport_.writer_term(
             static_cast<uint32_t>((offset - kRegWriterTermBase) / 8));
       }
       return 0;
+    }
   }
 }
 
@@ -117,7 +111,8 @@ void FastSide::OnMmioRead(uint64_t offset, uint8_t* out, size_t len) {
       std::memset(out, 0, len);
       return;
     }
-    cmb_.ReadRing((offset - kRingWindowOffset) % cmb_.ring_bytes(), out, len);
+    cmb_.ReadRing(DecodeRingWindow(offset, cmb_.ring_bytes()).ring_offset,
+                  out, len);
     return;
   }
   // Control registers are 8-byte aligned; serve any aligned span.

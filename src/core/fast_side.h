@@ -34,8 +34,8 @@ class FastSide : public pcie::MmioDevice {
   FastSide(const FastSide&) = delete;
   FastSide& operator=(const FastSide&) = delete;
 
-  /// Control page + direct ring window + one ring-sized intake alias per
-  /// configured peer slot (CmbConfig::peer_intake_slots; 0 = legacy BAR).
+  /// Control page + direct ring window + kMaxPeers ring-sized intake
+  /// aliases (CmbBarBytes).
   uint64_t bar_bytes() const { return bar_bytes_; }
   const std::string& name() const { return name_; }
 

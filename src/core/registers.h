@@ -1,15 +1,18 @@
 #ifndef XSSD_CORE_REGISTERS_H_
 #define XSSD_CORE_REGISTERS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 namespace xssd::core {
 
-/// CMB BAR layout: a 4 KiB control page followed by the byte-addressable
-/// PM ring window. The control page is the "log control interface" of the
-/// paper (§4.1/§4.3): the credit counter, ring geometry, destage progress,
-/// transport status, and the shadow-counter mailboxes that secondaries
-/// write over NTB.
+/// CMB BAR layout: a 4 KiB control page, the byte-addressable PM ring
+/// window the host writes, then one ring-sized intake alias per peer slot
+/// (see CmbBarBytes). The control page is the "log control interface" of
+/// the paper (§4.1/§4.3): the credit counter, ring geometry, destage
+/// progress, transport status, and the shadow-counter mailboxes that
+/// secondaries write over NTB.
 inline constexpr uint64_t kCtrlPageBytes = 4096;
 inline constexpr uint64_t kRingWindowOffset = kCtrlPageBytes;
 
@@ -56,6 +59,61 @@ inline constexpr uint32_t kMaxPeers = 8;
 /// node's supervisor agent via kXssdSetTerm). Placed after the shadow
 /// mailboxes — kMaxPeers 8-byte slots span [0xC0, 0x100).
 inline constexpr uint64_t kRegWriterTermBase = 0xC0;
+
+// --- BAR layout arithmetic -------------------------------------------------
+
+/// Bytes of one fast side's CMB BAR with a `ring_bytes` PM ring: the
+/// control page, the host ring window and kMaxPeers intake aliases.
+constexpr uint64_t CmbBarBytes(uint64_t ring_bytes) {
+  return kCtrlPageBytes + ring_bytes * (1 + kMaxPeers);
+}
+
+/// BAR offset of the intake alias through which member slot `slot` pushes
+/// mirrored ring bytes. A write there lands in the same ring as the host
+/// window but is attributed to `slot` and term-fenced (kRegTerm).
+constexpr uint64_t IntakeAliasOffset(uint64_t ring_bytes, uint32_t slot) {
+  return kRingWindowOffset + ring_bytes * (1 + slot);
+}
+
+/// A BAR offset at or past kRingWindowOffset, decoded.
+struct RingWindowAccess {
+  /// 0 for the host ring window, s + 1 for member slot s's intake alias.
+  uint32_t window;
+  uint64_t ring_offset;
+};
+constexpr RingWindowAccess DecodeRingWindow(uint64_t bar_offset,
+                                            uint64_t ring_bytes) {
+  uint64_t rel = bar_offset - kRingWindowOffset;
+  return RingWindowAccess{static_cast<uint32_t>(rel / ring_bytes),
+                          rel % ring_bytes};
+}
+
+/// Control-page offset of secondary `index`'s shadow mailbox.
+constexpr uint64_t ShadowMailboxOffset(size_t index) {
+  return kRegShadowBase + 8ull * index;
+}
+
+/// The shadow mailbox whose 8-byte register starts at control-page offset
+/// `offset`, or kMaxPeers when `offset` starts none.
+constexpr uint32_t ShadowMailboxIndex(uint64_t offset) {
+  if (offset < kRegShadowBase || offset % 8 != 0) return kMaxPeers;
+  uint64_t index = (offset - kRegShadowBase) / 8;
+  return index < kMaxPeers ? static_cast<uint32_t>(index) : kMaxPeers;
+}
+
+/// Where stream bytes [stream_offset, stream_offset + len) lie in a ring
+/// of `ring_bytes`: the first `head` bytes from ring offset `offset`, and
+/// the rest (if any) continuing at ring offset 0.
+struct RingSplit {
+  uint64_t offset;
+  size_t head;
+};
+constexpr RingSplit SplitRingRange(uint64_t stream_offset, size_t len,
+                                   uint64_t ring_bytes) {
+  uint64_t offset = stream_offset % ring_bytes;
+  return RingSplit{offset, static_cast<size_t>(std::min<uint64_t>(
+                               len, ring_bytes - offset))};
+}
 
 /// Transport status word bit assignments.
 struct StatusBits {

@@ -32,13 +32,6 @@ void TransportModule::SetRole(Role role) {
   }
 }
 
-Status TransportModule::AddPeer(uint64_t peer_cmb_window) {
-  for (uint32_t slot = 0; slot < kMaxPeers; ++slot) {
-    if (!peer_slots_[slot].active) return AddPeerAt(slot, peer_cmb_window);
-  }
-  return Status::ResourceExhausted("peer table full");
-}
-
 Status TransportModule::AddPeerAt(uint32_t slot, uint64_t peer_cmb_window) {
   if (slot >= kMaxPeers) {
     return Status::InvalidArgument("peer slot out of range");
@@ -166,16 +159,23 @@ void TransportModule::UpdateLagGauge() {
   m_replication_lag_bytes_->Set(static_cast<double>(lag));
 }
 
-uint64_t TransportModule::PeerRingBase(uint64_t window_base) const {
-  uint64_t base = window_base + kRingWindowOffset;
-  if (config_.use_intake_aliases) base += ring_bytes_ * (1 + member_slot_);
-  return base;
+void TransportModule::WriteToPeerRing(uint64_t window_base,
+                                      uint64_t stream_offset,
+                                      const uint8_t* data, size_t len) {
+  XSSD_CHECK(ring_bytes_ > 0);
+  uint64_t base = window_base + IntakeAliasOffset(ring_bytes_, member_slot_);
+  RingSplit split = SplitRingRange(stream_offset, len, ring_bytes_);
+  fabric_->PeerWrite(base + split.offset, data, split.head,
+                     pcie::StoreEngine::kWcLineBytes);
+  if (split.head < len) {
+    fabric_->PeerWrite(base, data + split.head, len - split.head,
+                       pcie::StoreEngine::kWcLineBytes);
+  }
 }
 
 void TransportModule::OnCmbArrival(uint64_t stream_offset,
                                    const uint8_t* data, size_t len) {
   if (role_ != Role::kPrimary || active_slots_.empty()) return;
-  XSSD_CHECK(ring_bytes_ > 0);
   // Replication wait: arrival until every peer's shadow counter covers
   // these bytes (closed in OnShadowWrite). Ambient for the mirror fan-out
   // below so the NTB link spans nest under it.
@@ -188,36 +188,19 @@ void TransportModule::OnCmbArrival(uint64_t stream_offset,
   }
   obs::ScopedContext wait_scope(spans_, wait_ctx);
   // One mirror flow per secondary (no multicast — §4.2), each an
-  // independent posted-write stream into the peer's ring window at the
-  // same ring offset the local write used (rings are sized identically
-  // within a replication group).
-  uint64_t ring_offset = stream_offset % ring_bytes_;
-  size_t first = static_cast<size_t>(
-      std::min<uint64_t>(len, ring_bytes_ - ring_offset));
+  // independent posted-write stream into the peer's ring.
   if (m_mirror_chunks_) m_mirror_chunks_->Add();
   if (multicast_window_ != 0) {
     // One flow; the NTB adapter fans out in hardware.
     mirrored_bytes_ += len;
     if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
-    uint64_t base = PeerRingBase(multicast_window_);
-    fabric_->PeerWrite(base + ring_offset, data, first,
-                       pcie::StoreEngine::kWcLineBytes);
-    if (first < len) {
-      fabric_->PeerWrite(base, data + first, len - first,
-                         pcie::StoreEngine::kWcLineBytes);
-    }
+    WriteToPeerRing(multicast_window_, stream_offset, data, len);
     return;
   }
   for (uint32_t slot : active_slots_) {
     mirrored_bytes_ += len;
     if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
-    uint64_t base = PeerRingBase(peer_slots_[slot].window);
-    fabric_->PeerWrite(base + ring_offset, data, first,
-                       pcie::StoreEngine::kWcLineBytes);
-    if (first < len) {
-      fabric_->PeerWrite(base, data + first, len - first,
-                         pcie::StoreEngine::kWcLineBytes);
-    }
+    WriteToPeerRing(peer_slots_[slot].window, stream_offset, data, len);
   }
 }
 
@@ -236,7 +219,6 @@ void TransportModule::UpdateTick() {
     uint64_t value = local_credit_;
     std::memcpy(payload, &value, 8);
     fabric_->PeerWrite(primary_shadow_addr_, payload, 8, 8);
-    last_sent_credit_ = local_credit_;
     ++counter_updates_sent_;
     if (m_counter_updates_) m_counter_updates_->Add();
   }
@@ -326,7 +308,6 @@ void TransportModule::OnRetransmitTimer() {
 }
 
 void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
-  XSSD_CHECK(ring_bytes_ > 0);
   // Bytes older than one ring length have been overwritten locally and can
   // no longer be replayed; a peer that far behind must be re-seeded by the
   // host (degraded mode covers the interim).
@@ -334,21 +315,12 @@ void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
       local_credit_ > ring_bytes_ ? local_credit_ - ring_bytes_ : 0;
   from = std::max(from, floor);
   std::vector<uint8_t> buf;
-  uint64_t base = PeerRingBase(window_base);
   for (uint64_t off = from; off < local_credit_;) {
     size_t n = static_cast<size_t>(std::min<uint64_t>(
         config_.retransmit_chunk, local_credit_ - off));
     buf.resize(n);
     ring_reader_(off, buf.data(), n);
-    uint64_t ring_offset = off % ring_bytes_;
-    size_t first = static_cast<size_t>(
-        std::min<uint64_t>(n, ring_bytes_ - ring_offset));
-    fabric_->PeerWrite(base + ring_offset, buf.data(), first,
-                       pcie::StoreEngine::kWcLineBytes);
-    if (first < n) {
-      fabric_->PeerWrite(base, buf.data() + first, n - first,
-                         pcie::StoreEngine::kWcLineBytes);
-    }
+    WriteToPeerRing(window_base, off, buf.data(), n);
     retransmitted_bytes_ += n;
     if (m_retransmitted_bytes_) m_retransmitted_bytes_->Add(n);
     off += n;

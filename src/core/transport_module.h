@@ -23,8 +23,9 @@ namespace xssd::core {
 /// write stream across Villars devices over NTB.
 ///
 /// On a *primary*, the module taps the mirror of CMB arrivals and re-posts
-/// each chunk to every peer's CMB window (one independent flow per
-/// secondary — the paper deliberately forgoes NTB multicast). It also owns
+/// each chunk into every peer's CMB ring, through the intake alias of this
+/// device's member slot (one independent flow per secondary — the paper
+/// deliberately forgoes NTB multicast). It also owns
 /// the shadow counters that secondaries update, and computes the
 /// protocol-visible credit from them.
 ///
@@ -57,24 +58,20 @@ class TransportModule {
   sim::SimTime update_period() const { return config_.update_period; }
 
   /// Ring size of the replication group (set by the owning device; used to
-  /// wrap mirrored stream offsets into peer ring windows).
+  /// wrap mirrored stream offsets and to find the intake aliases in peer
+  /// CMB BARs).
   void set_ring_bytes(uint64_t ring_bytes) { ring_bytes_ = ring_bytes; }
 
-  /// Primary: register a peer whose CMB BAR is reachable at
-  /// `peer_cmb_window` on the local fabric (an NTB window address).
-  /// Occupies the lowest free member slot.
-  Status AddPeer(uint64_t peer_cmb_window);
-  /// Register a peer at an explicit member slot (HA supervisor: slots are
-  /// stable member ids, so a rejoining node reclaims its old slot and the
-  /// chain order — insertion order of active slots — is re-linked around
-  /// a removed middle node). Re-adding an active slot updates the window.
+  /// Primary: register the peer at member slot `slot`, whose CMB BAR is
+  /// reachable at `peer_cmb_window` on the local fabric (an NTB window
+  /// address). Slots are stable member ids, so a rejoining node reclaims
+  /// its old slot and the chain order — insertion order of active slots —
+  /// is re-linked around a removed middle node. Re-adding an active slot
+  /// updates the window.
   Status AddPeerAt(uint32_t slot, uint64_t peer_cmb_window);
   /// Drop the peer at `slot` from the group (its shadow no longer gates
   /// the credit; chain order closes over the hole).
   Status RemovePeer(uint32_t slot);
-  bool HasPeer(uint32_t slot) const {
-    return slot < kMaxPeers && peer_slots_[slot].active;
-  }
   void ClearPeers();
   uint32_t peer_count() const {
     return static_cast<uint32_t>(active_slots_.size());
@@ -84,10 +81,10 @@ class TransportModule {
 
   /// Adopt replication term `term` with member slot `writer_slot` as the
   /// authorised writer. Also records `writer_slot` as this device's own
-  /// slot for outgoing mirror traffic: the supervisor calls SetTerm on the
-  /// *leader* with the leader's slot, and on followers with the leader's
-  /// slot too (followers do not mirror, so the writer identity is always
-  /// the current leader's).
+  /// slot for outgoing mirror traffic (slot 0 until a term is set): the
+  /// supervisor calls SetTerm on the *leader* with the leader's slot, and
+  /// on followers with the leader's slot too (followers do not mirror, so
+  /// the writer identity is always the current leader's).
   void SetTerm(uint64_t term, uint32_t writer_slot);
   uint64_t term() const { return term_; }
   uint64_t writer_term(uint32_t slot) const {
@@ -108,7 +105,6 @@ class TransportModule {
   void EnableMulticast(uint64_t multicast_window_addr) {
     multicast_window_ = multicast_window_addr;
   }
-  bool multicast_enabled() const { return multicast_window_ != 0; }
 
   /// Secondary: where (on the local fabric, through NTB) this device's
   /// shadow mailbox on the primary lives.
@@ -191,15 +187,18 @@ class TransportModule {
   void OnRetransmitTimer();
 
   /// Re-mirror [from, local_credit_) — clamped to the last ring_bytes of
-  /// the stream — into `window_base`'s ring window in retransmit_chunk
-  /// pieces, via the same posted-write path the live mirror uses.
+  /// the stream — to the peer at `window_base` in retransmit_chunk pieces,
+  /// through the ring writer the live mirror uses.
   void RetransmitRange(uint64_t window_base, uint64_t from);
   void RetransmitRound();
 
-  /// Base address of the ring intake on a peer reachable at `window_base`:
-  /// the shared host window, or this device's per-slot intake alias when
-  /// use_intake_aliases is set (so the receiver can term-fence us).
-  uint64_t PeerRingBase(uint64_t window_base) const;
+  /// The one ring writer: post stream bytes [stream_offset, +len) to the
+  /// peer whose CMB BAR is at `window_base`, into the intake alias of this
+  /// device's member slot (so the receiver can term-fence us), at the ring
+  /// offset the local write used — rings are sized identically within a
+  /// replication group — wrapping at the ring end.
+  void WriteToPeerRing(uint64_t window_base, uint64_t stream_offset,
+                       const uint8_t* data, size_t len);
 
   sim::Simulator* sim_;
   pcie::PcieFabric* fabric_;
@@ -231,7 +230,6 @@ class TransportModule {
   // Secondary state.
   uint64_t primary_shadow_addr_ = 0;
   uint64_t local_credit_ = 0;
-  uint64_t last_sent_credit_ = 0;
   uint64_t timer_generation_ = 0;  ///< cancels stale periodic timers
 
   uint64_t mirrored_bytes_ = 0;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/page_format.h"
-#include "core/registers.h"
 
 namespace xssd::core {
 
@@ -41,10 +40,6 @@ Status ValidateFastSide(const CmbConfig& cmb, const DestageConfig& destage,
   if (cmb.sram_bytes_per_sec <= 0 || cmb.dram_bytes_per_sec <= 0 ||
       cmb.dram_available_fraction <= 0 || cmb.dram_available_fraction > 1) {
     return Status::InvalidArgument(who + ": invalid backing-memory rates");
-  }
-  if (cmb.peer_intake_slots > kMaxPeers) {
-    return Status::InvalidArgument(
-        who + ": more intake aliases than peer slots");
   }
   if (destage.ring_lba_count == 0) {
     return Status::InvalidArgument(who + ": destage ring is empty");

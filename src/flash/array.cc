@@ -282,10 +282,6 @@ bool Array::DieIdle(uint32_t channel, uint32_t die) const {
   return DieAt(channel, die).busy_until <= sim_->Now();
 }
 
-bool Array::ChannelIdle(uint32_t channel) const {
-  return channel_bus_[channel]->IdleNow();
-}
-
 sim::SimTime Array::DieBusyUntil(uint32_t channel, uint32_t die) const {
   return DieAt(channel, die).busy_until;
 }

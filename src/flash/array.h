@@ -89,8 +89,6 @@ class Array {
 
   /// True if the die can start an operation right now.
   bool DieIdle(uint32_t channel, uint32_t die) const;
-  /// True if the channel bus can start a transfer right now.
-  bool ChannelIdle(uint32_t channel) const;
   /// Absolute time the die becomes free.
   sim::SimTime DieBusyUntil(uint32_t channel, uint32_t die) const;
 

@@ -536,7 +536,6 @@ bool Ftl::StartReclaim(uint64_t block, CollectMode mode, WriteCallback done) {
 }
 
 void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
-  const flash::Geometry& geom = array_->geometry();
   const bool for_gc = mode == CollectMode::kGc;
   if (flightrec_ != nullptr) {
     const char* why = for_gc                            ? "gc collect"
@@ -547,147 +546,135 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
                            ", valid=" +
                            std::to_string(map_.ValidCount(victim)));
   }
-  // Pages that failed their relocation read. A refresh that hit one must
-  // not erase the victim: erasing would unmap the lost lpns and turn a
-  // loud Corruption into silent zeros. It degrades to a retire instead.
-  auto lost = std::make_shared<uint64_t>(0);
-  auto done_ptr = std::make_shared<WriteCallback>(std::move(done));
-  // The chain's pending I/O callbacks own `step`, which holds itself only
-  // weakly: it is freed once the chain stops.
-  auto step = std::make_shared<std::function<void(uint32_t)>>();
-  std::weak_ptr<std::function<void(uint32_t)>> step_ref = step;
-  auto self = this;
-  auto dispose = [self, victim, geom, mode, lost, done_ptr]() {
-    if (mode == CollectMode::kGc) {
-      if (self->injector_ != nullptr &&
-          self->injector_->CrashPoint(self->site_prefix_ + "ftl.gc.erase")) {
-        self->gc_running_ = false;
-        return;
-      }
-    }
-    if (mode == CollectMode::kRetire || *lost > 0) {
-      // Relocated what still reads; retire the husk through the bad-block
-      // path. Unreadable lpns stay mapped into it so reads keep failing
-      // loudly and the host can escalate to a replica.
-      self->allocator_.MarkBad(victim);
-      self->wear_.Retire(victim);
-      if (self->flightrec_ != nullptr) {
-        self->flightrec_->Record(
-            self->sim_->Now(), "reliability",
-            self->fr_tag_ + "block " + std::to_string(victim) +
-                " retired unerased, " + std::to_string(*lost) +
-                " lpns lost");
-      }
-      ++self->stats_.bad_block_retires;
-      if (self->m_bad_block_retires_) self->m_bad_block_retires_->Add();
-      ++self->stats_.reliability_retires;
-      if (self->m_reliability_retires_) self->m_reliability_retires_->Add();
-      self->UpdateGauges();
-      self->UpdateWearGauges();
-      (*done_ptr)(Status::OK());
+  auto collect =
+      std::make_shared<Collect>(Collect{victim, mode, 0, std::move(done)});
+  CollectStep(std::move(collect), 0);
+}
+
+void Ftl::CollectStep(std::shared_ptr<Collect> collect, uint32_t page) {
+  const flash::Geometry& geom = array_->geometry();
+  const bool for_gc = collect->mode == CollectMode::kGc;
+  if (Halted()) {
+    // Power was cut at some crash site; freeze the mid-collect state.
+    // The victim stays unsealed and un-erased — exactly what recovery
+    // sees. (GC's continuation is dropped; explicit collects abort.)
+    if (for_gc) {
+      gc_running_ = false;
       return;
     }
-    flash::Address blk = flash::AddressOfBlock(geom, victim);
-    self->scheduler_.Erase(
-        IoClass::kConventional, blk,
-        [self, victim, mode, done_ptr](Status status) {
-          if (status.ok()) {
-            self->wear_.OnErase(victim);
-            self->map_.OnBlockErased(victim);
-            self->allocator_.Release(victim);
-            if (mode == CollectMode::kGc) {
-              ++self->stats_.gc_erases;
-              if (self->m_gc_erases_) self->m_gc_erases_->Add();
-            } else {
-              ++self->stats_.refresh_erases;
-              if (self->m_refresh_erases_) self->m_refresh_erases_->Add();
-            }
+    collect->done(Status::Aborted("ftl halted mid-collect"));
+    return;
+  }
+  // Skip the pages that hold no live lpn.
+  uint64_t lpn = kUnmapped;
+  for (; page < geom.pages_per_block; ++page) {
+    lpn = map_.ReverseLookup(collect->victim * geom.pages_per_block + page);
+    if (lpn != kUnmapped) break;
+  }
+  if (page == geom.pages_per_block) {
+    // All valid pages moved; dispose of the victim.
+    CollectDispose(std::move(collect));
+    return;
+  }
+  uint64_t ppn = collect->victim * geom.pages_per_block + page;
+  scheduler_.Read(
+      IoClass::kConventional, flash::AddressOfPage(geom, ppn),
+      [this, collect, lpn, ppn, page](Status status,
+                                      std::vector<uint8_t> data) {
+        const bool for_gc = collect->mode == CollectMode::kGc;
+        if (!status.ok()) {
+          if (for_gc) {
+            XSSD_LOG(kWarning) << "GC read failed: " << status.ToString();
           } else {
-            self->allocator_.MarkBad(victim);
-            self->wear_.Retire(victim);
-            ++self->stats_.bad_block_retires;
-            if (self->m_bad_block_retires_) {
-              self->m_bad_block_retires_->Add();
-            }
+            ++collect->lost;
+            ++stats_.pages_lost;
+            if (m_pages_lost_) m_pages_lost_->Add();
           }
-          self->UpdateGauges();
-          self->UpdateWearGauges();
-          (*done_ptr)(status);
-        });
-  };
-  *step = [self, victim, geom, mode, for_gc, lost, step_ref, done_ptr,
-           dispose = std::move(dispose)](uint32_t page) {
-    // Whoever called this step holds a strong reference.
-    std::shared_ptr<std::function<void(uint32_t)>> step = step_ref.lock();
-    if (self->Halted()) {
-      // Power was cut at some crash site; freeze the mid-collect state.
-      // The victim stays unsealed and un-erased — exactly what recovery
-      // sees. (GC's continuation is dropped; explicit collects abort.)
-      if (for_gc) {
-        self->gc_running_ = false;
-        return;
-      }
-      (*done_ptr)(Status::Aborted("ftl halted mid-collect"));
-      return;
+          CollectStep(collect, page + 1);
+          return;
+        }
+        if (map_.Lookup(lpn) != ppn) {
+          // Overwritten while the relocation read was in flight; the
+          // page is stale now — skip it.
+          CollectStep(collect, page + 1);
+          return;
+        }
+        if (for_gc && injector_ != nullptr &&
+            injector_->CrashPoint(site_prefix_ + "ftl.gc.relocate")) {
+          gc_running_ = false;
+          return;
+        }
+        if (for_gc) {
+          ++stats_.gc_relocations;
+          if (m_gc_pages_moved_) m_gc_pages_moved_->Add();
+        } else {
+          ++stats_.refresh_relocations;
+          if (m_refresh_pages_moved_) m_refresh_pages_moved_->Add();
+        }
+        // The copy keeps the victim page's logical version; only the
+        // physical stamp (inside ProgramPage) is fresh.
+        uint64_t seq = map_.SeqOf(lpn);
+        ProgramPage(IoClass::kConventional, BlockAllocator::kGcStream, lpn,
+                    seq, /*src_ppn=*/ppn, std::move(data),
+                    [this, collect, page](Status) {
+                      CollectStep(collect, page + 1);
+                    });
+      });
+}
+
+void Ftl::CollectDispose(std::shared_ptr<Collect> collect) {
+  const uint64_t victim = collect->victim;
+  if (collect->mode == CollectMode::kGc && injector_ != nullptr &&
+      injector_->CrashPoint(site_prefix_ + "ftl.gc.erase")) {
+    gc_running_ = false;
+    return;
+  }
+  if (collect->mode == CollectMode::kRetire || collect->lost > 0) {
+    // Relocated what still reads; retire the husk through the bad-block
+    // path. Unreadable lpns stay mapped into it so reads keep failing
+    // loudly and the host can escalate to a replica.
+    allocator_.MarkBad(victim);
+    wear_.Retire(victim);
+    if (flightrec_ != nullptr) {
+      flightrec_->Record(sim_->Now(), "reliability",
+                         fr_tag_ + "block " + std::to_string(victim) +
+                             " retired unerased, " +
+                             std::to_string(collect->lost) + " lpns lost");
     }
-    if (page == geom.pages_per_block) {
-      // All valid pages moved; dispose of the victim.
-      dispose();
-      return;
-    }
-    uint64_t ppn = victim * geom.pages_per_block + page;
-    uint64_t lpn = self->map_.ReverseLookup(ppn);
-    if (lpn == kUnmapped) {
-      (*step)(page + 1);
-      return;
-    }
-    flash::Address addr = flash::AddressOfPage(geom, ppn);
-    self->scheduler_.Read(
-        IoClass::kConventional, addr,
-        [self, lpn, ppn, page, mode, for_gc, lost, step](
-            Status status, std::vector<uint8_t> data) {
-          if (!status.ok()) {
-            if (for_gc) {
-              XSSD_LOG(kWarning) << "GC read failed: " << status.ToString();
-            } else {
-              ++*lost;
-              ++self->stats_.pages_lost;
-              if (self->m_pages_lost_) self->m_pages_lost_->Add();
-            }
-            (*step)(page + 1);
-            return;
-          }
-          if (self->map_.Lookup(lpn) != ppn) {
-            // Overwritten while the relocation read was in flight; the
-            // page is stale now — skip it.
-            (*step)(page + 1);
-            return;
-          }
-          if (for_gc && self->injector_ != nullptr &&
-              self->injector_->CrashPoint(self->site_prefix_ +
-                                          "ftl.gc.relocate")) {
-            self->gc_running_ = false;
-            return;
-          }
-          if (mode == Ftl::CollectMode::kGc) {
-            ++self->stats_.gc_relocations;
-            if (self->m_gc_pages_moved_) self->m_gc_pages_moved_->Add();
+    ++stats_.bad_block_retires;
+    if (m_bad_block_retires_) m_bad_block_retires_->Add();
+    ++stats_.reliability_retires;
+    if (m_reliability_retires_) m_reliability_retires_->Add();
+    UpdateGauges();
+    UpdateWearGauges();
+    collect->done(Status::OK());
+    return;
+  }
+  scheduler_.Erase(
+      IoClass::kConventional, flash::AddressOfBlock(array_->geometry(), victim),
+      [this, collect](Status status) {
+        const uint64_t victim = collect->victim;
+        if (status.ok()) {
+          wear_.OnErase(victim);
+          map_.OnBlockErased(victim);
+          allocator_.Release(victim);
+          if (collect->mode == CollectMode::kGc) {
+            ++stats_.gc_erases;
+            if (m_gc_erases_) m_gc_erases_->Add();
           } else {
-            ++self->stats_.refresh_relocations;
-            if (self->m_refresh_pages_moved_) {
-              self->m_refresh_pages_moved_->Add();
-            }
+            ++stats_.refresh_erases;
+            if (m_refresh_erases_) m_refresh_erases_->Add();
           }
-          // The copy keeps the victim page's logical version; only the
-          // physical stamp (inside ProgramPage) is fresh.
-          uint64_t seq = self->map_.SeqOf(lpn);
-          self->ProgramPage(
-              IoClass::kConventional, BlockAllocator::kGcStream, lpn, seq,
-              /*src_ppn=*/ppn, std::move(data),
-              [step, page](Status) { (*step)(page + 1); });
-        });
-  };
-  (*step)(0);
+        } else {
+          allocator_.MarkBad(victim);
+          wear_.Retire(victim);
+          ++stats_.bad_block_retires;
+          if (m_bad_block_retires_) m_bad_block_retires_->Add();
+        }
+        UpdateGauges();
+        UpdateWearGauges();
+        collect->done(status);
+      });
 }
 
 PageMap Ftl::RebuildFromOob(RebuildReport* report) const {

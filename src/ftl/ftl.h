@@ -260,6 +260,23 @@ class Ftl {
   /// modes abort with Status::Aborted instead.
   void CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done);
 
+  /// One CollectBlock walk. Each pending read, program or erase of the
+  /// walk holds it, so it is freed once the walk stops.
+  struct Collect {
+    uint64_t victim;
+    CollectMode mode;
+    /// Pages whose relocation read failed. A refresh that hit one must not
+    /// erase the victim: erasing would unmap the lost lpns and turn a loud
+    /// Corruption into silent zeros. It degrades to a retire instead.
+    uint64_t lost;
+    WriteCallback done;
+  };
+  /// Relocate the walk's valid pages from `page` on, then dispose of the
+  /// victim.
+  void CollectStep(std::shared_ptr<Collect> collect, uint32_t page);
+  /// Erase (or retire) the emptied victim and complete the walk.
+  void CollectDispose(std::shared_ptr<Collect> collect);
+
   void TouchLru(uint64_t lpn);
   void EvictIfNeeded();
 

@@ -47,10 +47,7 @@ ReplicaSupervisor::ReplicaSupervisor(sim::Simulator* sim,
       config_(config),
       agents_(nodes_.size()) {}
 
-void ReplicaSupervisor::ConfigureDevice(core::VillarsConfig* config,
-                                        size_t cluster_size) {
-  config->cmb.peer_intake_slots = static_cast<uint32_t>(cluster_size);
-  config->transport.use_intake_aliases = true;
+void ReplicaSupervisor::ConfigureDevice(core::VillarsConfig* config) {
   if (config->transport.retransmit_timeout == 0) {
     config->transport.retransmit_timeout = sim::Us(200);
   }
@@ -91,15 +88,9 @@ Status ReplicaSupervisor::Setup() {
         "ha: data and heartbeat windows share the 8-slot NTB BAR; at most " +
         std::to_string(kHeartbeatWindowBase) + " members");
   }
+  XSSD_RETURN_IF_ERROR(host::CheckRingsMatch(nodes_, "ha"));
   for (size_t i = 0; i < n; ++i) {
     const core::VillarsConfig& config = nodes_[i]->device().config();
-    if (config.cmb.peer_intake_slots < n ||
-        !config.transport.use_intake_aliases) {
-      return Status::InvalidArgument(
-          "ha: member " + std::to_string(i) +
-          " lacks per-peer intake aliases; build its config with "
-          "ReplicaSupervisor::ConfigureDevice");
-    }
     if (config.transport.retransmit_timeout == 0) {
       return Status::InvalidArgument(
           "ha: member " + std::to_string(i) +
@@ -127,7 +118,7 @@ Status ReplicaSupervisor::Setup() {
   for (size_t j = 1; j < n; ++j) {
     host::StorageNode& follower = *nodes_[j];
     XSSD_RETURN_IF_ERROR(host::AdminSync(follower, SetTermCmd(1, 0)));
-    uint64_t mailbox = DataWindow(0) + core::kRegShadowBase + 8ull * j;
+    uint64_t mailbox = DataWindow(0) + core::ShadowMailboxOffset(j);
     XSSD_RETURN_IF_ERROR(host::AdminSync(
         follower, SetRoleCmd(core::Role::kSecondary, mailbox)));
     XSSD_RETURN_IF_ERROR(host::AdminSync(
@@ -353,7 +344,7 @@ void ReplicaSupervisor::Adopt(size_t i, size_t leader, const Heartbeat& hb) {
   cmds.push_back(SetTermCmd(new_term, leader));
   cmds.push_back(TruncateCmd(join));
   cmds.push_back(ClearPeersCmd());
-  uint64_t mailbox = DataWindow(leader) + core::kRegShadowBase + 8ull * i;
+  uint64_t mailbox = DataWindow(leader) + core::ShadowMailboxOffset(i);
   cmds.push_back(SetRoleCmd(core::Role::kSecondary, mailbox));
   cmds.push_back(SetUpdatePeriodCmd(config_.update_period));
   RunAdminChain(i, std::move(cmds), 0,

@@ -91,15 +91,16 @@ class ReplicaSupervisor {
   ReplicaSupervisor(const ReplicaSupervisor&) = delete;
   ReplicaSupervisor& operator=(const ReplicaSupervisor&) = delete;
 
-  /// Make a device config HA-capable for a cluster of `cluster_size`
-  /// members: per-peer intake aliases (the term fence needs per-member
-  /// write attribution), alias-addressed mirroring, and a bounded
-  /// retransmit backoff so resync converges on failover timescales.
-  static void ConfigureDevice(core::VillarsConfig* config,
-                              size_t cluster_size);
+  /// Make a device config HA-capable: retransmission on, with a backoff
+  /// bounded so resync converges on failover timescales, and degraded mode
+  /// off. (Every device already carries the per-peer intake aliases the
+  /// term fence needs.)
+  static void ConfigureDevice(core::VillarsConfig* config);
 
   /// Wire the full NTB mesh (data + heartbeat windows) and form the group:
   /// term 1, member 0 primary, everyone else secondary. Blocking.
+  /// InvalidArgument, naming the member, if a member has retransmission
+  /// off (see ConfigureDevice) or a CMB ring size other than member 0's.
   Status Setup();
 
   /// Attach a flight recorder (nullptr detaches). Records the HA state

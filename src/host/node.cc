@@ -109,6 +109,24 @@ Result<uint64_t> StorageNode::ConnectScratchpadWindowTo(uint32_t slot,
   return NodeLayout::kNtbBase + window_offset;
 }
 
+Status CheckRingsMatch(const std::vector<StorageNode*>& nodes,
+                       const std::string& group) {
+  // A primary places mirrored bytes by its own ring size and a receiver
+  // infers their stream offsets by its own, so the two must agree.
+  uint64_t ring_bytes = nodes[0]->device().cmb().ring_bytes();
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    uint64_t member_ring = nodes[i]->device().cmb().ring_bytes();
+    if (member_ring != ring_bytes) {
+      return Status::InvalidArgument(
+          group + ": member " + std::to_string(i) + " (" + nodes[i]->name() +
+          ") has a " + std::to_string(member_ring) +
+          "-byte CMB ring, member 0 a " + std::to_string(ring_bytes) +
+          "-byte one; every member's ring must be the same size");
+    }
+  }
+  return Status::OK();
+}
+
 Status AdminSync(StorageNode& node, const nvme::Command& cmd) {
   // The admin submission (and anything the device arms while handling it,
   // e.g. the shadow-update timer) belongs to the target node's domain.
@@ -130,6 +148,7 @@ Status ReplicationGroup::Setup(core::ReplicationProtocol protocol,
     return Status::InvalidArgument("need a primary and >= 1 secondary");
   }
   StorageNode& primary = *nodes_[0];
+  XSSD_RETURN_IF_ERROR(CheckRingsMatch(nodes_, "replication group"));
 
   for (size_t i = 1; i < nodes_.size(); ++i) {
     StorageNode& secondary = *nodes_[i];
@@ -150,8 +169,7 @@ Status ReplicationGroup::Setup(core::ReplicationProtocol protocol,
         AdminSync(primary, core::AddPeerCmd(peer_index, *fwd)));
 
     // Configure the secondary: role + where its shadow mailbox lives.
-    uint64_t shadow_addr =
-        *back + core::kRegShadowBase + 8ull * peer_index;
+    uint64_t shadow_addr = *back + core::ShadowMailboxOffset(peer_index);
     XSSD_RETURN_IF_ERROR(AdminSync(
         secondary, core::SetRoleCmd(core::Role::kSecondary, shadow_addr)));
     XSSD_RETURN_IF_ERROR(

@@ -113,13 +113,15 @@ class ReplicationGroup {
       : nodes_(std::move(nodes)) {}
 
   /// Establish windows, roles, protocol, and the shadow-counter update
-  /// period on every member. Blocking (pumps the simulator).
+  /// period on every member. Blocking (pumps the simulator). No term is
+  /// set, so the primary pushes as member slot 0, through intake alias 0
+  /// of every secondary. InvalidArgument if a member's CMB ring size
+  /// differs from the primary's.
   Status Setup(core::ReplicationProtocol protocol,
                sim::SimTime update_period);
 
   StorageNode& primary() { return *nodes_[0]; }
   StorageNode& secondary(size_t i) { return *nodes_[i + 1]; }
-  size_t secondary_count() const { return nodes_.size() - 1; }
 
  private:
   std::vector<StorageNode*> nodes_;
@@ -128,6 +130,11 @@ class ReplicationGroup {
 /// Issue one admin command to `node`'s device through its driver, inside
 /// the node's scheduler domain. Blocking (pumps the simulator).
 Status AdminSync(StorageNode& node, const nvme::Command& cmd);
+
+/// InvalidArgument naming the first member of `nodes` whose CMB ring size
+/// differs from member 0's (`group` prefixes the message); OK otherwise.
+Status CheckRingsMatch(const std::vector<StorageNode*>& nodes,
+                       const std::string& group);
 
 }  // namespace xssd::host
 

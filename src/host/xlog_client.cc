@@ -65,7 +65,6 @@ Status XLogClient::Reconnect() {
     read_seq_ = 0;
     tail_leftover_.clear();
     allocations_.clear();
-    alloc_head_ = 0;
     PushBarrier();
   }
   // Epoch unchanged: the local device was promoted with its log intact —
@@ -107,20 +106,18 @@ void XLogClient::ReadRegister(uint64_t reg,
   });
 }
 
-void XLogClient::StoreChunk(const uint8_t* data, size_t len,
-                            sim::Simulator::Callback posted) {
-  uint64_t ring_offset = written_ % ring_bytes_;
+void XLogClient::StoreRing(uint64_t stream_offset, const uint8_t* data,
+                           size_t len, sim::Simulator::Callback posted) {
   uint64_t base = cmb_base_ + core::kRingWindowOffset;
-  size_t first =
-      static_cast<size_t>(std::min<uint64_t>(len, ring_bytes_ - ring_offset));
-  if (first < len) {
-    // The chunk wraps: two store sequences, completion on the second.
-    store_engine_.Store(base + ring_offset, data, first, nullptr);
-    store_engine_.Store(base, data + first, len - first, std::move(posted));
+  core::RingSplit split = core::SplitRingRange(stream_offset, len, ring_bytes_);
+  if (split.head < len) {
+    // The range wraps: two store sequences, completion on the second.
+    store_engine_.Store(base + split.offset, data, split.head, nullptr);
+    store_engine_.Store(base, data + split.head, len - split.head,
+                        std::move(posted));
   } else {
-    store_engine_.Store(base + ring_offset, data, len, std::move(posted));
+    store_engine_.Store(base + split.offset, data, len, std::move(posted));
   }
-  written_ += len;
 }
 
 void XLogClient::Append(const uint8_t* data, size_t len, DoneCallback done) {
@@ -182,11 +179,12 @@ void XLogClient::AppendLoop(std::shared_ptr<std::vector<uint8_t>> data,
   size_t chunk = static_cast<size_t>(
       std::min<uint64_t>(remaining, avail));
   const uint8_t* src = data->data() + offset;  // before the lambda moves data
-  StoreChunk(src, chunk,
-             [this, data = std::move(data), offset = offset + chunk, ctx,
-              done = std::move(done)]() mutable {
-               AppendLoop(std::move(data), offset, ctx, std::move(done));
-             });
+  StoreRing(written_, src, chunk,
+            [this, data = std::move(data), offset = offset + chunk, ctx,
+             done = std::move(done)]() mutable {
+              AppendLoop(std::move(data), offset, ctx, std::move(done));
+            });
+  written_ += chunk;
 }
 
 void XLogClient::Sync(DoneCallback done) {
@@ -420,10 +418,9 @@ void XLogClient::ReplicaFetch(nvme::Driver* driver, size_t len,
           return;
         }
         size_t want = static_cast<size_t>(fetch_end - read_cursor_);
-        uint64_t ring_offset = read_cursor_ % ring_bytes_;
         uint64_t base = replica_window_base_ + core::kRingWindowOffset;
-        size_t first = static_cast<size_t>(
-            std::min<uint64_t>(want, ring_bytes_ - ring_offset));
+        core::RingSplit split =
+            core::SplitRingRange(read_cursor_, want, ring_bytes_);
         auto finish = [this, driver, len, acc = std::move(acc), ctx,
                        fetch_ctx, done = std::move(done),
                        fetch_end](std::vector<uint8_t> bytes) mutable {
@@ -438,14 +435,14 @@ void XLogClient::ReplicaFetch(nvme::Driver* driver, size_t len,
           ++read_seq_;  // past the dead slot
           ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done), 0);
         };
-        if (first < want) {
+        if (split.head < want) {
           // The extent wraps the replica ring: two window reads.
           fabric_->HostRead(
-              base + ring_offset, first,
-              [this, base, want, first, finish = std::move(finish)](
-                  std::vector<uint8_t> head) mutable {
+              base + split.offset, split.head,
+              [this, base, rest = want - split.head,
+               finish = std::move(finish)](std::vector<uint8_t> head) mutable {
                 fabric_->HostRead(
-                    base, want - first,
+                    base, rest,
                     [head = std::move(head), finish = std::move(finish)](
                         std::vector<uint8_t> tail) mutable {
                       head.insert(head.end(), tail.begin(), tail.end());
@@ -453,7 +450,7 @@ void XLogClient::ReplicaFetch(nvme::Driver* driver, size_t len,
                     });
               });
         } else {
-          fabric_->HostRead(base + ring_offset, want, std::move(finish));
+          fabric_->HostRead(base + split.offset, want, std::move(finish));
         }
       });
 }
@@ -489,20 +486,10 @@ void XLogClient::WriteAt(uint64_t stream_offset, const uint8_t* data,
                               stream_offset + len);
   }
   obs::ScopedContext scope(spans_, root);
-  uint64_t ring_offset = stream_offset % ring_bytes_;
-  uint64_t base = cmb_base_ + core::kRingWindowOffset;
-  size_t first =
-      static_cast<size_t>(std::min<uint64_t>(len, ring_bytes_ - ring_offset));
-  auto posted = [this, root, done = std::move(done)]() {
+  StoreRing(stream_offset, data, len, [this, root, done = std::move(done)]() {
     if (spans_) spans_->EndSpan(root);
     done(Status::OK());
-  };
-  if (first < len) {
-    store_engine_.Store(base + ring_offset, data, first, nullptr);
-    store_engine_.Store(base, data + first, len - first, std::move(posted));
-  } else {
-    store_engine_.Store(base + ring_offset, data, len, std::move(posted));
-  }
+  });
 }
 
 Status XLogClient::XFree(uint64_t stream_offset) {

@@ -186,9 +186,11 @@ class XLogClient {
   void AppendLoop(std::shared_ptr<std::vector<uint8_t>> data, size_t offset,
                   obs::SpanContext ctx, DoneCallback done);
 
-  /// Store `len` bytes at stream offset `written_` (handles ring wrap).
-  void StoreChunk(const uint8_t* data, size_t len,
-                  sim::Simulator::Callback posted);
+  /// The one ring store: write stream bytes [stream_offset, +len) into the
+  /// CMB ring window, wrapping at the ring end; `posted` fires once the
+  /// last store is posted.
+  void StoreRing(uint64_t stream_offset, const uint8_t* data, size_t len,
+                 sim::Simulator::Callback posted);
 
   /// Async read of a control register.
   void ReadRegister(uint64_t reg, std::function<void(uint64_t)> done);
@@ -247,7 +249,6 @@ class XLogClient {
     bool freed;
   };
   std::map<uint64_t, Allocation> allocations_;  // offset -> state
-  uint64_t alloc_head_ = 0;
 
   obs::SpanRecorder* spans_ = nullptr;
   uint16_t span_node_ = 0;

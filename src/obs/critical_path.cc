@@ -18,6 +18,29 @@ struct Clamped {
   SpanId id;
 };
 
+/// Deterministic JSON object of `stat`: exact aggregates, bucket-
+/// interpolated percentiles, and the non-empty buckets as [lo, hi, count]
+/// triples.
+void AppendJson(const sim::DurationStat& stat, std::string* out) {
+  *out += "{\"count\": " + std::to_string(stat.count);
+  *out += ", \"total_ns\": " + JsonNumber(stat.total);
+  *out += ", \"min_ns\": " + JsonNumber(stat.min);
+  *out += ", \"max_ns\": " + JsonNumber(stat.max);
+  *out += ", \"mean_ns\": " + JsonNumber(stat.Mean());
+  *out += ", \"p50_ns\": " + JsonNumber(stat.PercentileClamped(50));
+  *out += ", \"p99_ns\": " + JsonNumber(stat.PercentileClamped(99));
+  *out += ", \"p999_ns\": " + JsonNumber(stat.PercentileClamped(99.9));
+  *out += ", \"buckets\": [";
+  bool first = true;
+  for (const sim::Log2Histogram::Bucket& b : stat.hist.NonEmptyBuckets()) {
+    if (!first) *out += ", ";
+    first = false;
+    *out += "[" + std::to_string(b.lo) + ", " + std::to_string(b.hi) + ", " +
+            std::to_string(b.count) + "]";
+  }
+  *out += "]}";
+}
+
 /// Deterministic winner among spans covering the same instant: deepest
 /// stage first, then lowest stage enum, node, span id.
 bool Wins(const Clamped& a, const Clamped& b) {
@@ -189,14 +212,14 @@ std::string BreakdownReporter::ToJson() const {
       out += "    \"" + JsonEscape(kind) + "\": {\n";
       out += "     \"count\": " + std::to_string(agg.count) + ",\n";
       out += "     \"e2e\": ";
-      agg.e2e.AppendJson(&out);
+      AppendJson(agg.e2e, &out);
       out += ",\n     \"stages\": {";
       bool first_stage = true;
       for (const auto& [key, stat] : agg.stages) {
         out += first_stage ? "\n" : ",\n";
         first_stage = false;
         out += "      \"" + JsonEscape(key) + "\": ";
-        stat.AppendJson(&out);
+        AppendJson(stat, &out);
       }
       out += "\n     }\n    }";
     }

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "sim/histogram.h"
 
 namespace xssd::obs {
 
@@ -81,8 +81,8 @@ class CriticalPathAnalyzer {
 ///     }, ...
 ///   }
 /// }
-/// where {stat} is DurationStat::AppendJson (exact count/total/min/max,
-/// log2-bucket p50/p99, non-empty buckets). Per request, each stage's
+/// where {stat} is a sim::DurationStat (exact count/total/min/max,
+/// log2-bucket p50/p99/p999, non-empty buckets). Per request, each stage's
 /// value is the *sum* of that stage's exclusive segments.
 class BreakdownReporter {
  public:
@@ -108,8 +108,8 @@ class BreakdownReporter {
  private:
   struct KindAgg {
     uint64_t count = 0;
-    DurationStat e2e;
-    std::map<std::string, DurationStat> stages;
+    sim::DurationStat e2e;
+    std::map<std::string, sim::DurationStat> stages;
   };
   struct RunAgg {
     uint64_t requests = 0;

@@ -103,7 +103,6 @@ class SpanRecorder {
   /// paths stamp a uint16 instead of a string.
   uint16_t InternNode(const std::string& tag);
   const std::string& NodeTag(uint16_t id) const { return nodes_[id]; }
-  size_t node_count() const { return nodes_.size(); }
 
   /// Mint a new trace with a root span. `kind` must be a string literal.
   SpanContext StartTrace(const char* kind, uint16_t node,

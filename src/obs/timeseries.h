@@ -98,9 +98,8 @@ class TimeSeriesSampler : public sim::TimeObserver {
   void OnSimulatorTearDown(sim::SimTime last_now) override;
 
   size_t windows() const { return windows_; }
-  sim::SimTime start_time() const { return start_; }
-  /// Virtual end of the last closed window (== start_time before any
-  /// window closes).
+  /// Virtual end of the last closed window (== the sampler's start time
+  /// before any window closes).
   sim::SimTime end_time() const { return end_; }
   const TimeSeriesOptions& options() const { return options_; }
   uint64_t evicted_values() const { return evicted_values_; }

@@ -46,7 +46,6 @@ class EventFn {
       manage_ = &ManageInline<D>;
     } else {
       heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      manage_out_ = true;
       D* p = new D(std::forward<F>(f));
       std::memcpy(buf_, &p, sizeof(p));
       invoke_ = [](void* b) {
@@ -75,10 +74,6 @@ class EventFn {
   void operator()() { invoke_(buf_); }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
-
-  /// True when the held callable lives out-of-line (capture too large for
-  /// the inline buffer).
-  bool heap_allocated() const noexcept { return manage_ && manage_out_; }
 
   /// Process-wide count of callbacks that spilled to the heap; the perf
   /// microbench divides the delta by events executed to get allocs/event.
@@ -113,23 +108,19 @@ class EventFn {
     if (other.manage_) other.manage_(Op::kMoveTo, other.buf_, buf_);
     invoke_ = other.invoke_;
     manage_ = other.manage_;
-    manage_out_ = other.manage_out_;
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
-    other.manage_out_ = false;
   }
 
   void Reset() noexcept {
     if (manage_) manage_(Op::kDestroy, buf_, nullptr);
     invoke_ = nullptr;
     manage_ = nullptr;
-    manage_out_ = false;
   }
 
   alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
   InvokeFn invoke_ = nullptr;
   ManageFn manage_ = nullptr;
-  bool manage_out_ = false;
 
   inline static std::atomic<uint64_t> heap_fallbacks_{0};
 };

@@ -100,6 +100,48 @@ class Log2Histogram {
   uint64_t count_ = 0;
 };
 
+/// \brief Duration aggregate: exact count/total/min/max plus log2 buckets
+/// for percentiles. One per (request kind, stage key) in the breakdown,
+/// and the window of a LatencyRecorder.
+struct DurationStat {
+  Log2Histogram hist;
+  uint64_t count = 0;
+  double total = 0;
+  double min = 0;
+  double max = 0;
+
+  void Add(double value) {
+    if (count == 0) {
+      min = max = value;
+    } else {
+      if (value < min) min = value;
+      if (value > max) max = value;
+    }
+    total += value;
+    ++count;
+    hist.Add(value);
+  }
+
+  double Mean() const {
+    return count == 0 ? 0 : total / static_cast<double>(count);
+  }
+
+  /// Bucket-interpolated percentile, guarded against an empty histogram
+  /// and clamped to the exact [min, max] (bucket interpolation can
+  /// otherwise land above the largest recorded sample).
+  double PercentileClamped(double p) const {
+    if (count == 0) return 0;
+    double v = hist.Percentile(p);
+    return v < min ? min : (v > max ? max : v);
+  }
+
+  void Clear() {
+    hist.Clear();
+    count = 0;
+    total = min = max = 0;
+  }
+};
+
 }  // namespace xssd::sim
 
 #endif  // XSSD_SIM_HISTOGRAM_H_

@@ -81,12 +81,6 @@ class SpscMailbox {
     spill_.clear();
   }
 
-  bool EmptyUnsynchronized() const {
-    return head_.load(std::memory_order_relaxed) ==
-               tail_.load(std::memory_order_relaxed) &&
-           spill_.empty();
-  }
-
   /// Items that overflowed the ring (producer-side counter; read between
   /// windows or after the run).
   uint64_t spilled() const { return spilled_; }

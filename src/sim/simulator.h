@@ -321,7 +321,6 @@ class Simulator {
   /// Not owned; must outlive the simulator or be detached first. An
   /// attached sink forces serial execution on the parallel backend.
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
-  obs::TraceSink* trace_sink() const { return trace_; }
 
   /// Attach a passive time observer (nullptr detaches): it is called back
   /// just before the first event at or beyond `first_due` executes, and
@@ -333,7 +332,6 @@ class Simulator {
     time_obs_ = obs;
     obs_due_ = obs == nullptr ? ~SimTime{0} : first_due;
   }
-  TimeObserver* time_observer() const { return time_obs_; }
 
  private:
   /// Legacy-layout heap event: by-value storage, no pooling. `key` is the

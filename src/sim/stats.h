@@ -28,17 +28,7 @@ class LatencyRecorder {
     sum_ += sample;
     ++count_;
     ++version_;
-    if (windowed_) {
-      if (win_count_ == 0) {
-        win_min_ = win_max_ = sample;
-      } else {
-        win_min_ = std::min(win_min_, sample);
-        win_max_ = std::max(win_max_, sample);
-      }
-      win_sum_ += sample;
-      ++win_count_;
-      win_hist_.Add(sample);
-    }
+    if (windowed_) window_.Add(sample);
     samples_.push_back(sample);
   }
 
@@ -65,16 +55,14 @@ class LatencyRecorder {
   /// first; an empty window returns all zeros.
   WindowStats TakeWindow() {
     WindowStats w;
-    w.count = win_count_;
-    if (win_count_ > 0) {
-      w.min = win_min_;
-      w.max = win_max_;
-      w.mean = win_sum_ / static_cast<double>(win_count_);
-      w.p50 = std::clamp(win_hist_.Percentile(50), win_min_, win_max_);
-      w.p99 = std::clamp(win_hist_.Percentile(99), win_min_, win_max_);
-      w.p999 = std::clamp(win_hist_.Percentile(99.9), win_min_, win_max_);
-    }
-    ClearWindow();
+    w.count = window_.count;
+    w.min = window_.min;
+    w.max = window_.max;
+    w.mean = window_.Mean();
+    w.p50 = window_.PercentileClamped(50);
+    w.p99 = window_.PercentileClamped(99);
+    w.p999 = window_.PercentileClamped(99.9);
+    window_.Clear();
     return w;
   }
 
@@ -115,7 +103,7 @@ class LatencyRecorder {
     sum_ = 0;
     min_ = 0;
     max_ = 0;
-    ClearWindow();  // window tracking stays enabled across Clear()
+    window_.Clear();  // window tracking stays enabled across Clear()
     ++version_;
   }
 
@@ -132,24 +120,12 @@ class LatencyRecorder {
     }
   }
 
-  void ClearWindow() {
-    win_hist_.Clear();
-    win_count_ = 0;
-    win_sum_ = 0;
-    win_min_ = 0;
-    win_max_ = 0;
-  }
-
   mutable std::vector<double> samples_;
   uint64_t version_ = 0;
   mutable uint64_t sorted_version_ = 0;
 
   bool windowed_ = false;
-  Log2Histogram win_hist_;
-  uint64_t win_count_ = 0;
-  double win_sum_ = 0;
-  double win_min_ = 0;
-  double win_max_ = 0;
+  DurationStat window_;
 
   uint64_t count_ = 0;
   double sum_ = 0;

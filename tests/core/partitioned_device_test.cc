@@ -193,11 +193,13 @@ TEST_F(PartitionedTest, ConcurrentTenantsInterleaveSafely) {
 }
 
 TEST_F(PartitionedTest, BarLayoutIsBackToBack) {
+  // Each partition: control page, host ring window, kMaxPeers intake
+  // aliases.
   EXPECT_EQ(device_.partition_base(0), kCmb);
   EXPECT_EQ(device_.partition_base(1),
-            kCmb + kCtrlPageBytes + 64 * 1024);
+            kCmb + kCtrlPageBytes + 64 * 1024 * (1 + kMaxPeers));
   EXPECT_EQ(device_.cmb_bar_bytes(),
-            2 * kCtrlPageBytes + 64 * 1024 + 32 * 1024);
+            2 * kCtrlPageBytes + (64 * 1024 + 32 * 1024) * (1 + kMaxPeers));
 }
 
 TEST_F(PartitionedTest, PowerEventsReachBothTenants) {

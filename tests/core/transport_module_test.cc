@@ -43,34 +43,37 @@ TEST_F(TransportTest, StandaloneDoesNotMirror) {
 }
 
 TEST_F(TransportTest, PrimaryMirrorsToPeerRingWindow) {
-  ASSERT_TRUE(transport_.AddPeer(0x10000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(0, 0x10000).ok());
   transport_.SetRole(Role::kPrimary);
   uint8_t data[16];
   for (int i = 0; i < 16; ++i) data[i] = static_cast<uint8_t>(i);
   transport_.OnCmbArrival(100, data, 16);
   sim_.Run();
   ASSERT_EQ(sink_.writes.size(), 1u);
-  EXPECT_EQ(sink_.writes[0].first, kRingWindowOffset + 100);
+  // Member slot 0 (no term set) pushes through the peer's intake alias 0,
+  // one 4096-byte ring past the host window.
+  EXPECT_EQ(sink_.writes[0].first, kRingWindowOffset + 4096 + 100);
   EXPECT_EQ(sink_.writes[0].second[3], 3);
 }
 
 TEST_F(TransportTest, MirrorWrapsRingOffsets) {
-  ASSERT_TRUE(transport_.AddPeer(0x10000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(0, 0x10000).ok());
   transport_.SetRole(Role::kPrimary);
   std::vector<uint8_t> data(200, 0x7E);
-  // Stream offset 4000 in a 4096-byte ring: wraps after 96 bytes.
+  // Stream offset 4000 in a 4096-byte ring: wraps after 96 bytes, to the
+  // start of the same intake alias.
   transport_.OnCmbArrival(4000, data.data(), data.size());
   sim_.Run();
   ASSERT_EQ(sink_.writes.size(), 2u);
-  EXPECT_EQ(sink_.writes[0].first, kRingWindowOffset + 4000);
+  EXPECT_EQ(sink_.writes[0].first, kRingWindowOffset + 4096 + 4000);
   EXPECT_EQ(sink_.writes[0].second.size(), 96u);
-  EXPECT_EQ(sink_.writes[1].first, kRingWindowOffset + 0);
+  EXPECT_EQ(sink_.writes[1].first, kRingWindowOffset + 4096 + 0);
   EXPECT_EQ(sink_.writes[1].second.size(), 104u);
 }
 
 TEST_F(TransportTest, OneMirrorFlowPerPeer) {
-  ASSERT_TRUE(transport_.AddPeer(0x10000).ok());
-  ASSERT_TRUE(transport_.AddPeer(0x14000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(0, 0x10000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(1, 0x14000).ok());
   transport_.SetRole(Role::kPrimary);
   uint8_t data[8] = {1};
   transport_.OnCmbArrival(0, data, 8);
@@ -81,9 +84,11 @@ TEST_F(TransportTest, OneMirrorFlowPerPeer) {
 
 TEST_F(TransportTest, PeerLimitEnforced) {
   for (uint32_t i = 0; i < kMaxPeers; ++i) {
-    EXPECT_TRUE(transport_.AddPeer(0x10000 + i * 8).ok());
+    EXPECT_TRUE(transport_.AddPeerAt(i, 0x10000 + i * 8).ok());
   }
-  EXPECT_TRUE(transport_.AddPeer(0x19000).IsResourceExhausted());
+  EXPECT_EQ(transport_.peer_count(), kMaxPeers);
+  EXPECT_EQ(transport_.AddPeerAt(kMaxPeers, 0x19000).code(),
+            StatusCode::kInvalidArgument);
   transport_.ClearPeers();
   EXPECT_EQ(transport_.peer_count(), 0u);
 }
@@ -122,8 +127,8 @@ TEST_F(TransportTest, ShadowCountersAreMonotone) {
 }
 
 TEST_F(TransportTest, EffectiveCreditPerProtocol) {
-  ASSERT_TRUE(transport_.AddPeer(0x10000).ok());
-  ASSERT_TRUE(transport_.AddPeer(0x14000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(0, 0x10000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(1, 0x14000).ok());
   transport_.SetRole(Role::kPrimary);
   transport_.OnShadowWrite(0, 80);
   transport_.OnShadowWrite(1, 30);
@@ -146,7 +151,7 @@ TEST_F(TransportTest, StandaloneEffectiveCreditIsLocal) {
 }
 
 TEST_F(TransportTest, StatusWordEncodesRoleAndPeers) {
-  ASSERT_TRUE(transport_.AddPeer(0x10000).ok());
+  ASSERT_TRUE(transport_.AddPeerAt(0, 0x10000).ok());
   transport_.SetRole(Role::kPrimary);
   uint64_t word = transport_.StatusWord(0);
   EXPECT_EQ(word & StatusBits::kRoleMask,
@@ -161,7 +166,7 @@ TEST_F(TransportTest, StalledBitRaisedWhenSecondaryLagsTooLong) {
   config.stall_timeout = sim::Us(100);
   TransportModule transport(&sim_, &fabric_, config);
   transport.set_ring_bytes(4096);
-  ASSERT_TRUE(transport.AddPeer(0x10000).ok());
+  ASSERT_TRUE(transport.AddPeerAt(0, 0x10000).ok());
   transport.SetRole(Role::kPrimary);
   transport.OnShadowWrite(0, 10);
   sim_.RunFor(sim::Us(50));

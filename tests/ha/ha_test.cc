@@ -18,14 +18,14 @@
 namespace xssd {
 namespace {
 
-core::VillarsConfig HaDeviceConfig(size_t cluster) {
+core::VillarsConfig HaDeviceConfig() {
   core::VillarsConfig config;
   config.geometry.channels = 2;
   config.geometry.dies_per_channel = 2;
   config.geometry.blocks_per_plane = 16;
   config.geometry.pages_per_block = 32;
   config.destage.ring_lba_count = 64;
-  ha::ReplicaSupervisor::ConfigureDevice(&config, cluster);
+  ha::ReplicaSupervisor::ConfigureDevice(&config);
   return config;
 }
 
@@ -34,7 +34,7 @@ struct Cluster {
   explicit Cluster(size_t n, ha::HaConfig ha_config = {}) {
     for (size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<host::StorageNode>(
-          &sim, HaDeviceConfig(n), pcie::FabricConfig{},
+          &sim, HaDeviceConfig(), pcie::FabricConfig{},
           "n" + std::to_string(i)));
       EXPECT_TRUE(nodes.back()->Init().ok());
     }
@@ -154,8 +154,7 @@ TEST(ReplicaSupervisor, StaleWriterIsFencedByTerm) {
   // authorisation is one term old pushes into its intake alias and the
   // write dies at admission, visible in kRegFencedWrites.
   sim::Simulator sim;
-  host::StorageNode node(&sim, HaDeviceConfig(3), pcie::FabricConfig{},
-                         "fence");
+  host::StorageNode node(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "fence");
   ASSERT_TRUE(node.Init().ok());
 
   // Term 2 is current; member slot 1 is the authorised writer.
@@ -163,8 +162,9 @@ TEST(ReplicaSupervisor, StaleWriterIsFencedByTerm) {
 
   const uint64_t ring_bytes = node.device().config().cmb.ring_bytes;
   const uint64_t alias0 =
-      host::NodeLayout::kCmbBase + core::kRingWindowOffset + ring_bytes;
-  const uint64_t alias1 = alias0 + ring_bytes;
+      host::NodeLayout::kCmbBase + core::IntakeAliasOffset(ring_bytes, 0);
+  const uint64_t alias1 =
+      host::NodeLayout::kCmbBase + core::IntakeAliasOffset(ring_bytes, 1);
   std::vector<uint8_t> stale(64, 0xEE);
 
   // Slot 0 last wrote under term 1 (never authorised at 2): fenced.
@@ -261,7 +261,7 @@ TEST(ReplicaSupervisor, DeadSecondaryIsRemovedThenRejoinsAfterReboot) {
 
 TEST(ReplicaSupervisor, SetupRejectsUnpreparedDeviceConfigs) {
   sim::Simulator sim;
-  core::VillarsConfig plain;  // no intake aliases / retransmit
+  core::VillarsConfig plain;  // retransmit off
   plain.geometry.channels = 2;
   plain.geometry.dies_per_channel = 2;
   plain.geometry.blocks_per_plane = 16;
@@ -278,11 +278,44 @@ TEST(ReplicaSupervisor, SetupRejectsUnpreparedDeviceConfigs) {
       << status.ToString();
 }
 
+TEST(ReplicaSupervisor, SetupRejectsMismatchedRings) {
+  // A primary places mirrored bytes by its own ring size and a receiver
+  // infers their stream offsets by its own: the sizes must agree.
+  sim::Simulator sim;
+  core::VillarsConfig larger = HaDeviceConfig();
+  larger.cmb.ring_bytes = 2 * larger.cmb.ring_bytes;
+  host::StorageNode n0(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "n0");
+  host::StorageNode n1(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "n1");
+  host::StorageNode n2(&sim, larger, pcie::FabricConfig{}, "n2");
+  ASSERT_TRUE(n0.Init().ok());
+  ASSERT_TRUE(n1.Init().ok());
+  ASSERT_TRUE(n2.Init().ok());
+  ha::ReplicaSupervisor supervisor(&sim, {&n0, &n1, &n2}, ha::HaConfig{});
+  Status status = supervisor.Setup();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("member 2"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ReplicationGroupErrors, SetupRejectsMismatchedRings) {
+  sim::Simulator sim;
+  core::VillarsConfig smaller = HaDeviceConfig();
+  smaller.cmb.ring_bytes = smaller.cmb.ring_bytes / 2;
+  host::StorageNode primary(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "p");
+  host::StorageNode secondary(&sim, smaller, pcie::FabricConfig{}, "s");
+  ASSERT_TRUE(primary.Init().ok());
+  ASSERT_TRUE(secondary.Init().ok());
+  host::ReplicationGroup group({&primary, &secondary});
+  Status status = group.Setup(core::ReplicationProtocol::kEager, sim::UsF(0.8));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("member 1"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ReplicationGroupErrors, SetupRejectsBadProtocol) {
   sim::Simulator sim;
-  host::StorageNode primary(&sim, HaDeviceConfig(2), pcie::FabricConfig{},
-                            "p");
-  host::StorageNode secondary(&sim, HaDeviceConfig(2), pcie::FabricConfig{},
+  host::StorageNode primary(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "p");
+  host::StorageNode secondary(&sim, HaDeviceConfig(), pcie::FabricConfig{},
                               "s");
   ASSERT_TRUE(primary.Init().ok());
   ASSERT_TRUE(secondary.Init().ok());
@@ -296,9 +329,8 @@ TEST(ReplicationGroupErrors, SetupRejectsBadProtocol) {
 
 TEST(ReplicationGroupErrors, SetupFailsWhenPeerDiesMidSetup) {
   sim::Simulator sim;
-  host::StorageNode primary(&sim, HaDeviceConfig(2), pcie::FabricConfig{},
-                            "p");
-  host::StorageNode secondary(&sim, HaDeviceConfig(2), pcie::FabricConfig{},
+  host::StorageNode primary(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "p");
+  host::StorageNode secondary(&sim, HaDeviceConfig(), pcie::FabricConfig{},
                               "s");
   ASSERT_TRUE(primary.Init().ok());
   ASSERT_TRUE(secondary.Init().ok());
@@ -316,8 +348,8 @@ TEST(ReplicationGroupErrors, DemotionRepromotionRoundTrip) {
   // Manual (supervisor-less) role round trip: p0 -> demoted -> re-promoted,
   // with replication live in both directions along the way.
   sim::Simulator sim;
-  host::StorageNode p0(&sim, HaDeviceConfig(2), pcie::FabricConfig{}, "p0");
-  host::StorageNode s1(&sim, HaDeviceConfig(2), pcie::FabricConfig{}, "s1");
+  host::StorageNode p0(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "p0");
+  host::StorageNode s1(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "s1");
   ASSERT_TRUE(p0.Init().ok());
   ASSERT_TRUE(s1.Init().ok());
   host::ReplicationGroup group({&p0, &s1});

@@ -24,7 +24,7 @@ core::VillarsConfig FetchDeviceConfig() {
   config.geometry.blocks_per_plane = 16;
   config.geometry.pages_per_block = 32;
   config.destage.ring_lba_count = 64;
-  ha::ReplicaSupervisor::ConfigureDevice(&config, 2);
+  ha::ReplicaSupervisor::ConfigureDevice(&config);
   // The patrol scrubber runs for the whole test (RunWhile-pumped helpers
   // keep the self-rearming tick from wedging any blocking call).
   config.scrub.enabled = true;

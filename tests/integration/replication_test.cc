@@ -144,6 +144,23 @@ TEST_F(ReplicationTest, ShadowCountersVisibleInPrimaryRegisters) {
   EXPECT_GE(node(0).device().transport().shadow_counter(0), 3000u);
 }
 
+TEST_F(ReplicationTest, StaticGroupFencesAStaleTermWriter) {
+  MakeNodes(2);
+  ASSERT_TRUE(SetupGroup(core::ReplicationProtocol::kLazy).ok());
+  // A static group sets no term, so the primary pushes as member slot 0.
+  // Once the secondary adopts term 2 with slot 1 as its writer, those
+  // pushes come from a stale term and die at the intake alias.
+  ASSERT_TRUE(host::AdminSync(node(1), core::SetTermCmd(2, 1)).ok());
+
+  std::vector<uint8_t> data(2000, 0x5A);
+  ASSERT_EQ(host::x_pwrite(sim_, node(0).client(), data.data(), data.size()),
+            2000);
+  sim_.RunFor(sim::Ms(1));
+  EXPECT_GE(node(0).device().cmb().local_credit(), 2000u);
+  EXPECT_GT(node(1).device().transport().fenced_writes(), 0u);
+  EXPECT_EQ(node(1).device().cmb().local_credit(), 0u);
+}
+
 TEST_F(ReplicationTest, StalledSecondaryRaisesStatusBit) {
   core::VillarsConfig config = SmallConfig();
   config.transport.stall_timeout = sim::Ms(2);
