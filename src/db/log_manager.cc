@@ -17,9 +17,14 @@ void LogManager::WaitForSpace(size_t len, std::function<void()> ready) {
   space_waiters_.push_back(SpaceWaiter{len, std::move(ready)});
 }
 
-uint64_t LogManager::Append(const uint8_t* data, size_t len) {
+uint8_t* LogManager::Reserve(size_t len) {
   if (PendingBytes() == 0 && len > 0) oldest_pending_since_ = sim_->Now();
-  buffer_.insert(buffer_.end(), data, data + len);
+  size_t at = buffer_.size();
+  buffer_.resize(at + len);
+  return buffer_.data() + at;
+}
+
+uint64_t LogManager::Publish(size_t len) {
   next_lsn_ += len;
   buffered_bytes_ += len;
   MaybeFlush();

@@ -2,6 +2,7 @@
 #define XSSD_DB_LOG_MANAGER_H_
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -56,7 +57,20 @@ class LogManager {
   /// Append serialized record bytes; returns the end LSN. The caller must
   /// have checked HasSpace (appends beyond the cap are still accepted but
   /// push the buffer over; workers are expected to WaitForSpace first).
-  uint64_t Append(const uint8_t* data, size_t len);
+  uint64_t Append(const uint8_t* data, size_t len) {
+    return AppendInPlace(len, [&](uint8_t* out) {
+      if (len > 0) std::memcpy(out, data, len);
+    });
+  }
+
+  /// Append as above, but `fill(uint8_t* out)` writes the `len` bytes
+  /// straight into the group-commit buffer. It must write all of them and
+  /// must not call back into the manager.
+  template <typename Fill>
+  uint64_t AppendInPlace(size_t len, Fill&& fill) {
+    fill(Reserve(len));
+    return Publish(len);
+  }
 
   /// Call `committed` once durable_lsn >= lsn.
   void WaitDurable(uint64_t lsn, std::function<void(Status)> committed);
@@ -69,6 +83,10 @@ class LogManager {
   LogBackend* backend() { return backend_; }
 
  private:
+  /// Grow the buffer by `len` bytes and return them; Publish makes them
+  /// part of the log.
+  uint8_t* Reserve(size_t len);
+  uint64_t Publish(size_t len);
   void MaybeFlush();
   void FlushGroup(size_t len);
   void ArmTimer();

@@ -6,29 +6,33 @@
 
 namespace xssd::db {
 
-// Wire layout: txn_id(8) table_id(4) op(1) key(8) payload_len(4) crc(4)
-// then payload. CRC covers header-with-crc-zero + payload.
+// Wire layout: [0..7] txn_id, [8..11] table_id, [12] op, [13..20] key,
+// [21..24] payload_len, [25..28] crc, then the payload. The CRC covers the
+// header with its crc field zero, then the payload.
+constexpr size_t kCrcAt = 25;
+
+uint8_t* EncodeLogRecord(uint64_t txn_id, uint32_t table_id, LogOp op,
+                         uint64_t key, const uint8_t* payload, size_t len,
+                         uint8_t* out) {
+  std::memcpy(out + 0, &txn_id, 8);
+  std::memcpy(out + 8, &table_id, 4);
+  out[12] = static_cast<uint8_t>(op);
+  std::memcpy(out + 13, &key, 8);
+  uint32_t len32 = static_cast<uint32_t>(len);
+  std::memcpy(out + 21, &len32, 4);
+  std::memset(out + kCrcAt, 0, 4);
+  if (len > 0) std::memcpy(out + LogRecord::kHeaderBytes, payload, len);
+  uint32_t crc = Crc32c(out, LogRecord::kHeaderBytes + len);
+  std::memcpy(out + kCrcAt, &crc, 4);
+  return out + LogRecord::kHeaderBytes + len;
+}
 
 void SerializeLogRecord(const LogRecord& record, std::vector<uint8_t>* out) {
   size_t at = out->size();
   out->resize(at + record.SerializedSize());
-  uint8_t* p = out->data() + at;
-  // Layout: [0..7] txn_id, [8..11] table_id, [12] op, [13..20] key,
-  // [21..24] payload_len, [25..28] crc.
-  std::memcpy(p + 0, &record.txn_id, 8);
-  std::memcpy(p + 8, &record.table_id, 4);
-  p[12] = static_cast<uint8_t>(record.op);
-  std::memcpy(p + 13, &record.key, 8);
-  uint32_t len = static_cast<uint32_t>(record.payload.size());
-  std::memcpy(p + 21, &len, 4);
-  uint32_t zero = 0;
-  std::memcpy(p + 25, &zero, 4);
-  if (!record.payload.empty()) {
-    std::memcpy(p + LogRecord::kHeaderBytes, record.payload.data(),
-                record.payload.size());
-  }
-  uint32_t crc = Crc32c(p, record.SerializedSize());
-  std::memcpy(p + 25, &crc, 4);
+  EncodeLogRecord(record.txn_id, record.table_id, record.op, record.key,
+                  record.payload.data(), record.payload.size(),
+                  out->data() + at);
 }
 
 Result<LogRecord> ParseLogRecord(const std::vector<uint8_t>& data,
@@ -49,17 +53,18 @@ Result<LogRecord> ParseLogRecord(const std::vector<uint8_t>& data,
     return Status::OutOfRange("truncated payload");
   }
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, p + 25, 4);
+  std::memcpy(&stored_crc, p + kCrcAt, 4);
 
-  // Recompute with the CRC field zeroed.
-  std::vector<uint8_t> image(p, p + LogRecord::kHeaderBytes + len);
-  std::memset(image.data() + 25, 0, 4);
-  uint32_t crc = Crc32c(image.data(), image.size());
+  // Recompute with the CRC field read as zero, chaining the pieces.
+  static constexpr uint8_t kZeroCrc[4] = {};
+  const uint8_t* payload = p + LogRecord::kHeaderBytes;
+  uint32_t crc = Crc32c(p, kCrcAt);
+  crc = Crc32c(kZeroCrc, sizeof(kZeroCrc), crc);
+  crc = Crc32c(payload, len, crc);
   if (crc != stored_crc) {
     return Status::Corruption("log record CRC mismatch");
   }
-  record.payload.assign(p + LogRecord::kHeaderBytes,
-                        p + LogRecord::kHeaderBytes + len);
+  record.payload.assign(payload, payload + len);
   *offset = at + LogRecord::kHeaderBytes + len;
   return record;
 }

@@ -35,6 +35,14 @@ struct LogRecord {
 /// Append the wire image of `record` to `out`.
 void SerializeLogRecord(const LogRecord& record, std::vector<uint8_t>* out);
 
+/// Write one record's wire image (header, `len` payload bytes, CRC) at
+/// `out`, which has room for LogRecord::kHeaderBytes + `len` bytes; returns
+/// the byte after it. The encoder behind SerializeLogRecord, for callers
+/// that build records in place in a log buffer.
+uint8_t* EncodeLogRecord(uint64_t txn_id, uint32_t table_id, LogOp op,
+                         uint64_t key, const uint8_t* payload, size_t len,
+                         uint8_t* out);
+
 /// Parse one record starting at `data[offset]`; advances `*offset`.
 /// kOutOfRange when the buffer ends mid-record (torn tail after a crash),
 /// kCorruption on CRC mismatch.

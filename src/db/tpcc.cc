@@ -24,38 +24,54 @@ const char* TpccTxnName(TpccTxnType type) {
 TpccWorkload::TpccWorkload(Database* db, TpccConfig config, uint64_t seed)
     : db_(db), config_(config), rng_(seed) {}
 
-std::vector<uint8_t> TpccWorkload::MakeRow(size_t len) {
-  std::vector<uint8_t> row(len);
-  for (auto& b : row) b = static_cast<uint8_t>(rng_.Next());
-  return row;
+void TpccWorkload::MakeRow(uint8_t* row, size_t len) {
+  // Draw from a local copy: stores through `row` may alias any object, so
+  // drawing from rng_ itself would reload its state for every byte.
+  sim::Rng rng = rng_;
+  for (size_t i = 0; i < len; ++i) row[i] = static_cast<uint8_t>(rng.Next());
+  rng_ = rng;
+}
+
+void TpccWorkload::PopulateRow(Table* table, uint64_t key) {
+  MakeRow(table->Emplace(key), table->row_bytes());
+}
+
+void TpccWorkload::InsertRandomRow(Transaction* txn, Table* table,
+                                   uint64_t key) {
+  MakeRow(txn->InsertInPlace(table, key), table->row_bytes());
+}
+
+void TpccWorkload::UpdateRandomBytes(Transaction* txn, Table* table,
+                                     uint64_t key, size_t offset, size_t len) {
+  MakeRow(txn->UpdateDeltaInPlace(table, key, offset, len), len);
 }
 
 void TpccWorkload::Populate() {
-  warehouse_ = db_->CreateTable("warehouse");
-  district_ = db_->CreateTable("district");
-  customer_ = db_->CreateTable("customer");
-  item_ = db_->CreateTable("item");
-  stock_ = db_->CreateTable("stock");
-  orders_ = db_->CreateTable("orders");
-  order_line_ = db_->CreateTable("order_line");
-  new_order_ = db_->CreateTable("new_order");
-  history_ = db_->CreateTable("history");
+  warehouse_ = db_->CreateTable("warehouse", kWarehouseRow);
+  district_ = db_->CreateTable("district", kDistrictRow);
+  customer_ = db_->CreateTable("customer", kCustomerRow);
+  item_ = db_->CreateTable("item", kItemRow);
+  stock_ = db_->CreateTable("stock", kStockRow);
+  orders_ = db_->CreateTable("orders", kOrderRow);
+  order_line_ = db_->CreateTable("order_line", kOrderLineRow);
+  new_order_ = db_->CreateTable("new_order", kNewOrderRow);
+  history_ = db_->CreateTable("history", kHistoryRow);
 
   for (uint32_t w = 0; w < config_.warehouses; ++w) {
-    warehouse_->Put(WarehouseKey(w), MakeRow(kWarehouseRow));
+    PopulateRow(warehouse_, WarehouseKey(w));
     for (uint32_t d = 0; d < config_.districts_per_warehouse; ++d) {
-      district_->Put(DistrictKey(w, d), MakeRow(kDistrictRow));
+      PopulateRow(district_, DistrictKey(w, d));
       for (uint32_t c = 0; c < config_.populated_customers_per_district;
            ++c) {
-        customer_->Put(CustomerKey(w, d, c), MakeRow(kCustomerRow));
+        PopulateRow(customer_, CustomerKey(w, d, c));
       }
     }
     for (uint32_t i = 0; i < config_.populated_items; ++i) {
-      stock_->Put(StockKey(w, i), MakeRow(kStockRow));
+      PopulateRow(stock_, StockKey(w, i));
     }
   }
   for (uint32_t i = 0; i < config_.populated_items; ++i) {
-    item_->Put(i, MakeRow(kItemRow));
+    PopulateRow(item_, i);
   }
 }
 
@@ -106,13 +122,12 @@ void TpccWorkload::DoNewOrder(Transaction* txn) {
 
   // District next_o_id increment: 8-byte delta at offset 0.
   uint64_t order_id = next_order_id_++;
-  std::vector<uint8_t> d_delta(8);
-  std::memcpy(d_delta.data(), &order_id, 8);
-  txn->UpdateDelta(district_, DistrictKey(w, d), 0, d_delta);
+  std::memcpy(txn->UpdateDeltaInPlace(district_, DistrictKey(w, d), 0, 8),
+              &order_id, 8);
 
   // Insert ORDER and NEW-ORDER rows.
-  txn->Insert(orders_, order_id, MakeRow(kOrderRow));
-  txn->Insert(new_order_, order_id, MakeRow(kNewOrderRow));
+  InsertRandomRow(txn, orders_, order_id);
+  InsertRandomRow(txn, new_order_, order_id);
 
   // 5..15 order lines, each: read item, stock quantity delta, insert line.
   uint32_t lines = static_cast<uint32_t>(rng_.UniformRange(5, 15));
@@ -121,9 +136,8 @@ void TpccWorkload::DoNewOrder(Transaction* txn) {
     txn->Get(item_, i);
     // Stock: quantity (2B) + ytd (4B) + order/remote counts (4B) ≈ 10B,
     // plus the spec's s_dist_xx copy in the order line, not in stock.
-    std::vector<uint8_t> s_delta = MakeRow(10);
-    txn->UpdateDelta(stock_, StockKey(w, i), 16, s_delta);
-    txn->Insert(order_line_, order_id * 16 + l, MakeRow(kOrderLineRow));
+    UpdateRandomBytes(txn, stock_, StockKey(w, i), 16, 10);
+    InsertRandomRow(txn, order_line_, order_id * 16 + l);
   }
 }
 
@@ -137,10 +151,10 @@ void TpccWorkload::DoPayment(Transaction* txn) {
   // Warehouse + district YTD deltas (8B each), customer balance delta
   // (~24B: balance, ytd_payment, payment_cnt, data timestamp), history
   // insert.
-  txn->UpdateDelta(warehouse_, WarehouseKey(w), 8, MakeRow(8));
-  txn->UpdateDelta(district_, DistrictKey(w, d), 8, MakeRow(8));
-  txn->UpdateDelta(customer_, CustomerKey(w, d, c), 32, MakeRow(24));
-  txn->Insert(history_, next_history_id_++, MakeRow(kHistoryRow));
+  UpdateRandomBytes(txn, warehouse_, WarehouseKey(w), 8, 8);
+  UpdateRandomBytes(txn, district_, DistrictKey(w, d), 8, 8);
+  UpdateRandomBytes(txn, customer_, CustomerKey(w, d, c), 32, 24);
+  InsertRandomRow(txn, history_, next_history_id_++);
 }
 
 void TpccWorkload::DoOrderStatus(Transaction* txn) {
@@ -172,9 +186,9 @@ void TpccWorkload::DoDelivery(Transaction* txn) {
     if (new_order_->Get(o) == nullptr) continue;
     txn->Erase(new_order_, o);
     if (orders_->Get(o) != nullptr) {
-      txn->UpdateDelta(orders_, o, 0, MakeRow(8));  // carrier id + ts
+      UpdateRandomBytes(txn, orders_, o, 0, 8);  // carrier id + ts
     }
-    txn->UpdateDelta(customer_, CustomerKey(w, d, c), 32, MakeRow(16));
+    UpdateRandomBytes(txn, customer_, CustomerKey(w, d, c), 32, 16);
     ++delivered;
   }
   (void)delivered;

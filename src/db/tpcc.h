@@ -108,7 +108,15 @@ class TpccWorkload {
     return static_cast<uint64_t>(w) * 1000000 + i;
   }
 
-  std::vector<uint8_t> MakeRow(size_t len);
+  /// Fill `len` bytes in place, one RNG draw per byte.
+  void MakeRow(uint8_t* row, size_t len);
+  /// Insert (or refill) `key`'s row of `table` in place.
+  void PopulateRow(Table* table, uint64_t key);
+  /// Buffer an insert of a random row, filled in place.
+  void InsertRandomRow(Transaction* txn, Table* table, uint64_t key);
+  /// Buffer a delta of `len` random bytes at `offset`, filled in place.
+  void UpdateRandomBytes(Transaction* txn, Table* table, uint64_t key,
+                         size_t offset, size_t len);
 
   void DoNewOrder(Transaction* txn);
   void DoPayment(Transaction* txn);

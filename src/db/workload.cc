@@ -19,32 +19,38 @@ void WorkloadDriver::WorkerStep(Worker* worker) {
     return;
   }
   TpccTxnType type = workload_->NextType();
-  auto txn = std::make_shared<Transaction>(db_);
-  sim::SimTime cpu = workload_->Prepare(type, txn.get());
+  if (worker->txn) {
+    worker->txn->Begin();
+  } else {
+    worker->txn.emplace(db_);
+  }
+  sim::SimTime cpu = workload_->Prepare(type, &*worker->txn);
   // ±20% execution-time jitter.
   cpu = static_cast<sim::SimTime>(cpu * (0.8 + 0.4 * rng_.NextDouble()));
-  sim::SimTime started = sim_->Now();
+  worker->started = sim_->Now();
 
-  sim_->Schedule(cpu, [this, worker, txn, started]() {
-    size_t wal_bytes = txn->LogBytes();
-    db_->log()->WaitForSpace(wal_bytes, [this, worker, txn, started]() {
-      bool started_in_window = measuring_;
-      txn->Commit([this, started, started_in_window](Status status) {
-        if (!status.ok()) return;
-        // Throughput counts every commit inside the window; latency only
-        // covers transactions that also *started* inside it (so queueing
-        // built up before the window does not skew the distribution).
-        if (measuring_) {
-          ++committed_;
-          if (started_in_window) {
-            latency_us_.Add(sim::ToUs(sim_->Now() - started));
-          }
-        }
-      });
-      // Pipelined commit: the worker moves on immediately.
-      WorkerStep(worker);
-    });
+  sim_->Schedule(cpu, [this, worker]() {
+    db_->log()->WaitForSpace(worker->txn->LogBytes(),
+                             [this, worker]() { CommitAndContinue(worker); });
   });
+}
+
+void WorkloadDriver::CommitAndContinue(Worker* worker) {
+  // Throughput counts every commit inside the window; latency only covers
+  // transactions that also *started* inside it (so queueing built up before
+  // the window does not skew the distribution).
+  const sim::SimTime started = measuring_ ? worker->started : kNotTimed;
+  worker->txn->Commit([this, started](Status status) {
+    if (!status.ok()) return;
+    if (measuring_) {
+      ++committed_;
+      if (started != kNotTimed) {
+        latency_us_.Add(sim::ToUs(sim_->Now() - started));
+      }
+    }
+  });
+  // Pipelined commit: the worker moves on immediately.
+  WorkerStep(worker);
 }
 
 WorkloadResult WorkloadDriver::Run(sim::SimTime warmup,

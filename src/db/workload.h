@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "db/database.h"
@@ -42,9 +43,16 @@ class WorkloadDriver {
   struct Worker {
     uint32_t id;
     bool stopped = false;
+    /// Reused for each of the worker's transactions, keeping its buffers.
+    std::optional<Transaction> txn;
+    sim::SimTime started = 0;  ///< when the current transaction began
   };
 
+  /// A commit's start time when its latency is not recorded.
+  static constexpr sim::SimTime kNotTimed = UINT64_MAX;
+
   void WorkerStep(Worker* worker);
+  void CommitAndContinue(Worker* worker);
 
   sim::Simulator* sim_;
   Database* db_;

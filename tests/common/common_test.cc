@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/crc32.h"
+#include "common/crc32_paths.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -90,6 +94,76 @@ TEST(Crc32c, DetectsBitFlip) {
   uint32_t clean = Crc32c(data.data(), data.size());
   data[50] ^= 0x01;
   EXPECT_NE(clean, Crc32c(data.data(), data.size()));
+}
+
+// Both implementations behind Crc32c, reached directly.
+using CrcPath = uint32_t (*)(const void*, size_t, uint32_t);
+
+// RFC 3720 (iSCSI) appendix B.4 CRC-32C test vectors.
+void ExpectRfc3720Vectors(CrcPath crc) {
+  std::vector<uint8_t> data(32, 0x00);
+  EXPECT_EQ(crc(data.data(), data.size(), 0), 0x8A9136AAu);
+  std::fill(data.begin(), data.end(), 0xFF);
+  EXPECT_EQ(crc(data.data(), data.size(), 0), 0x62A8AB43u);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(crc(data.data(), data.size(), 0), 0x46DD794Eu);
+}
+
+std::vector<uint8_t> PatternBytes(size_t len) {
+  std::vector<uint8_t> data(len);
+  uint32_t x = 0x12345678u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return data;
+}
+
+TEST(Crc32cPaths, TableMatchesRfc3720Vectors) {
+  ExpectRfc3720Vectors(&crc32c_paths::Table);
+}
+
+TEST(Crc32cPaths, HardwareMatchesRfc3720Vectors) {
+  if (!crc32c_paths::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  ExpectRfc3720Vectors(&crc32c_paths::Hardware);
+}
+
+TEST(Crc32cPaths, HardwareMatchesTableOnShortUnalignedInputs) {
+  if (!crc32c_paths::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  std::vector<uint8_t> data = PatternBytes(64 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = data.data() + offset;
+      EXPECT_EQ(crc32c_paths::Hardware(p, len, 0),
+                crc32c_paths::Table(p, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cPaths, HardwareMatchesTableOnAPage) {
+  if (!crc32c_paths::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  std::vector<uint8_t> page = PatternBytes(16 * 1024);
+  EXPECT_EQ(crc32c_paths::Hardware(page.data(), page.size(), 0),
+            crc32c_paths::Table(page.data(), page.size(), 0));
+}
+
+TEST(Crc32cPaths, HardwareMatchesTableUnderSeedChaining) {
+  if (!crc32c_paths::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  std::vector<uint8_t> data = PatternBytes(1000);
+  const uint8_t* p = data.data();
+  const size_t n = data.size();
+  const uint32_t whole = crc32c_paths::Table(p, n, 0);
+  // Split points that leave both pieces unaligned and of odd length.
+  for (size_t split : {0, 1, 7, 13, 29, 500, 999, 1000}) {
+    uint32_t head = crc32c_paths::Hardware(p, split, 0);
+    EXPECT_EQ(head, crc32c_paths::Table(p, split, 0)) << "split " << split;
+    EXPECT_EQ(crc32c_paths::Hardware(p + split, n - split, head), whole)
+        << "split " << split;
+  }
+  // A non-zero starting seed flows through both paths alike.
+  EXPECT_EQ(crc32c_paths::Hardware(p, 37, 0xDEADBEEFu),
+            crc32c_paths::Table(p, 37, 0xDEADBEEFu));
 }
 
 TEST(Units, Helpers) {

@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+
 #include "db/log_backend.h"
 #include "db/tpcc.h"
 
 namespace xssd::db {
 namespace {
+
+/// A copy of `key`'s row, empty when there is none.
+std::vector<uint8_t> RowOf(const Table* table, uint64_t key) {
+  const uint8_t* row = table->Get(key);
+  if (row == nullptr) return {};
+  return std::vector<uint8_t>(row, row + table->row_bytes());
+}
 
 class DatabaseTest : public ::testing::Test {
  protected:
@@ -46,7 +56,7 @@ TEST_F(DatabaseTest, InsertCommitsApplyAndLog) {
   bool durable = false;
   txn.Commit([&](Status s) { durable = s.ok(); });
   ASSERT_NE(table->Get(5), nullptr);  // applied at commit
-  EXPECT_EQ(*table->Get(5), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(RowOf(table, 5), (std::vector<uint8_t>{1, 2, 3}));
   sim_.Run();
   EXPECT_TRUE(durable);
   EXPECT_GT(log_.durable_lsn(), 0u);
@@ -65,12 +75,12 @@ TEST_F(DatabaseTest, UpdateDeltaPatchesRow) {
     txn.Commit([](Status) {});
   }
   sim_.Run();
-  const auto* row = table->Get(1);
+  const uint8_t* row = table->Get(1);
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ((*row)[3], 0);
-  EXPECT_EQ((*row)[4], 9);
-  EXPECT_EQ((*row)[5], 9);
-  EXPECT_EQ((*row)[6], 0);
+  EXPECT_EQ(row[3], 0);
+  EXPECT_EQ(row[4], 9);
+  EXPECT_EQ(row[5], 9);
+  EXPECT_EQ(row[6], 0);
 }
 
 TEST_F(DatabaseTest, DeltaBeyondRowRejected) {
@@ -78,6 +88,105 @@ TEST_F(DatabaseTest, DeltaBeyondRowRejected) {
   table->Put(1, std::vector<uint8_t>(4, 0));
   EXPECT_TRUE(table->ApplyDelta(1, 3, {1, 2}).IsOutOfRange());
   EXPECT_TRUE(table->ApplyDelta(99, 0, {1}).IsNotFound());
+}
+
+TEST_F(DatabaseTest, PutOfWrongRowSizeRejected) {
+  Table* sized = db_.CreateTable("sized", 8);
+  EXPECT_EQ(sized->row_bytes(), 8u);
+  EXPECT_EQ(sized->Put(1, std::vector<uint8_t>(7, 1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sized->Put(1, std::vector<uint8_t>(9, 1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sized->Get(1), nullptr);
+  EXPECT_EQ(sized->row_count(), 0u);
+  ASSERT_TRUE(sized->Put(1, std::vector<uint8_t>(8, 1)).ok());
+  // A rejected Put leaves the existing row alone.
+  EXPECT_EQ(sized->Put(1, std::vector<uint8_t>(4, 2)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RowOf(sized, 1), std::vector<uint8_t>(8, 1));
+
+  // Without a declared size, the first non-empty Put fixes it.
+  Table* unsized = db_.CreateTable("unsized");
+  EXPECT_EQ(unsized->row_bytes(), 0u);
+  EXPECT_EQ(unsized->Put(1, std::vector<uint8_t>{}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(unsized->Put(1, std::vector<uint8_t>(3, 5)).ok());
+  EXPECT_EQ(unsized->row_bytes(), 3u);
+  EXPECT_EQ(unsized->Put(2, std::vector<uint8_t>(4, 5)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(unsized->row_count(), 1u);
+}
+
+TEST_F(DatabaseTest, EraseThenPutReusesRow) {
+  Table* table = db_.CreateTable("t", 16);
+  ASSERT_TRUE(table->Put(1, std::vector<uint8_t>(16, 0xAA)).ok());
+  ASSERT_TRUE(table->Put(2, std::vector<uint8_t>(16, 0xBB)).ok());
+  const uint8_t* freed = table->Get(1);
+  EXPECT_TRUE(table->Erase(1));
+  EXPECT_FALSE(table->Erase(1));
+  EXPECT_EQ(table->Get(1), nullptr);
+  ASSERT_TRUE(table->Put(3, std::vector<uint8_t>(16, 0xCC)).ok());
+  EXPECT_EQ(table->Get(3), freed);  // the erased row's slot, recycled
+  EXPECT_EQ(RowOf(table, 3), std::vector<uint8_t>(16, 0xCC));
+  EXPECT_EQ(RowOf(table, 2), std::vector<uint8_t>(16, 0xBB));
+  EXPECT_EQ(table->row_count(), 2u);
+}
+
+TEST_F(DatabaseTest, GrowthPastInitialIndexKeepsRowsReadable) {
+  // Enough rows to double the index many times and fill many arena chunks;
+  // every row must still read back with its own bytes.
+  Table* table = db_.CreateTable("t", 40);
+  auto row_for = [](uint64_t key) {
+    std::vector<uint8_t> row(40);
+    for (size_t i = 0; i < row.size(); ++i) {
+      row[i] = static_cast<uint8_t>(key * 31 + i);
+    }
+    return row;
+  };
+  constexpr uint64_t kRows = 20000;
+  for (uint64_t n = 0; n < kRows; ++n) {
+    ASSERT_TRUE(table->Put(n * 1000003, row_for(n * 1000003)).ok());
+  }
+  EXPECT_EQ(table->row_count(), kRows);
+  for (uint64_t n = 0; n < kRows; ++n) {
+    ASSERT_EQ(RowOf(table, n * 1000003), row_for(n * 1000003)) << "row " << n;
+  }
+  EXPECT_EQ(table->Get(1), nullptr);
+}
+
+TEST_F(DatabaseTest, TableMatchesMapUnderChurn) {
+  // Puts, deltas and erases over a small key space keep probe runs long,
+  // so erases must shift entries back correctly; a std::map is the model.
+  Table* table = db_.CreateTable("t", 8);
+  std::map<uint64_t, std::vector<uint8_t>> model;
+  sim::Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t key = rng.Uniform(300) * 64;
+    uint8_t byte = static_cast<uint8_t>(rng.Next());
+    switch (rng.Uniform(3)) {
+      case 0:
+        ASSERT_TRUE(table->Put(key, std::vector<uint8_t>(8, byte)).ok());
+        model[key] = std::vector<uint8_t>(8, byte);
+        break;
+      case 1: {
+        Status status = table->ApplyDelta(key, 3, {byte});
+        auto it = model.find(key);
+        ASSERT_EQ(status.ok(), it != model.end());
+        if (it != model.end()) it->second[3] = byte;
+        break;
+      }
+      case 2:
+        ASSERT_EQ(table->Erase(key), model.erase(key) > 0);
+        break;
+    }
+  }
+  EXPECT_EQ(table->row_count(), model.size());
+  for (uint64_t k = 0; k < 300; ++k) {
+    auto it = model.find(k * 64);
+    EXPECT_EQ(RowOf(table, k * 64),
+              it == model.end() ? std::vector<uint8_t>{} : it->second)
+        << "key " << k * 64;
+  }
 }
 
 TEST_F(DatabaseTest, EraseRemovesRow) {
@@ -185,11 +294,11 @@ TEST_F(DatabaseTest, WalReplayReproducesTableState) {
   }
   // Compare all 30 candidate keys.
   for (uint64_t key = 0; key < 30; ++key) {
-    const auto* a = table->Get(key);
-    const auto* b = replica_table->Get(key);
+    const uint8_t* a = table->Get(key);
+    const uint8_t* b = replica_table->Get(key);
     ASSERT_EQ(a == nullptr, b == nullptr) << "key " << key;
     if (a != nullptr) {
-      EXPECT_EQ(*a, *b) << "key " << key;
+      EXPECT_EQ(RowOf(table, key), RowOf(replica_table, key)) << "key " << key;
     }
   }
 }

@@ -58,11 +58,14 @@ void ApplyRecord(db::Database* db, const db::LogRecord& record) {
 }
 
 bool TablesEqual(db::Table* a, db::Table* b, uint64_t key_limit) {
+  if (a->row_bytes() != b->row_bytes()) return false;
   for (uint64_t key = 0; key < key_limit; ++key) {
-    const auto* ra = a->Get(key);
-    const auto* rb = b->Get(key);
+    const uint8_t* ra = a->Get(key);
+    const uint8_t* rb = b->Get(key);
     if ((ra == nullptr) != (rb == nullptr)) return false;
-    if (ra != nullptr && *ra != *rb) return false;
+    if (ra != nullptr && std::memcmp(ra, rb, a->row_bytes()) != 0) {
+      return false;
+    }
   }
   return true;
 }
