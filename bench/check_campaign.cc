@@ -73,6 +73,7 @@ int Main(int argc, char** argv) {
         "run one schedule from a dumped trace file and exit"},
        {"--plant-bug", &plant_bug,
         "plant the early-credit ordering bug; the run must catch it"}});
+  if (runs == 0) reporter.Fail("--runs must be positive");
 
   check::CheckOptions options;
   options.plant_early_credit_bug = plant_bug;

@@ -39,9 +39,9 @@ std::string RunLabel(double update_period_us) {
 RunResult RunOne(double update_period_us, sim::SimTime duration,
                  bench::BenchReporter* reporter) {
   sim::Simulator sim;
-  // Each fabric is its own scheduler domain: under XSSD_SIM_SCHEDULER=
-  // parallel the two nodes advance on separate workers, synchronized by the
-  // NTB hop latency (the serial backends merge the domains identically).
+  // Each fabric is its own scheduler domain; the simulator merges the two
+  // in one canonical order, and the NTB hop latency is the cross-domain
+  // lookahead.
   sim.ConfigureDomains(2);
   reporter->AttachTrace(&sim, RunLabel(update_period_us));
   reporter->AttachTimeSeries(&sim, RunLabel(update_period_us));

@@ -1,16 +1,13 @@
 // DES-kernel microbench: replays four representative event mixes against
-// the timer-wheel, legacy binary-heap, and parallel scheduler backends and
-// writes BENCH_kernel.json — the per-PR point on the repo's perf trajectory
-// (see TESTING.md "Performance trajectory"). The gate tests hold the
-// wheel's events/sec above the checked-in floor in
-// bench/baselines/kernel_floor.json, the wheel/heap speedup, and (on
-// multi-core machines) the parallel backend's speedup over the serial
-// wheel for the multi-fabric mix. `kernel_bench --help` lists the flags.
+// the timer-wheel and reference binary-heap scheduler backends and writes
+// BENCH_kernel.json — the per-PR point on the repo's perf trajectory (see
+// TESTING.md "Performance trajectory"). The gate tests hold the wheel's
+// events/sec above the checked-in floor in
+// bench/baselines/kernel_floor.json, and the wheel/heap speedup on the
+// fuzz mix. `kernel_bench --help` lists the flags.
 //
 // The virtual-time workload is identical across backends (same seeds, same
-// event order), so only the wall-clock cost of the scheduler differs. The
-// fabric mix always runs all three backends; the parallel backend is
-// meaningless for the single-domain mixes (it degenerates to the wheel).
+// event order), so only the wall-clock cost of the scheduler differs.
 
 #include <array>
 #include <chrono>
@@ -19,7 +16,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -165,17 +161,15 @@ void SeedFuzz(RunCtx* ctx) {
 // Four scheduler domains, each a pool of independent near-future chains
 // (the per-fabric device traffic), with every 64th chain step forwarding a
 // terminal cross-domain event to the next domain one NTB hop latency out —
-// the fig13 replication shape at kernel scale. This is the only mix the
-// parallel backend can spread across workers; the serial backends merge
-// the domains on one thread. All state is per-domain so parallel workers
-// never share mutable data.
+// the fig13 replication shape at kernel scale, so it also measures the
+// merge of the domain queues.
 
 constexpr uint32_t kFabricDomains = 4;
 constexpr SimTime kFabricLookahead = 1300;  // NtbConfig::hop_latency default
 
 struct FabricCtx {
   Simulator* sim;
-  struct alignas(64) PerDomain {
+  struct PerDomain {
     Rng rng{0};
     uint64_t budget = 0;
     uint64_t iter = 0;
@@ -325,6 +319,7 @@ int main(int argc, char** argv) {
        {"--mix NAME", &mix_arg, "uniform|pipeline|fuzz|fabric|all (default)"},
        {"--backend NAME", &backend_arg, "wheel|heap|both (default)"}});
   flags.Parse(argc, argv);
+  if (events == 0) flags.Fail("--events must be positive");
   if (mix_arg != "all" && mix_arg != "uniform" && mix_arg != "pipeline" &&
       mix_arg != "fuzz" && mix_arg != "fabric") {
     flags.Fail("unknown mix " + mix_arg);
@@ -350,22 +345,17 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"xssd.kernel-bench.v2\",\n"
+               "  \"schema\": \"xssd.kernel-bench.v3\",\n"
                "  \"bench\": \"kernel_bench\",\n"
                "  \"config\": {\"seed\": %" PRIu64 ", \"events_per_mix\": %" PRIu64
-               ", \"fabric_domains\": %u, \"hardware_threads\": %u},\n"
+               ", \"fabric_domains\": %u},\n"
                "  \"mixes\": {\n",
-               seed, events, kFabricDomains,
-               std::thread::hardware_concurrency());
+               seed, events, kFabricDomains);
 
   double min_speedup = -1.0;
   double min_wheel_eps = -1.0;
-  double fabric_par_speedup = -1.0;
   for (size_t m = 0; m < mixes.size(); ++m) {
     const std::string& mix = mixes[m];
-    // The fabric mix always carries a parallel row: the parallel backend is
-    // indistinguishable from the wheel on the single-domain mixes.
-    bool run_parallel = mix == "fabric";
     std::fprintf(f, "    \"%s\": {\n", mix.c_str());
     MixStats wheel, heap;
     if (run_wheel) {
@@ -387,27 +377,11 @@ int main(int argc, char** argv) {
       if (run_wheel) std::fprintf(f, ",\n");
       WriteStats(f, "heap", heap);
     }
-    if (run_parallel && run_wheel) {
-      MixStats par =
-          RunMix(mix, Simulator::SchedulerBackend::kParallel, seed, events);
-      std::printf("%-8s par    %9.0f ev/s  wall %.3fs  peak %zu\n",
-                  mix.c_str(), par.events_per_sec, par.wall_sec,
-                  par.peak_pending);
-      std::fprintf(f, ",\n");
-      WriteStats(f, "parallel", par);
-      if (wheel.events_per_sec > 0) {
-        fabric_par_speedup = par.events_per_sec / wheel.events_per_sec;
-        std::fprintf(f, ",\n      \"parallel_vs_wheel_speedup\": %.3f",
-                     fabric_par_speedup);
-        std::printf("%-8s par/wheel %.2fx\n", mix.c_str(),
-                    fabric_par_speedup);
-      }
-    }
     if (run_wheel && run_heap && heap.events_per_sec > 0) {
       double speedup = wheel.events_per_sec / heap.events_per_sec;
       std::fprintf(f, ",\n      \"wheel_vs_heap_speedup\": %.3f\n", speedup);
       std::printf("%-8s speedup %.2fx\n", mix.c_str(), speedup);
-      if (!run_parallel && (min_speedup < 0 || speedup < min_speedup)) {
+      if (min_speedup < 0 || speedup < min_speedup) {
         min_speedup = speedup;
       }
     } else {
@@ -425,11 +399,6 @@ int main(int argc, char** argv) {
   if (min_speedup >= 0) {
     std::fprintf(f, "%s\"min_wheel_vs_heap_speedup\": %.3f",
                  first ? "" : ", ", min_speedup);
-    first = false;
-  }
-  if (fabric_par_speedup >= 0) {
-    std::fprintf(f, "%s\"fabric_parallel_vs_wheel_speedup\": %.3f",
-                 first ? "" : ", ", fabric_par_speedup);
   }
   std::fprintf(f, "}\n}\n");
   std::fclose(f);

@@ -135,11 +135,12 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   uint64_t events = 2000000;
   uint64_t seed = 1;
-  bench::FlagSet(
+  bench::FlagSet flags(
       {{"--out PATH", &out_path, "result file (default BENCH_obs.json)"},
        {"--events N", &events, "events per measurement (default 2000000)"},
-       {"--seed S", &seed, "seed (default 1)"}})
-      .Parse(argc, argv);
+       {"--seed S", &seed, "seed (default 1)"}});
+  flags.Parse(argc, argv);
+  if (events == 0) flags.Fail("--events must be positive");
 
   MixStats off = RunMix(seed, events, /*sampled=*/false);
   MixStats on = RunMix(seed, events, /*sampled=*/true);

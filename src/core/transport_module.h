@@ -90,7 +90,6 @@ class TransportModule {
   uint64_t writer_term(uint32_t slot) const {
     return slot < kMaxPeers ? writer_terms_[slot] : 0;
   }
-  uint32_t member_slot() const { return member_slot_; }
 
   /// Admission decision for a ring write arriving through the per-peer
   /// intake alias of member `slot`: admitted iff the slot's writer term is

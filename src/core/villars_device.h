@@ -53,8 +53,6 @@ class VillarsDevice {
 
   uint64_t bar0_base() const { return bar0_base_; }
   uint64_t cmb_base() const { return cmb_base_; }
-  /// Bus address of partition 0's ring window (cmb_base + control page).
-  uint64_t ring_window_base() const { return cmb_base_ + kRingWindowOffset; }
   /// Whole CMB BAR: the sum of every partition's FastSide::bar_bytes().
   uint64_t cmb_bar_bytes() const;
 

@@ -77,7 +77,6 @@ class LogManager {
 
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t durable_lsn() const { return durable_lsn_; }
-  uint64_t buffered_bytes() const { return buffered_bytes_; }
   uint64_t flushes_issued() const { return flushes_issued_; }
 
   LogBackend* backend() { return backend_; }

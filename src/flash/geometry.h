@@ -33,10 +33,6 @@ struct Geometry {
   }
   uint64_t pages() const { return blocks() * pages_per_block; }
   uint64_t capacity_bytes() const { return pages() * page_bytes; }
-  uint64_t pages_per_die() const {
-    return static_cast<uint64_t>(planes_per_die) * blocks_per_plane *
-           pages_per_block;
-  }
 };
 
 /// \brief Physical address of one flash page (or block, with page ignored).

@@ -130,7 +130,6 @@ class ReplicaSupervisor {
   /// Members (re-)admitted by the leader after group formation.
   uint64_t joins() const { return joins_; }
 
-  size_t cluster_size() const { return nodes_.size(); }
   host::StorageNode& node(size_t i) { return *nodes_[i]; }
   const HaConfig& config() const { return config_; }
 

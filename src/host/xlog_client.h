@@ -119,8 +119,6 @@ class XLogClient {
   uint64_t written() const { return written_; }
   /// Last credit value observed.
   uint64_t credit_cache() const { return credit_cache_; }
-  /// Device destage epoch observed at the last Setup()/Reconnect().
-  uint64_t epoch_cache() const { return epoch_cache_; }
   /// Number of credit-register polls issued (flow-control cost metric).
   uint64_t credit_polls() const { return credit_polls_; }
 

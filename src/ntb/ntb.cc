@@ -15,7 +15,7 @@ NtbAdapter::NtbAdapter(sim::Simulator* sim, pcie::PcieFabric* local,
       link_(sim, config.bytes_per_sec) {
   scratchpad_.resize(config_.scratchpad_bytes, 0);
   // The NTB hop is the only cross-fabric edge in the module graph, so its
-  // cut-through latency is the parallel scheduler's lookahead horizon: no
+  // cut-through latency is the simulator's cross-domain lookahead: no
   // forwarded write can land on the far fabric sooner than this.
   if (config_.hop_latency > 0) sim_->DeclareLookahead(config_.hop_latency);
 }
@@ -35,9 +35,6 @@ void NtbAdapter::SetSpans(obs::SpanRecorder* spans,
                           const std::string& node_tag) {
   spans_ = spans;
   span_node_ = spans ? spans->InternNode(node_tag) : 0;
-  // Span recorders are shared across domains and not thread-safe: pin the
-  // parallel backend to its (identical) serial merge while one is attached.
-  if (spans != nullptr) sim_->set_force_serial(true);
 }
 
 Status NtbAdapter::CheckOverlap(uint64_t offset, uint64_t size) const {
@@ -92,13 +89,11 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
     if (scratchpad_injector_ != nullptr &&
         scratchpad_injector_->NtbForwardDecision().action ==
             fault::FaultInjector::LinkAction::kDrop) {
-      ++scratchpad_dropped_;
       return;
     }
     std::copy(data, data + len,
               scratchpad_.begin() +
                   static_cast<ptrdiff_t>(offset - config_.scratchpad_offset));
-    ++scratchpad_writes_;
     return;
   }
   const Window* window = FindWindow(offset);

@@ -119,10 +119,6 @@ class NtbAdapter : public pcie::MmioDevice {
     scratchpad_injector_ = injector;
   }
 
-  /// Inbound scratchpad stores accepted / dropped by injected faults.
-  uint64_t scratchpad_writes() const { return scratchpad_writes_; }
-  uint64_t scratchpad_dropped() const { return scratchpad_dropped_; }
-
  private:
   struct Window {
     uint64_t offset;
@@ -141,8 +137,6 @@ class NtbAdapter : public pcie::MmioDevice {
   sim::BandwidthServer link_;
   std::vector<Window> windows_;
   std::vector<uint8_t> scratchpad_;
-  uint64_t scratchpad_writes_ = 0;
-  uint64_t scratchpad_dropped_ = 0;
   fault::FaultInjector* injector_ = nullptr;
   fault::FaultInjector* scratchpad_injector_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;

@@ -38,9 +38,7 @@ struct FlightRecorderOptions {
 /// flood the output.
 ///
 /// Single-threaded like the rest of the model: recorders are only written
-/// from simulator callbacks (or the serial merge), never from parallel
-/// workers — the components that record all live on fast-side devices that
-/// share one domain.
+/// from simulator callbacks.
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderOptions options = {});

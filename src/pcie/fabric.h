@@ -46,12 +46,12 @@ struct FabricConfig {
   sim::SimTime read_turnaround = sim::Ns(400);  ///< device read service time
   uint64_t host_memory_bytes = 64ull << 20;  ///< simulated host DRAM image
   double host_memory_bytes_per_sec = 12e9;   ///< DDR bandwidth for DMA
-  /// Scheduler domain this fabric (and every device on it) belongs to —
-  /// the partitioning unit of the parallel backend. All traffic must enter
-  /// a fabric from an event of its own domain; the only legal cross-domain
-  /// edge is the NTB forward (which re-schedules into the target domain
-  /// under the lookahead contract). Checked when the simulator is
-  /// partitioned; single-domain simulations ignore it.
+  /// Scheduler domain this fabric (and every device on it) belongs to (see
+  /// sim::Simulator). All traffic must enter a fabric from an event of its
+  /// own domain; the only legal cross-domain edge is the NTB forward (which
+  /// re-schedules into the target domain under the lookahead contract).
+  /// Checked when the simulator is partitioned; single-domain simulations
+  /// ignore it.
   uint32_t domain = 0;
 };
 
@@ -144,13 +144,8 @@ class PcieFabric {
 
   /// Attach span tracing (nullptr detaches). The fabric opens no spans of
   /// its own; it relays the ambient request context across the scheduled
-  /// MMIO delivery so device-side spans keep their parent. A SpanRecorder
-  /// is shared across domains and not thread-safe, so attaching one pins
-  /// the parallel backend to its (identical) serial merge.
-  void SetSpans(obs::SpanRecorder* spans) {
-    spans_ = spans;
-    if (spans != nullptr) sim_->set_force_serial(true);
-  }
+  /// MMIO delivery so device-side spans keep their parent.
+  void SetSpans(obs::SpanRecorder* spans) { spans_ = spans; }
 
  private:
   struct Region {

@@ -1,23 +1,18 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "common/logging.h"
 #include "obs/trace.h"
 
 namespace xssd::sim {
 
-thread_local Simulator::Domain* Simulator::tls_domain_ = nullptr;
-
 Simulator::DomainScope::DomainScope(Simulator* sim, uint32_t domain)
     : sim_(sim), saved_(sim->idle_domain_) {
   XSSD_CHECK(domain < sim->domains_.size());
-  XSSD_CHECK(!sim->parallel_active_);
   sim->idle_domain_ = sim->domains_[domain].get();
 }
 
@@ -43,20 +38,21 @@ Simulator::~Simulator() {
 Simulator::SchedulerBackend Simulator::DefaultBackend() {
   static const SchedulerBackend cached = [] {
     const char* env = std::getenv("XSSD_SIM_SCHEDULER");
-    if (env == nullptr || env[0] == '\0') return SchedulerBackend::kWheel;
+    if (env == nullptr || env[0] == '\0' || std::strcmp(env, "wheel") == 0) {
+      return SchedulerBackend::kWheel;
+    }
     if (std::strcmp(env, "heap") == 0) return SchedulerBackend::kHeap;
-    if (std::strcmp(env, "wheel") == 0) return SchedulerBackend::kWheel;
-    if (std::strcmp(env, "parallel") == 0) return SchedulerBackend::kParallel;
-    XSSD_LOG(kWarning) << "unknown XSSD_SIM_SCHEDULER=" << env
-                       << " (want heap|wheel|parallel); using wheel";
-    return SchedulerBackend::kWheel;
+    // A run that silently fell back to the wheel would make a backend
+    // comparison compare the wheel with itself.
+    XSSD_LOG(kError) << "unknown XSSD_SIM_SCHEDULER=" << env
+                     << " (want wheel or heap)";
+    std::exit(2);
   }();
   return cached;
 }
 
 void Simulator::ConfigureDomains(uint32_t count) {
   XSSD_CHECK(count >= 1 && count <= kMaxDomains);
-  XSSD_CHECK(!parallel_active_);
   // Partitioning is a construction-time decision: repartitioning mid-run
   // would have to split live queues between clocks that never agreed.
   XSSD_CHECK(executed_events() == 0 && pending_events() == 0 && now_ == 0);
@@ -68,7 +64,6 @@ void Simulator::ConfigureDomains(uint32_t count) {
   }
   d0_ = domains_[0].get();
   idle_domain_ = d0_;
-  mailboxes_.clear();
 }
 
 void Simulator::DeclareLookahead(SimTime t) {
@@ -77,8 +72,8 @@ void Simulator::DeclareLookahead(SimTime t) {
 }
 
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
-  Domain* src = ExecutingDomain();
-  ScheduleAtDomain(src != nullptr ? src : idle_domain_, when, std::move(fn));
+  ScheduleAtDomain(executing_ != nullptr ? executing_ : idle_domain_, when,
+                   std::move(fn));
 }
 
 void Simulator::ScheduleAtIn(uint32_t domain, SimTime when, Callback fn) {
@@ -87,22 +82,17 @@ void Simulator::ScheduleAtIn(uint32_t domain, SimTime when, Callback fn) {
 }
 
 void Simulator::ScheduleAtDomain(Domain* dst, SimTime when, Callback fn) {
-  Domain* src = ExecutingDomain();
+  Domain* src = executing_;
   if (src != nullptr && src != dst) {
-    // Cross-domain event. The lookahead contract is what lets the parallel
-    // backend run whole windows without consulting other domains — enforce
-    // it on the serial backends too, so a model that passes serially is
-    // guaranteed to merge identically in parallel.
+    // Cross-domain event: it must honour the declared lookahead (see
+    // DeclareLookahead).
     XSSD_CHECK(lookahead_ != kNoLookahead);
     XSSD_CHECK(when >= src->now + lookahead_);
     uint64_t key = kCrossKeyBit |
                    (static_cast<uint64_t>(src->id) << kCrossDomainShift) |
                    src->cross_issued++;
     if (trace_) trace_->OnEventScheduled(src->now, when, key);
-    if (parallel_active_) {
-      mailboxes_[src->id * domains_.size() + dst->id]->Push(when, key,
-                                                            std::move(fn));
-    } else if (UsesWheel()) {
+    if (UsesWheel()) {
       dst->inbox.push(dst->pool.Acquire(when, key, std::move(fn)));
     } else {
       dst->heap.push(HeapEvent{when, key, std::move(fn)});
@@ -227,162 +217,21 @@ bool Simulator::StepBoundedMerge(SimTime bound) {
   return true;
 }
 
-// ── Parallel engine ─────────────────────────────────────────────────────
-
-bool Simulator::ShouldRunParallel() {
-  if (backend_ != SchedulerBackend::kParallel || domains_.size() <= 1 ||
-      force_serial_) {
-    return false;
-  }
-  if (trace_ == nullptr && time_obs_ == nullptr &&
-      lookahead_ != kNoLookahead) {
-    return true;
-  }
-  if (!serial_fallback_warned_) {
-    serial_fallback_warned_ = true;
-    XSSD_LOG(kWarning) << "parallel scheduler falling back to serial merge ("
-                       << (trace_ != nullptr     ? "trace sink attached"
-                           : time_obs_ != nullptr ? "time observer attached"
-                                                  : "no lookahead declared")
-                       << "); results are identical, just single-threaded";
-  }
-  return false;
-}
-
-void Simulator::PlanNextWindow(SimTime deadline) {
-  SimTime t_min = TimerWheel::kNoEvent;
-  for (auto& dp : domains_) {
-    t_min = std::min(t_min, DomainNextTime(dp.get(), deadline));
-  }
-  if (t_min == TimerWheel::kNoEvent) {
-    par_done_ = true;
-    return;
-  }
-  SimTime wend = t_min + lookahead_;
-  if (wend < t_min) wend = TimerWheel::kNoEvent;  // saturate on overflow
-  window_end_ = wend;
-  par_done_ = false;
-}
-
-void Simulator::ExecuteWindow(Domain* d, SimTime window_end,
-                              SimTime deadline) {
-  // Events strictly below the window end are safe: any cross event produced
-  // inside the window lands at >= sender_now + lookahead >= window_end.
-  SimTime bound = std::min(window_end - 1, deadline);
-  for (;;) {
-    SimTime inbox_t =
-        d->inbox.empty() ? TimerWheel::kNoEvent : d->inbox.top()->when;
-    SimTime wheel_t = d->wheel.PeekNextTime(std::min(bound, inbox_t));
-    EventPool::Node* n;
-    if (wheel_t != TimerWheel::kNoEvent) {  // <= inbox_t: locals win ties
-      n = d->wheel.PopNext(wheel_t);
-    } else if (inbox_t <= bound) {
-      n = d->inbox.top();
-      d->inbox.pop();
-    } else {
-      break;
-    }
-    d->now = n->when;
-    ++d->executed;
-    n->fn();
-    d->pool.Release(n);
-  }
-}
-
-void Simulator::DrainMailboxes() {
-  const size_t n = domains_.size();
-  for (size_t src = 0; src < n; ++src) {
-    for (size_t dst = 0; dst < n; ++dst) {
-      Domain* target = domains_[dst].get();
-      mailboxes_[src * n + dst]->Drain(
-          [&](SimTime when, uint64_t key, EventFn&& fn) {
-            target->inbox.push(target->pool.Acquire(when, key, std::move(fn)));
-          });
-    }
-  }
-}
-
-uint64_t Simulator::RunParallel(SimTime deadline) {
-  const uint32_t n = static_cast<uint32_t>(domains_.size());
-  if (mailboxes_.size() != static_cast<size_t>(n) * n) {
-    mailboxes_.clear();
-    for (size_t i = 0; i < static_cast<size_t>(n) * n; ++i) {
-      mailboxes_.push_back(std::make_unique<SpscMailbox>());
-    }
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  const uint64_t executed_before = executed_events();
-  PlanNextWindow(deadline);
-  parallel_active_ = true;
-  std::barrier<> start_gate(n);
-  std::barrier<> end_gate(n);
-  // Worker d executes its domain's share of each lockstep window. The main
-  // thread doubles as domain 0's worker and as the coordinator: strictly
-  // between a window's end barrier and the next start barrier — while every
-  // other worker idles — it drains the mailboxes into the target inboxes
-  // and plans the next window, so those phases need no further locking.
-  auto worker = [&](Domain* d, bool coordinator) {
-    tls_domain_ = d;
-    for (;;) {
-      start_gate.arrive_and_wait();
-      if (par_done_) break;
-      ExecuteWindow(d, window_end_, deadline);
-      end_gate.arrive_and_wait();
-      if (coordinator) {
-        ++parallel_windows_;
-        DrainMailboxes();
-        if (stopped_.load(std::memory_order_relaxed)) {
-          par_done_ = true;  // deterministic: the window already completed
-        } else {
-          PlanNextWindow(deadline);
-        }
-      }
-    }
-    tls_domain_ = nullptr;
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(n - 1);
-  for (uint32_t i = 1; i < n; ++i) {
-    threads.emplace_back(worker, domains_[i].get(), false);
-  }
-  worker(d0_, true);
-  for (auto& t : threads) t.join();
-  parallel_active_ = false;
-
-  if (!stopped_.load(std::memory_order_relaxed) &&
-      deadline != TimerWheel::kNoEvent) {
-    for (auto& dp : domains_) {
-      dp->wheel.AdvanceTo(deadline);
-      if (dp->now < deadline) dp->now = deadline;
-    }
-    now_ = std::max(now_, deadline);
-  } else {
-    for (auto& dp : domains_) now_ = std::max(now_, dp->now);
-  }
-  return executed_events() - executed_before;
-}
-
 // ── Run loops ───────────────────────────────────────────────────────────
 
 void Simulator::Run() {
-  if (ShouldRunParallel()) {
-    RunParallel(TimerWheel::kNoEvent);
-    return;
-  }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!stopped_.load(std::memory_order_relaxed) &&
-         StepBounded(~SimTime{0})) {
+  stopped_ = false;
+  while (!stopped_ && StepBounded(~SimTime{0})) {
   }
 }
 
 uint64_t Simulator::RunUntil(SimTime deadline) {
-  if (ShouldRunParallel()) return RunParallel(deadline);
-  stopped_.store(false, std::memory_order_relaxed);
+  stopped_ = false;
   uint64_t ran = 0;
-  while (!stopped_.load(std::memory_order_relaxed) && StepBounded(deadline)) {
+  while (!stopped_ && StepBounded(deadline)) {
     ++ran;
   }
-  if (!stopped_.load(std::memory_order_relaxed) && now_ < deadline) {
+  if (!stopped_ && now_ < deadline) {
     now_ = deadline;
     for (auto& dp : domains_) {
       dp->wheel.AdvanceTo(deadline);
@@ -393,9 +242,9 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
 }
 
 bool Simulator::RunWhile(const std::function<bool()>& done) {
-  stopped_.store(false, std::memory_order_relaxed);
+  stopped_ = false;
   while (!done()) {
-    if (stopped_.load(std::memory_order_relaxed)) return false;
+    if (stopped_) return false;
     if (!StepBounded(~SimTime{0})) return false;
   }
   return true;

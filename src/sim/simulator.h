@@ -1,7 +1,6 @@
 #ifndef XSSD_SIM_SIMULATOR_H_
 #define XSSD_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "sim/event_pool.h"
-#include "sim/parallel.h"
 #include "sim/time.h"
 #include "sim/timer_wheel.h"
 
@@ -29,8 +27,7 @@ namespace xssd::sim {
 /// never appears in the event queue, never advances the clock, and must not
 /// schedule events or consume randomness, an observed run executes the
 /// exact same event sequence as an unobserved one — zero perturbation by
-/// construction (the obs CI gate relies on this). An attached observer
-/// forces the parallel backend into its serial merge, like a trace sink.
+/// construction (the obs CI gate relies on this).
 class TimeObserver {
  public:
   virtual ~TimeObserver() = default;
@@ -54,19 +51,18 @@ class TimeObserver {
 /// Events at equal timestamps run in scheduling (FIFO) order, which makes
 /// runs fully deterministic.
 ///
-/// Three scheduler backends implement the same canonical event order:
+/// Two scheduler backends implement the same canonical event order:
 ///  - kWheel (default): hierarchical timer wheel + pooled event nodes;
 ///    O(1) schedule/fire, allocation-free in steady state.
-///  - kHeap: the legacy binary heap of by-value events, kept selectable so
-///    the backends can be diffed byte-for-byte on campaign metrics (CI
-///    does) and as the conservative fallback.
-///  - kParallel: the wheel backend plus conservative parallel execution of
-///    Run()/RunUntil() when the model is partitioned into more than one
-///    domain (one worker thread per simulated PCIe fabric; see below).
-/// Select per-process with XSSD_SIM_SCHEDULER=heap|wheel|parallel or
-/// per-instance via the constructor.
+///  - kHeap: a binary heap of by-value events, kept as the reference
+///    implementation the tests and gates diff the wheel against byte for
+///    byte.
+/// kParallel is an alias of kWheel and runs exactly the wheel code; the
+/// enumerator stays only because perfbench still names it.
+/// Select per-process with XSSD_SIM_SCHEDULER=wheel|heap (any other value
+/// stops the process) or per-instance via the constructor.
 ///
-/// ## Domains and the parallel backend
+/// ## Domains
 ///
 /// A model may partition itself into up to kMaxDomains *domains* — disjoint
 /// state islands (in X-SSD: one per PCIe fabric) that interact only through
@@ -84,21 +80,8 @@ class TimeObserver {
 /// (assigned at schedule time, always below 1<<63) and cross events carry
 /// sender-stamped keys (bit 63 set, then source domain, then the source's
 /// issue counter) — so locals run before cross arrivals at equal timestamps,
-/// and cross arrivals run in sender order, independent of thread timing.
-///
-/// Under kParallel with >1 domain, Run()/RunUntil() execute in lockstep
-/// windows: each worker drains its domain's events with timestamps below
-/// `T_min + lookahead` (T_min = earliest pending event across all domains);
-/// cross events travel through bounded SPSC mailboxes and are merged into
-/// the target domain's inbox at the window barrier. The lookahead contract
-/// guarantees any cross event produced inside a window lands at or beyond
-/// the window end, so no worker can receive work for a time it already
-/// passed — the per-domain event sequence (and therefore every metric and
-/// snapshot) is byte-identical to the serial backends. RunWhile(), attached
-/// trace sinks, or a missing lookahead declaration fall back to an
-/// equivalent serial merge of the per-domain queues. Stop() under parallel
-/// execution takes effect at the current window boundary (the window always
-/// completes, keeping the stop deterministic).
+/// and cross arrivals run in sender order. A multi-domain run merges the
+/// per-domain queues in that order.
 class Simulator {
   struct Domain;  // private; forward-declared for DomainScope below
 
@@ -129,8 +112,9 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Backend chosen by the XSSD_SIM_SCHEDULER environment variable
-  /// ("wheel", "heap" or "parallel"), falling back to the wheel.
+  /// Backend chosen by the XSSD_SIM_SCHEDULER environment variable: "wheel"
+  /// (also when unset or empty) or "heap". Any other value logs an error
+  /// naming both and exits the process with status 2.
   static SchedulerBackend DefaultBackend();
 
   /// While alive, idle-context scheduling (calls made outside any event —
@@ -154,10 +138,7 @@ class Simulator {
 
   /// Current virtual time — of the executing domain while an event runs,
   /// of the completed run otherwise.
-  SimTime Now() const {
-    if (parallel_active_) return tls_domain_->now;
-    return executing_ != nullptr ? executing_->now : now_;
-  }
+  SimTime Now() const { return executing_ != nullptr ? executing_->now : now_; }
 
   // ── Domain partitioning ───────────────────────────────────────────────
 
@@ -174,26 +155,21 @@ class Simulator {
   /// Domain of the currently executing event (outside execution: the active
   /// DomainScope's domain, or 0).
   uint32_t current_domain() const {
-    if (parallel_active_) return tls_domain_->id;
-    if (executing_ != nullptr) return executing_->id;
-    return idle_domain_->id;
+    return executing_ != nullptr ? executing_->id : idle_domain_->id;
   }
 
-  /// True while an event callback is running (any thread).
-  bool in_event() const {
-    return parallel_active_ ? tls_domain_ != nullptr : executing_ != nullptr;
-  }
-
-  /// Force serial execution even on the parallel backend. Models that
-  /// attach observers shared across domains (a SpanRecorder, a debugger
-  /// hook) set this: results are identical, just single-threaded.
-  void set_force_serial(bool force) { force_serial_ = force; }
+  /// True while an event of a multi-domain simulator runs (the single-domain
+  /// fast path does not track the executing domain).
+  bool in_event() const { return executing_ != nullptr; }
 
   /// Declare that cross-domain events are always scheduled at least `t` ns
   /// into the future (min-accumulates: the effective lookahead is the
   /// smallest declared bound). Cross-domain modules (the NTB adapter)
-  /// declare their hop latency here; without a declaration cross-domain
-  /// scheduling aborts and the parallel backend falls back to serial merge.
+  /// declare their hop latency here. Cross-domain scheduling aborts without
+  /// a declaration, and aborts for an event closer than the lookahead: a
+  /// cross event then always lands strictly after every event its target
+  /// may already have run, which keeps the (when, domain id) order total,
+  /// and a model cannot silently undercut the hop latency it declared.
   void DeclareLookahead(SimTime t);
 
   SimTime lookahead() const { return lookahead_; }
@@ -243,17 +219,14 @@ class Simulator {
   /// Always serial (the predicate is inherently sequential).
   bool RunWhile(const std::function<bool()>& done);
 
-  /// Abort Run/RunUntil after the current event returns (serial), or at
-  /// the current lockstep window boundary (parallel).
-  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
+  /// Abort Run/RunUntil/RunWhile after the current event returns.
+  void Stop() { stopped_ = true; }
 
   // ── Introspection ─────────────────────────────────────────────────────
 
   bool empty() const { return pending_events() == 0; }
 
-  /// Total pending events across domains. Not callable while a parallel
-  /// run is in flight (worker queues are in motion); per-domain benches
-  /// keep their own counters instead.
+  /// Total pending events across domains.
   size_t pending_events() const {
     size_t total = 0;
     for (const auto& d : domains_) {
@@ -292,22 +265,12 @@ class Simulator {
     return total;
   }
 
-  /// Lockstep windows executed by the parallel backend.
-  uint64_t parallel_windows() const { return parallel_windows_; }
-
-  /// Cross events that overflowed a mailbox ring into its spill vector.
-  uint64_t mailbox_spills() const {
-    uint64_t total = 0;
-    for (const auto& m : mailboxes_) total += m->spilled();
-    return total;
-  }
-
   /// Permit past-timestamp scheduling (still clamped and counted) without
   /// the debug-build abort. Intended for tests that exercise the clamp.
   void set_allow_past_schedules(bool allow) { allow_past_schedules_ = allow; }
 
-  /// Event-pool allocation stats for one domain (wheel/parallel backends;
-  /// the heap backend does not pool). kernel_bench reports these as the
+  /// Event-pool allocation stats for one domain (wheel backend; the heap
+  /// backend does not pool). kernel_bench reports these as the
   /// allocs/event trajectory.
   const EventPool& event_pool(uint32_t domain = 0) const {
     return domains_[domain]->pool;
@@ -318,23 +281,21 @@ class Simulator {
 
   /// Attach an observability sink (nullptr detaches). The simulator calls
   /// it on every schedule/fire with virtual timestamps; see obs/trace.h.
-  /// Not owned; must outlive the simulator or be detached first. An
-  /// attached sink forces serial execution on the parallel backend.
+  /// Not owned; must outlive the simulator or be detached first.
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Attach a passive time observer (nullptr detaches): it is called back
   /// just before the first event at or beyond `first_due` executes, and
   /// thereafter per the due times it returns. Not owned; must outlive the
   /// simulator or detach first (the destructor calls OnSimulatorTearDown).
-  /// Costs one predictable branch per event when detached; forces the
-  /// parallel backend into its (identical) serial merge when attached.
+  /// Costs one predictable branch per event when detached.
   void set_time_observer(TimeObserver* obs, SimTime first_due) {
     time_obs_ = obs;
     obs_due_ = obs == nullptr ? ~SimTime{0} : first_due;
   }
 
  private:
-  /// Legacy-layout heap event: by-value storage, no pooling. `key` is the
+  /// Heap-backend event: by-value storage, no pooling. `key` is the
   /// canonical intra-domain order (local seq or cross stamp).
   struct HeapEvent {
     SimTime when;
@@ -367,22 +328,16 @@ class Simulator {
     EventPool pool;
     TimerWheel wheel;
     std::priority_queue<HeapEvent, std::vector<HeapEvent>, Later> heap;
-    /// Cross arrivals (wheel/parallel backends): kept out of the wheel
-    /// because bucket FIFO order must equal key order for locals; merged
-    /// key-ordered at execution. The heap backend instead pushes cross
-    /// events straight into `heap` (its comparator orders fully).
+    /// Cross arrivals (wheel backend): kept out of the wheel because bucket
+    /// FIFO order must equal key order for locals; merged key-ordered at
+    /// execution. The heap backend instead pushes cross events straight
+    /// into `heap` (its comparator orders fully).
     std::priority_queue<EventPool::Node*, std::vector<EventPool::Node*>,
                         NodeLater>
         inbox;
   };
 
   bool UsesWheel() const { return backend_ != SchedulerBackend::kHeap; }
-
-  /// Domain whose event is executing on this thread (nullptr when idle).
-  Domain* ExecutingDomain() const {
-    if (parallel_active_) return tls_domain_;
-    return executing_;
-  }
 
   void ScheduleAtDomain(Domain* dst, SimTime when, Callback fn);
 
@@ -409,20 +364,11 @@ class Simulator {
   /// inbox head or `deadline`).
   SimTime DomainNextTime(Domain* d, SimTime deadline);
 
-  // Parallel engine (simulator.cc).
-  bool ShouldRunParallel();
-  uint64_t RunParallel(SimTime deadline);
-  void ExecuteWindow(Domain* d, SimTime window_end, SimTime deadline);
-  void DrainMailboxes();
-  void PlanNextWindow(SimTime deadline);
-
   SchedulerBackend backend_;
   SimTime now_ = 0;
   SimTime lookahead_ = kNoLookahead;
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
   bool allow_past_schedules_ = false;
-  bool force_serial_ = false;
-  bool serial_fallback_warned_ = false;
   obs::TraceSink* trace_ = nullptr;
   TimeObserver* time_obs_ = nullptr;
   /// Next virtual time at which time_obs_ wants a callback; ~0 when no
@@ -432,19 +378,8 @@ class Simulator {
 
   std::vector<std::unique_ptr<Domain>> domains_;
   Domain* d0_ = nullptr;           // domains_[0], cached for the hot path
-  Domain* executing_ = nullptr;    // serial paths only
+  Domain* executing_ = nullptr;    // merge's executing domain, else null
   Domain* idle_domain_ = nullptr;  // DomainScope target; defaults to d0_
-
-  // Parallel run state. `parallel_active_` is written only before worker
-  // spawn / after join; `window_end_`/`par_done_` only by the coordinator
-  // between barriers (the barriers order those writes against the workers).
-  bool parallel_active_ = false;
-  SimTime window_end_ = 0;
-  bool par_done_ = false;
-  uint64_t parallel_windows_ = 0;
-  std::vector<std::unique_ptr<SpscMailbox>> mailboxes_;  // [src * n + dst]
-
-  static thread_local Domain* tls_domain_;
 };
 
 }  // namespace xssd::sim

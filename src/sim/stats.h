@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/histogram.h"
-#include "sim/time.h"
 
 namespace xssd::sim {
 
@@ -131,23 +130,6 @@ class LatencyRecorder {
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// \brief Event counter with rate helper.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
-  /// Events (or bytes) per second over a virtual-time interval.
-  double RatePerSec(SimTime interval) const {
-    if (interval == 0) return 0;
-    return static_cast<double>(value_) / ToSec(interval);
-  }
-
- private:
-  uint64_t value_ = 0;
 };
 
 }  // namespace xssd::sim

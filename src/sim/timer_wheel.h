@@ -54,8 +54,6 @@ class TimerWheel {
   SimTime now() const { return now_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  uint64_t cascaded_events() const { return cascaded_; }
-  uint64_t overflow_parked() const { return overflowed_; }
 
   /// Insert an event node. Precondition: n->when >= now().
   void Insert(Node* n) {
@@ -63,7 +61,6 @@ class TimerWheel {
     ++size_;
     uint64_t x = n->when ^ now_;
     if ((x >> kHorizonBits) != 0) {
-      ++overflowed_;
       overflow_.push(n);
       return;
     }
@@ -225,7 +222,6 @@ class TimerWheel {
     bitmap_[level] &= ~(uint64_t{1} << slot);
     while (n != nullptr) {
       Node* next = n->next;
-      ++cascaded_;
       InsertWheel(n, n->when ^ now_);
       n = next;
     }
@@ -246,8 +242,6 @@ class TimerWheel {
 
   SimTime now_ = 0;
   std::size_t size_ = 0;
-  uint64_t cascaded_ = 0;
-  uint64_t overflowed_ = 0;
   uint64_t bitmap_[kLevels] = {};
   Bucket buckets_[kLevels][kSlots];
   std::priority_queue<Node*, std::vector<Node*>, OverflowLater> overflow_;

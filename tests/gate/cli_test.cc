@@ -33,6 +33,19 @@ void ExpectUsageError(const std::string& bench,
 TEST(BenchCli, ZeroMeasureWindowIsRejected) {
   ExpectUsageError("fig09_local_logging", {"0"}, "Figure 9");
   ExpectUsageError("fig09_local_logging", {"abc"}, "Figure 9");
+  ExpectUsageError("check_campaign", {"--runs", "0"}, "conformance campaign");
+  ExpectUsageError("kernel_bench", {"--events", "0"}, "ev/s");
+  ExpectUsageError("obs_bench", {"--events", "0"}, "sampler off");
+}
+
+// XSSD_SIM_SCHEDULER names one of the two backends or stops the bench: a
+// value it does not know must not quietly run the wheel under its name.
+TEST(BenchCli, UnknownSchedulerIsRejected) {
+  BenchRun run = RunBench({"run", "fig13_replication_delay", {}, "parallel"});
+  EXPECT_EQ(run.exit_code, 2);
+  for (const char* part : {"XSSD_SIM_SCHEDULER=parallel", "wheel", "heap"}) {
+    EXPECT_NE(run.Stderr().find(part), std::string::npos) << part;
+  }
 }
 
 TEST(BenchCli, UnknownFlagIsRejected) {

@@ -1,6 +1,6 @@
 // Seeded determinism, scheduler-backend equivalence and zero perturbation
-// from sampling and tracing, on fig09, the conformance campaign and the
-// DES kernel bench.
+// from sampling and tracing, on fig09, fig13, the conformance campaign and
+// the DES kernel bench.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ TEST(Fig09Gate, DeterministicBackendEquivalentAndUnperturbed) {
       {"wheel", "fig09_local_logging", args},
       {"rerun", "fig09_local_logging", args},
       {"heap", "fig09_local_logging", args, "heap"},
-      {"parallel", "fig09_local_logging", args, "parallel"},
       {"sampled", "fig09_local_logging", sampled},
   });
   for (const BenchRun& run : runs) ASSERT_TRUE(Succeeded(run));
@@ -32,15 +31,15 @@ TEST(Fig09Gate, DeterministicBackendEquivalentAndUnperturbed) {
   const std::string metrics = wheel.Read("metrics.json");
   const std::string breakdown = wheel.Read("breakdown.json");
 
-  // A rerun and the other two backends reproduce every byte.
-  for (size_t i : {1, 2, 3}) {
+  // A rerun and the heap backend reproduce every byte.
+  for (size_t i : {1, 2}) {
     SCOPED_TRACE(runs[i].dir);
     EXPECT_TRUE(BytesEqual(metrics, runs[i].Read("metrics.json")));
     EXPECT_TRUE(BytesEqual(breakdown, runs[i].Read("breakdown.json")));
   }
 
   // Sampling and tracing move no metric outside obs.*.
-  const BenchRun& on = runs[4];
+  const BenchRun& on = runs[3];
   EXPECT_TRUE(JsonEqualIgnoringObs(metrics, on.Read("metrics.json")));
   EXPECT_TRUE(TimeSeriesHasWindows(on.Read("ts.json")));
   JsonValue trace = ParseOrFail(on.Read("trace.json"));
@@ -85,28 +84,29 @@ TEST(CheckCampaignGate, DeterministicAndBackendEquivalent) {
       {"wheel", "check_campaign", args},
       {"rerun", "check_campaign", args},
       {"heap", "check_campaign", args, "heap"},
-      {"parallel", "check_campaign", args, "parallel"},
   });
   for (const BenchRun& run : runs) ASSERT_TRUE(Succeeded(run));
-  for (size_t i : {1, 2, 3}) {
+  for (size_t i : {1, 2}) {
     SCOPED_TRACE(runs[i].dir);
     EXPECT_TRUE(
         BytesEqual(runs[0].Read("metrics.json"), runs[i].Read("metrics.json")));
   }
 }
 
-// A conformance sample on the parallel backend alone. The test above
-// covers this backend too, next to three serial runs; this one is what the
-// TSan job selects, since only parallel-backend runs start worker threads.
-TEST(CheckCampaignGate, ParallelSampleConforms) {
-  EXPECT_TRUE(Succeeded(
-      RunBench({"run", "check_campaign",
-                Args("--runs 50 --seed 1 --ops 40 --metrics metrics.json"),
-                "parallel"})));
+// fig13 runs its two fabrics as separate scheduler domains.
+TEST(Fig13Gate, BackendsAgreeOnMetricsAndRows) {
+  const std::vector<std::string> args = {"--metrics", "metrics.json"};
+  std::vector<BenchRun> runs = RunBenches({
+      {"wheel", "fig13_replication_delay", args},
+      {"heap", "fig13_replication_delay", args, "heap"},
+  });
+  for (const BenchRun& run : runs) ASSERT_TRUE(Succeeded(run));
+  EXPECT_TRUE(
+      BytesEqual(runs[0].Read("metrics.json"), runs[1].Read("metrics.json")));
+  EXPECT_TRUE(RowsEqual(runs[0].Stdout(), runs[1].Stdout()));
 }
 
-// The kernel mixes execute the same virtual workload on every backend;
-// the fabric mix runs the parallel backend's worker threads.
+// The kernel mixes execute the same virtual workload on both backends.
 TEST(KernelBenchGate, BackendsRunTheSameWorkload) {
   BenchRun run = RunBench(
       {"run", "kernel_bench", Args("--events 200000 --out BENCH_kernel.json")});

@@ -74,8 +74,7 @@ std::string StringAt(const obs::JsonValue& doc,
 std::vector<std::string> KernelBenchViolations(const obs::JsonValue& doc);
 /// kernel_bench `runs` against bench/baselines/kernel_floor.json, each
 /// metric at its median over the runs, so one noisy run can neither fail
-/// nor pass a floor (the parallel speedup floor binds only on machines
-/// with ≥ 2 hardware threads).
+/// nor pass a floor.
 std::vector<std::string> KernelFloorViolations(
     const std::vector<obs::JsonValue>& runs, const obs::JsonValue& floor);
 /// obs_bench `runs` against bench/baselines/obs_floor.json, likewise.

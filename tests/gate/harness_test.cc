@@ -65,21 +65,19 @@ TEST(GateFloors, KernelFloorFailsBelowAnyFloor) {
   obs::JsonValue floor =
       ParseOrFail(ReadFile(SourcePath("bench/baselines/kernel_floor.json")));
   obs::JsonValue doc = ParseOrFail(ReadFile(SourcePath("BENCH_kernel.json")));
-  MutableAt(doc, {"config", "hardware_threads"}).number = 4;
   EXPECT_TRUE(KernelBenchViolations(doc).empty());
   EXPECT_TRUE(KernelFloorViolations({doc}, floor).empty());
 
   obs::JsonValue slow = doc;
   MutableAt(slow, {"mixes", "fabric", "wheel", "events_per_sec"}).number = 1e3;
   EXPECT_EQ(KernelFloorViolations({slow}, floor).size(), 1u);
-  obs::JsonValue serialized = doc;
-  MutableAt(serialized, {"mixes", "fabric", "parallel_vs_wheel_speedup"})
-      .number = 1.0;
-  EXPECT_EQ(KernelFloorViolations({serialized}, floor).size(), 1u);
+  obs::JsonValue no_speedup = doc;
+  MutableAt(no_speedup, {"mixes", "fuzz", "wheel_vs_heap_speedup"}).number =
+      1.0;
+  EXPECT_EQ(KernelFloorViolations({no_speedup}, floor).size(), 1u);
   // Floors bind the median run: one outlier moves it in neither direction.
-  EXPECT_TRUE(KernelFloorViolations({doc, serialized, doc}, floor).empty());
-  EXPECT_EQ(KernelFloorViolations({serialized, doc, serialized}, floor).size(),
-            1u);
+  EXPECT_TRUE(KernelFloorViolations({doc, slow, doc}, floor).empty());
+  EXPECT_EQ(KernelFloorViolations({slow, doc, slow}, floor).size(), 1u);
   obs::JsonValue diverged = doc;
   MutableAt(diverged, {"mixes", "fuzz", "heap", "events"}).number -= 1;
   EXPECT_EQ(KernelBenchViolations(diverged).size(), 1u);

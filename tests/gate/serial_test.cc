@@ -1,7 +1,5 @@
-// Gates that need the machine to themselves (RUN_SERIAL): wall-clock
-// floors, and the parallel scheduler's worker threads, which meet at a
-// barrier every lookahead window and slow down ~10x when ctest -j
-// oversubscribes the cores.
+// Gates that need the machine to themselves (RUN_SERIAL): the wall-clock
+// floors.
 
 #include <gtest/gtest.h>
 
@@ -14,23 +12,6 @@ namespace xssd::gate {
 namespace {
 
 using obs::JsonValue;
-
-// fig13 runs its two fabrics as separate scheduler domains.
-TEST(Fig13Gate, BackendsAgreeOnMetricsAndRows) {
-  const std::vector<std::string> args = {"--metrics", "metrics.json"};
-  std::vector<BenchRun> runs = RunBenches({
-      {"wheel", "fig13_replication_delay", args},
-      {"heap", "fig13_replication_delay", args, "heap"},
-      {"parallel", "fig13_replication_delay", args, "parallel"},
-  });
-  for (const BenchRun& run : runs) ASSERT_TRUE(Succeeded(run));
-  for (size_t i : {1, 2}) {
-    SCOPED_TRACE(runs[i].dir);
-    EXPECT_TRUE(
-        BytesEqual(runs[0].Read("metrics.json"), runs[i].Read("metrics.json")));
-    EXPECT_TRUE(RowsEqual(runs[0].Stdout(), runs[i].Stdout()));
-  }
-}
 
 // The floors live in bench/baselines/ and bind only optimized builds,
 // where the numbers mean something. Three runs, one after another: the

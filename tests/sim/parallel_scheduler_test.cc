@@ -1,11 +1,10 @@
-// Multi-domain scheduler tests: the conservative parallel backend against
-// the serial wheel/heap merges. The contract under test: with fabrics
+// Multi-domain scheduler tests: the wheel's merge of the domain queues
+// against the reference heap. The contract under test: with fabrics
 // partitioned into domains and a declared NTB lookahead, every domain
-// executes exactly the same local (when, id) sequence on every backend —
+// executes exactly the same local (when, id) sequence on both backends —
 // cross-domain events included — and the adversarial edges (cross arrival
 // exactly at the lookahead boundary, zero-delay bursts scheduled from a
-// cross arrival, mailbox ring overflow, Stop() mid-run, trace-sink
-// fallback) change nothing.
+// cross arrival, Stop() mid-run, an attached trace sink) change nothing.
 
 #include <array>
 #include <cstdint>
@@ -29,10 +28,8 @@ using Backend = Simulator::SchedulerBackend;
 constexpr uint32_t kDomains = 4;
 constexpr SimTime kLookahead = 1000;
 
-// Per-domain execution log. Under the parallel backend each entry vector is
-// appended only by its own worker thread; a global interleaving is not
-// observable (and is not the contract) — the contract is that every domain
-// sees the same local sequence as the serial merges produce.
+// Per-domain execution log: the contract is that every domain sees the
+// same local sequence on both backends.
 struct DomainLog {
   Rng rng{0};
   std::vector<std::pair<SimTime, uint64_t>> fired;
@@ -63,9 +60,9 @@ struct CrossArrival {
   uint64_t id;
   void operator()() const {
     w->Record(d, id);
-    // A zero-delay local scheduled from a cross arrival: in the serial
-    // merge the target's wheel clock may already sit past this timestamp
-    // (the arrival came through the inbox), so this exercises the
+    // A zero-delay local scheduled from a cross arrival: in the merge the
+    // target's wheel clock may already sit past this timestamp (the
+    // arrival came through the inbox), so this exercises the
     // behind-the-clock insert path.
     w->sim->Schedule(0, Tail{w, d, id + 1});
   }
@@ -103,9 +100,23 @@ struct RunResult {
   uint64_t cross = 0;
 };
 
+// Counts what the simulator reports to an attached sink.
+class CountingSink : public obs::TraceSink {
+ public:
+  void OnEventScheduled(SimTime, SimTime, uint64_t) override { ++scheduled_; }
+  void OnEventBegin(SimTime, uint64_t) override { ++begun_; }
+  void OnEventEnd(SimTime, uint64_t) override {}
+  void OnInstant(const char*, SimTime) override {}
+  void OnCounterSample(const char*, SimTime, double) override {}
+  uint64_t scheduled_ = 0;
+  uint64_t begun_ = 0;
+};
+
 RunResult RunWorkload(Backend backend, uint64_t seed,
-                      bool stuttered_run_until = false) {
+                      bool stuttered_run_until = false,
+                      CountingSink* sink = nullptr) {
   Simulator sim(backend);
+  sim.set_trace_sink(sink);
   sim.ConfigureDomains(kDomains);
   sim.DeclareLookahead(kLookahead);
   World w;
@@ -119,8 +130,8 @@ RunResult RunWorkload(Backend backend, uint64_t seed,
     }
   }
   if (stuttered_run_until) {
-    // Interleave bounded segments with the free-running drain so window
-    // planning restarts from arbitrary mid-schedule states.
+    // Interleave bounded segments with the free-running drain so the merge
+    // restarts from arbitrary mid-schedule states.
     SimTime t = 0;
     Rng steps(seed ^ 0x5eed);
     for (int i = 0; i < 6 && !sim.empty(); ++i) {
@@ -156,27 +167,31 @@ TEST(ParallelSchedulerTest, MatchesSerialBackendsOnRandomMultiDomainRuns) {
   for (uint64_t seed : {1u, 2u, 5u}) {
     auto wheel = RunWorkload(Backend::kWheel, seed);
     auto heap = RunWorkload(Backend::kHeap, seed);
-    auto par = RunWorkload(Backend::kParallel, seed);
     ASSERT_GT(wheel.cross, 0u) << "workload sent no cross events";
     ExpectSameResult(wheel, heap, "wheel-vs-heap seed " + std::to_string(seed));
-    ExpectSameResult(wheel, par, "wheel-vs-par seed " + std::to_string(seed));
+    // A trace sink sees every event and cross edge and moves none of them.
+    CountingSink sink;
+    auto traced =
+        RunWorkload(Backend::kWheel, seed, /*stuttered=*/false, &sink);
+    ExpectSameResult(wheel, traced, "traced seed " + std::to_string(seed));
+    EXPECT_EQ(sink.begun_, wheel.executed);
+    EXPECT_EQ(sink.scheduled_, wheel.executed);
   }
 }
 
 TEST(ParallelSchedulerTest, MatchesSerialAcrossStutteredRunUntilSegments) {
   for (uint64_t seed : {3u, 11u}) {
     auto wheel = RunWorkload(Backend::kWheel, seed, /*stuttered=*/true);
-    auto par = RunWorkload(Backend::kParallel, seed, /*stuttered=*/true);
-    ExpectSameResult(wheel, par, "stuttered seed " + std::to_string(seed));
+    auto heap = RunWorkload(Backend::kHeap, seed, /*stuttered=*/true);
+    ExpectSameResult(wheel, heap, "stuttered seed " + std::to_string(seed));
   }
 }
 
 // A cross event landing exactly at sender_now + lookahead, tied with a
-// pre-existing local at the same timestamp: locals win the tie on every
-// backend, and the arrival time is exact.
+// pre-existing local at the same timestamp: locals win the tie on both
+// backends, and the arrival time is exact.
 TEST(ParallelSchedulerTest, CrossAtExactLookaheadBoundaryTiesLocalFirst) {
-  for (Backend backend :
-       {Backend::kWheel, Backend::kHeap, Backend::kParallel}) {
+  for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
     Simulator sim(backend);
     sim.ConfigureDomains(2);
     sim.DeclareLookahead(kLookahead);
@@ -201,10 +216,9 @@ TEST(ParallelSchedulerTest, CrossAtExactLookaheadBoundaryTiesLocalFirst) {
 }
 
 // Zero-delay bursts scheduled from inside a cross arrival keep FIFO order
-// at one timestamp on every backend.
+// at one timestamp on both backends.
 TEST(ParallelSchedulerTest, ZeroDelayBurstFromCrossArrivalKeepsFifo) {
-  for (Backend backend :
-       {Backend::kWheel, Backend::kHeap, Backend::kParallel}) {
+  for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
     Simulator sim(backend);
     sim.ConfigureDomains(2);
     sim.DeclareLookahead(kLookahead);
@@ -227,43 +241,9 @@ TEST(ParallelSchedulerTest, ZeroDelayBurstFromCrossArrivalKeepsFifo) {
   }
 }
 
-// More cross events in one window than the SPSC mailbox ring holds: the
-// spill path must preserve order and the run must match the serial wheel.
-TEST(ParallelSchedulerTest, MailboxRingOverflowSpillsWithoutReordering) {
-  constexpr int kBurst = 1500;  // ring capacity is 1024
-  auto run = [&](Backend backend, uint64_t* spills) {
-    Simulator sim(backend);
-    sim.ConfigureDomains(2);
-    sim.DeclareLookahead(kLookahead);
-    std::vector<std::pair<SimTime, int>> got;
-    {
-      Simulator::DomainScope scope(&sim, 0);
-      sim.ScheduleAt(10, [&]() {
-        for (int i = 0; i < kBurst; ++i) {
-          sim.ScheduleIn(1, kLookahead + i % 7, [&got, i, &sim]() {
-            got.push_back({sim.Now(), i});
-          });
-        }
-      });
-    }
-    sim.Run();
-    if (spills != nullptr) *spills = sim.mailbox_spills();
-    return got;
-  };
-  uint64_t spills = 0;
-  auto wheel = run(Backend::kWheel, nullptr);
-  auto par = run(Backend::kParallel, &spills);
-  ASSERT_EQ(wheel.size(), static_cast<size_t>(kBurst));
-  ASSERT_EQ(par.size(), wheel.size());
-  for (size_t i = 0; i < wheel.size(); ++i) {
-    ASSERT_EQ(wheel[i], par[i]) << "event " << i;
-  }
-  EXPECT_GT(spills, 0u) << "burst never overflowed the mailbox ring";
-}
-
-// Stop() under the parallel backend takes effect at a window boundary —
-// deterministically — and resuming completes the schedule with the same
-// per-domain sequences the serial wheel produces.
+// Stop() from inside a multi-domain run halts after that event on both
+// backends, at the same point, and resuming completes the schedule with
+// the same per-domain sequences.
 TEST(ParallelSchedulerTest, StopIsDeterministicAndResumable) {
   constexpr uint64_t kSeed = 9;
   auto run_with_stop = [&](Backend backend, uint64_t* after_stop) {
@@ -284,9 +264,8 @@ TEST(ParallelSchedulerTest, StopIsDeterministicAndResumable) {
       Simulator::DomainScope scope(&sim, 2);
       sim.ScheduleAt(50000, [&]() { sim.Stop(); });
     }
-    sim.Run();  // halts at the stop (serial: immediately; parallel: at the
-                // enclosing window boundary — both deterministic)
-    if (after_stop != nullptr) *after_stop = sim.executed_events();
+    sim.Run();  // halts right after the stop event
+    *after_stop = sim.executed_events();
     sim.Run();  // resume to drain
     RunResult out;
     for (uint32_t d = 0; d < kDomains; ++d) out.fired[d] = w.dom[d].fired;
@@ -295,94 +274,66 @@ TEST(ParallelSchedulerTest, StopIsDeterministicAndResumable) {
     out.cross = sim.cross_scheduled_events();
     return out;
   };
-  uint64_t stop_a = 0, stop_b = 0;
-  auto par_a = run_with_stop(Backend::kParallel, &stop_a);
-  auto par_b = run_with_stop(Backend::kParallel, &stop_b);
-  EXPECT_EQ(stop_a, stop_b) << "parallel stop point is nondeterministic";
-  auto wheel = run_with_stop(Backend::kWheel, nullptr);
-  ExpectSameResult(wheel, par_a, "stop/resume");
-  ExpectSameResult(par_a, par_b, "stop/resume repeat");
-}
-
-// Attaching a trace sink pins the parallel backend to its serial merge
-// (span/trace sinks are not thread-safe); the run must complete without
-// spinning up windows and still match the wheel.
-class CountingSink : public obs::TraceSink {
- public:
-  void OnEventScheduled(SimTime, SimTime, uint64_t) override { ++scheduled_; }
-  void OnEventBegin(SimTime, uint64_t) override { ++begun_; }
-  void OnEventEnd(SimTime, uint64_t) override {}
-  void OnInstant(const char*, SimTime) override {}
-  void OnCounterSample(const char*, SimTime, double) override {}
-  uint64_t scheduled_ = 0;
-  uint64_t begun_ = 0;
-};
-
-TEST(ParallelSchedulerTest, TraceSinkForcesSerialFallback) {
-  Simulator sim(Backend::kParallel);
-  sim.ConfigureDomains(2);
-  sim.DeclareLookahead(kLookahead);
-  CountingSink sink;
-  sim.set_trace_sink(&sink);
-  std::vector<int> order;
-  {
-    Simulator::DomainScope scope(&sim, 0);
-    sim.ScheduleAt(10, [&]() {
-      order.push_back(0);
-      sim.ScheduleIn(1, kLookahead, [&]() { order.push_back(1); });
-    });
-  }
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(sim.parallel_windows(), 0u) << "workers ran despite trace sink";
-  EXPECT_EQ(sink.begun_, 2u);
-  EXPECT_EQ(sink.scheduled_, 2u);
+  uint64_t stop_wheel = 0, stop_heap = 0;
+  auto wheel = run_with_stop(Backend::kWheel, &stop_wheel);
+  auto heap = run_with_stop(Backend::kHeap, &stop_heap);
+  EXPECT_EQ(stop_wheel, stop_heap) << "backends stopped at different events";
+  EXPECT_GT(stop_wheel, 0u);
+  EXPECT_LT(stop_wheel, wheel.executed) << "the stop halted nothing";
+  ExpectSameResult(wheel, heap, "stop/resume");
 }
 
 TEST(ParallelSchedulerTest, IdleSchedulingTargetsScopedDomain) {
-  Simulator sim(Backend::kParallel);
-  sim.ConfigureDomains(3);
-  sim.DeclareLookahead(kLookahead);
-  uint32_t ran_in = 99;
-  {
-    Simulator::DomainScope scope(&sim, 2);
-    sim.Schedule(5, [&]() { ran_in = sim.current_domain(); });
+  for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
+    Simulator sim(backend);
+    sim.ConfigureDomains(3);
+    sim.DeclareLookahead(kLookahead);
+    uint32_t ran_in = 99;
+    {
+      Simulator::DomainScope scope(&sim, 2);
+      sim.Schedule(5, [&]() { ran_in = sim.current_domain(); });
+    }
+    EXPECT_EQ(sim.domain_pending_events(2), 1u);
+    EXPECT_EQ(sim.domain_pending_events(0), 0u);
+    sim.Run();
+    EXPECT_EQ(ran_in, 2u) << "backend " << static_cast<int>(backend);
   }
-  EXPECT_EQ(sim.domain_pending_events(2), 1u);
-  EXPECT_EQ(sim.domain_pending_events(0), 0u);
-  sim.Run();
-  EXPECT_EQ(ran_in, 2u);
 }
 
-// The lookahead contract is load-bearing: a cross-domain event closer than
-// the declared lookahead would let a worker's past change, so the
-// scheduler refuses it outright (on every backend — the serial merges
-// enforce the same contract the workers depend on).
+// The lookahead contract (see Simulator::DeclareLookahead): a cross-domain
+// event closer than the declared lookahead, or with none declared, is
+// refused outright on both backends.
 TEST(ParallelSchedulerDeathTest, CrossEventBelowLookaheadAborts) {
-  EXPECT_DEATH(
-      {
-        Simulator sim(Backend::kWheel);
-        sim.ConfigureDomains(2);
-        sim.DeclareLookahead(kLookahead);
-        Simulator::DomainScope scope(&sim, 0);
-        sim.ScheduleAt(100, [&]() {
-          sim.ScheduleIn(1, kLookahead / 2, []() {});
-        });
-        sim.Run();
-      },
-      "CHECK failed");
+  for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
+    EXPECT_DEATH(
+        {
+          Simulator sim(backend);
+          sim.ConfigureDomains(2);
+          sim.DeclareLookahead(kLookahead);
+          Simulator::DomainScope scope(&sim, 0);
+          sim.ScheduleAt(100, [&]() {
+            sim.ScheduleIn(1, kLookahead / 2, []() {});
+          });
+          sim.Run();
+        },
+        "CHECK failed")
+        << "backend " << static_cast<int>(backend);
+  }
 }
 
 TEST(ParallelSchedulerDeathTest, CrossEventWithoutLookaheadAborts) {
-  EXPECT_DEATH(
-      {
-        Simulator sim(Backend::kWheel);
-        sim.ConfigureDomains(2);
-        Simulator::DomainScope scope(&sim, 0);
-        sim.ScheduleAt(100, [&]() { sim.ScheduleIn(1, 5000, []() {}); });
-        sim.Run();
-      },
-      "CHECK failed");
+  for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
+    EXPECT_DEATH(
+        {
+          Simulator sim(backend);
+          sim.ConfigureDomains(2);
+          Simulator::DomainScope scope(&sim, 0);
+          sim.ScheduleAt(100, [&]() { sim.ScheduleIn(1, 5000, []() {}); });
+          sim.Run();
+        },
+        "CHECK failed")
+        << "backend " << static_cast<int>(backend);
+  }
 }
 
 }  // namespace

@@ -143,13 +143,6 @@ TEST(LatencyRecorder, CandlestickOrdering) {
   EXPECT_LE(candle.p75, candle.max);
 }
 
-TEST(Counter, RatePerSec) {
-  Counter counter;
-  counter.Add(500);
-  EXPECT_DOUBLE_EQ(counter.RatePerSec(Ms(500)), 1000.0);
-  EXPECT_EQ(counter.RatePerSec(0), 0.0);
-}
-
 TEST(Rng, DeterministicFromSeed) {
   Rng a(42), b(42), c(43);
   EXPECT_EQ(a.Next(), b.Next());
