@@ -28,8 +28,6 @@ const char* CodeName(StatusCode code) {
       return "Aborted";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

@@ -23,7 +23,6 @@ enum class StatusCode {
   kIoError,
   kAborted,
   kInternal,
-  kDeadlineExceeded,
 };
 
 /// \brief Lightweight status object carrying an error code and message.
@@ -70,9 +69,6 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -86,9 +82,6 @@ class Status {
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsIoError() const { return code_ == StatusCode::kIoError; }
-  bool IsDeadlineExceeded() const {
-    return code_ == StatusCode::kDeadlineExceeded;
-  }
 
   /// Human-readable rendering, e.g. "Corruption: bad page crc".
   std::string ToString() const;

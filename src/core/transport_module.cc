@@ -190,13 +190,6 @@ void TransportModule::OnCmbArrival(uint64_t stream_offset,
   // One mirror flow per secondary (no multicast — §4.2), each an
   // independent posted-write stream into the peer's ring.
   if (m_mirror_chunks_) m_mirror_chunks_->Add();
-  if (multicast_window_ != 0) {
-    // One flow; the NTB adapter fans out in hardware.
-    mirrored_bytes_ += len;
-    if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
-    WriteToPeerRing(multicast_window_, stream_offset, data, len);
-    return;
-  }
   for (uint32_t slot : active_slots_) {
     mirrored_bytes_ += len;
     if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
@@ -330,12 +323,6 @@ void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
 void TransportModule::RetransmitRound() {
   ++retransmit_rounds_;
   if (m_retransmit_rounds_) m_retransmit_rounds_->Add();
-  if (multicast_window_ != 0) {
-    // One hardware-fanned flow, replayed from the slowest peer's counter;
-    // faster peers see duplicate ring bytes, which is idempotent.
-    RetransmitRange(multicast_window_, MinShadow());
-    return;
-  }
   for (uint32_t slot : active_slots_) {
     if (shadows_[slot] < local_credit_) {
       RetransmitRange(peer_slots_[slot].window, shadows_[slot]);

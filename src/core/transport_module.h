@@ -98,13 +98,6 @@ class TransportModule {
   bool AdmitRingWrite(uint32_t slot);
   uint64_t fenced_writes() const { return fenced_writes_; }
 
-  /// Primary: mirror through a single NTB *multicast* window instead of
-  /// one flow per peer — the hardware fan-out §4.2 mentions. Shadow
-  /// counters still flow back per secondary. Pass 0 to disable.
-  void EnableMulticast(uint64_t multicast_window_addr) {
-    multicast_window_ = multicast_window_addr;
-  }
-
   /// Secondary: where (on the local fabric, through NTB) this device's
   /// shadow mailbox on the primary lives.
   void ConfigureSecondary(uint64_t primary_shadow_addr);
@@ -207,7 +200,6 @@ class TransportModule {
   ReplicationProtocol protocol_;
 
   uint64_t ring_bytes_ = 0;
-  uint64_t multicast_window_ = 0;  ///< 0 = per-peer unicast flows
 
   /// Sparse peer table indexed by member slot; active_slots_ keeps the
   /// insertion order (the chain order: tail = back()).

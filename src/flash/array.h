@@ -71,12 +71,6 @@ class Array {
   void Program(const Address& addr, std::vector<uint8_t> data,
                std::vector<uint8_t> oob, ProgramCallback done,
                sim::Simulator::Callback bus_released = nullptr);
-  void Program(const Address& addr, std::vector<uint8_t> data,
-               ProgramCallback done,
-               sim::Simulator::Callback bus_released = nullptr) {
-    Program(addr, std::move(data), std::vector<uint8_t>{}, std::move(done),
-            std::move(bus_released));
-  }
 
   /// Read a full page. kCorruption when errors exceed the ECC budget; the
   /// returned data is then the *corrupted* image.

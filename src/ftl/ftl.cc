@@ -12,6 +12,9 @@ namespace xssd::ftl {
 
 namespace {
 
+// Pause after a writeback fails for good, before writeback runs again.
+constexpr sim::SimTime kWritebackRetryDelay = sim::Us(100);
+
 BlockAllocator::Stream StreamFor(IoClass io_class) {
   return io_class == IoClass::kDestage ? BlockAllocator::kDestageStream
                                        : BlockAllocator::kConventionalStream;
@@ -349,7 +352,8 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
 
 void Ftl::MaybeScheduleFlush() {
   if (Halted()) return;
-  while (flush_inflight_ < config_.max_writeback_inflight &&
+  while (sim_->Now() >= writeback_paused_until_ &&
+         flush_inflight_ < config_.max_writeback_inflight &&
          (dirty_count_ > config_.flush_watermark ||
           !admission_queue_.empty() || !flush_waiters_.empty())) {
     if (!FlushOne()) break;
@@ -375,12 +379,11 @@ bool Ftl::FlushOne() {
                   auto slot = buffer_.find(lpn);
                   if (slot != buffer_.end()) slot->second.flushing = false;
                   --flush_inflight_;
-                  ++flushed_generation_;
                   if (!status.ok()) {
-                    XSSD_LOG(kWarning)
-                        << "writeback of lpn " << lpn
-                        << " failed: " << status.ToString();
+                    OnWritebackFailed(lpn, status);
+                    return;
                   }
+                  ++flushed_generation_;
                   CheckFlushWaiters();
                   EvictIfNeeded();
                   DrainAdmissionQueue();
@@ -389,6 +392,27 @@ bool Ftl::FlushOne() {
     return true;
   }
   return false;
+}
+
+void Ftl::OnWritebackFailed(uint64_t lpn, const Status& status) {
+  XSSD_LOG(kWarning) << "writeback of lpn " << lpn
+                     << " failed: " << status.ToString();
+  // The page never reached flash: it stays dirty, so it is neither evicted
+  // nor reported durable. A newer write already re-dirtied it; a trim or a
+  // direct write dropped it from the buffer.
+  auto slot = buffer_.find(lpn);
+  if (slot != buffer_.end() && !slot->second.dirty) {
+    slot->second.dirty = true;
+    ++dirty_count_;
+    UpdateGauges();
+  }
+  std::vector<FlushWaiter> waiters = std::move(flush_waiters_);
+  flush_waiters_.clear();
+  for (FlushWaiter& waiter : waiters) waiter.done(status);
+  // Writeback resumes after a pause. Retrying at once would spin: a full
+  // device fails the retry before this call returns.
+  writeback_paused_until_ = sim_->Now() + kWritebackRetryDelay;
+  sim_->Schedule(kWritebackRetryDelay, [this]() { MaybeScheduleFlush(); });
 }
 
 void Ftl::DrainAdmissionQueue() {

@@ -132,7 +132,8 @@ class Ftl {
   void ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done);
 
   /// Durability barrier: `done` fires when every page dirty at call time
-  /// has been programmed.
+  /// has been programmed, or with the error of a writeback that fails for
+  /// good meanwhile (its page stays dirty for a later Flush to retry).
   void Flush(FlushCallback done);
 
   /// Invalidate a logical page.
@@ -246,6 +247,10 @@ class Ftl {
   void DrainAdmissionQueue();
   /// Resolve Flush() waiters whose target has been reached.
   void CheckFlushWaiters();
+  /// A writeback of `lpn` failed for good: re-dirty the page unless it was
+  /// superseded, fail every waiting Flush() with `status`, and pause
+  /// writeback for a retry delay.
+  void OnWritebackFailed(uint64_t lpn, const Status& status);
 
   /// Kick GC if the free pool is low.
   void MaybeStartGc();
@@ -307,6 +312,7 @@ class Ftl {
   };
   std::vector<FlushWaiter> flush_waiters_;
   uint64_t flushed_generation_ = 0;  // pages written back so far
+  sim::SimTime writeback_paused_until_ = 0;  // set by a failed writeback
 
   struct AdmissionWaiter {
     uint64_t lpn;

@@ -57,10 +57,6 @@ class Scheduler {
   void Program(IoClass io_class, const flash::Address& addr,
                std::vector<uint8_t> data, std::vector<uint8_t> oob,
                flash::Array::ProgramCallback done);
-  void Program(IoClass io_class, const flash::Address& addr,
-               std::vector<uint8_t> data, flash::Array::ProgramCallback done) {
-    Program(io_class, addr, std::move(data), {}, std::move(done));
-  }
   void Read(IoClass io_class, const flash::Address& addr,
             flash::Array::ReadCallback done);
   void Erase(IoClass io_class, const flash::Address& addr,

@@ -25,7 +25,7 @@ StorageNode::StorageNode(sim::Simulator* sim,
       fabric_(sim, fabric_config, name_ + "/fabric"),
       device_(sim, &fabric_, device_config, name_ + "/villars"),
       driver_(sim, &fabric_, &device_.controller(), NodeLayout::kBar0Base),
-      ntb_(sim, &fabric_, NodeNtbConfig(), name_ + "/ntb"),
+      ntb_(sim, NodeNtbConfig(), name_ + "/ntb"),
       client_(std::make_unique<XLogClient>(sim, &fabric_,
                                            NodeLayout::kCmbBase,
                                            client_options)) {}
@@ -79,23 +79,6 @@ Result<uint64_t> StorageNode::ConnectWindowTo(uint32_t slot,
                                       peer.device().cmb_bar_bytes(),
                                       &peer.fabric(),
                                       NodeLayout::kCmbBase));
-  return NodeLayout::kNtbBase + window_offset;
-}
-
-Result<uint64_t> StorageNode::ConnectMulticastWindowTo(
-    uint32_t slot, const std::vector<StorageNode*>& peers) {
-  if (!ntb_attached_) return Status::FailedPrecondition("Init() first");
-  if (peers.empty()) return Status::InvalidArgument("no multicast members");
-  uint64_t window_offset = slot * NodeLayout::kNtbWindowBytes;
-  std::vector<ntb::NtbAdapter::MulticastTarget> members;
-  uint64_t size = 0;
-  for (StorageNode* peer : peers) {
-    members.push_back(ntb::NtbAdapter::MulticastTarget{
-        &peer->fabric(), NodeLayout::kCmbBase});
-    size = std::max(size, peer->device().cmb_bar_bytes());
-  }
-  XSSD_RETURN_IF_ERROR(
-      ntb_.AddMulticastWindow(window_offset, size, std::move(members)));
   return NodeLayout::kNtbBase + window_offset;
 }
 

@@ -51,11 +51,6 @@ class StorageNode {
   /// address through which the peer's CMB is reachable.
   Result<uint64_t> ConnectWindowTo(uint32_t slot, StorageNode& peer);
 
-  /// Map NTB window `slot` as a hardware multicast group covering every
-  /// peer's CMB BAR (§4.2). Returns the local bus address of the window.
-  Result<uint64_t> ConnectMulticastWindowTo(
-      uint32_t slot, const std::vector<StorageNode*>& peers);
-
   /// Map NTB window `slot` onto `peer`'s NTB scratchpad page (heartbeat
   /// mailbox). Returns the local bus address of the window.
   Result<uint64_t> ConnectScratchpadWindowTo(uint32_t slot,

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/logging.h"
 #include "core/page_format.h"
@@ -14,8 +15,7 @@ XLogClient::XLogClient(sim::Simulator* sim, pcie::PcieFabric* fabric,
       fabric_(fabric),
       cmb_base_(cmb_base),
       options_(options),
-      store_engine_(fabric, options.mmio_mode),
-      jitter_rng_(options.jitter_seed) {}
+      store_engine_(fabric, options.mmio_mode) {}
 
 Status XLogClient::Setup() {
   uint8_t value[8];
@@ -221,13 +221,6 @@ void XLogClient::SyncLoop(obs::SpanContext ctx, DoneCallback done,
                          "device halted with unsynced log bytes"));
                      return;
                    }
-                   if (options_.fail_on_stall) {
-                     ++sync_failures_;
-                     done(Status::DeadlineExceeded(
-                         "sync made no progress within the stall timeout; "
-                         "device alive"));
-                     return;
-                   }
                    // Alive (possibly degraded): grant another stall window
                    // of credit polling before checking again.
                    SyncLoop(ctx, std::move(done), sim_->Now());
@@ -275,13 +268,12 @@ void XLogClient::ReadTail(nvme::Driver* driver, size_t len,
     tail_leftover_.erase(tail_leftover_.begin(),
                          tail_leftover_.begin() + take);
   }
-  ReadTailLoop(driver, len, std::move(acc), root, std::move(done), 0);
+  ReadTailLoop(driver, len, std::move(acc), root, std::move(done));
 }
 
 void XLogClient::ReadTailLoop(nvme::Driver* driver, size_t len,
                               std::shared_ptr<std::vector<uint8_t>> acc,
-                              obs::SpanContext ctx, ReadCallback done,
-                              uint32_t rereads) {
+                              obs::SpanContext ctx, ReadCallback done) {
   obs::ScopedContext scope(spans_, ctx);
   if (acc->size() >= len) {
     // Stash any surplus from the last parsed page for the next call.
@@ -295,7 +287,7 @@ void XLogClient::ReadTailLoop(nvme::Driver* driver, size_t len,
   // stream order, so any progress past our cursor means page read_seq_ is
   // fully on the conventional side.
   ReadRegister(core::kRegDestaged, [this, driver, len, acc = std::move(acc),
-                                    ctx, done = std::move(done), rereads](
+                                    ctx, done = std::move(done)](
                                        uint64_t destaged) mutable {
     destaged_cache_ = std::max(destaged_cache_, destaged);
     if (destaged_cache_ <= read_cursor_) {
@@ -303,14 +295,14 @@ void XLogClient::ReadTailLoop(nvme::Driver* driver, size_t len,
       // destage progress, which has no failure mode worth backing off for).
       sim_->Schedule(sim::Us(5), [this, driver, len, acc = std::move(acc),
                                   ctx, done = std::move(done)]() mutable {
-        ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done), 0);
+        ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done));
       });
       return;
     }
     uint64_t lba =
         destage_start_lba_ + (read_seq_ % destage_lba_count_);
     driver->Read(lba, 1, [this, driver, len, acc = std::move(acc), ctx,
-                          done = std::move(done), rereads](
+                          done = std::move(done)](
                              Status status,
                              std::vector<uint8_t> page) mutable {
       if (!status.ok()) {
@@ -327,39 +319,14 @@ void XLogClient::ReadTailLoop(nvme::Driver* driver, size_t len,
       Result<core::ParsedDestagePage> parsed =
           core::ParseDestagePage(page);
       if (!parsed.ok() || parsed->header.sequence != read_seq_) {
-        // Page not (re)written yet at this slot. The destaged counter said
-        // it is on its way, so the common case resolves in one destage
-        // write time — back off exponentially with seeded jitter rather
-        // than hammering the slot, and give up with a typed error once it
-        // is evidently stuck (a retried slot that never lands).
-        if (options_.reread_attempt_limit > 0 &&
-            rereads >= options_.reread_attempt_limit) {
-          ++read_deadline_failures_;
-          done(Status::DeadlineExceeded(
-                   "destage slot never showed the expected sequence"),
-               {});
-          return;
-        }
-        ++slot_rereads_;
-        sim::SimTime delay = options_.reread_backoff;
-        for (uint32_t i = 0;
-             i < rereads && delay < options_.reread_backoff_max; ++i) {
-          delay *= 2;
-        }
-        if (delay > options_.reread_backoff_max) {
-          delay = options_.reread_backoff_max;
-        }
-        if (options_.reread_jitter > 0) {
-          delay += static_cast<sim::SimTime>(
-              jitter_rng_.NextDouble() * options_.reread_jitter *
-              static_cast<double>(delay));
-        }
-        sim_->Schedule(delay, [this, driver, len, acc = std::move(acc),
-                               ctx, done = std::move(done),
-                               rereads]() mutable {
-          ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done),
-                       rereads + 1);
-        });
+        // The destaged counter covers page read_seq_, so its write has
+        // landed: any other content in the slot means the ring lapped this
+        // reader or the stream restarted under it.
+        ++read_deadline_failures_;
+        Status lapped = Status::OutOfRange(
+            "destage ring no longer holds stream offset " +
+            std::to_string(read_cursor_));
+        done(lapped, {});
         return;
       }
       const auto& header = parsed->header;
@@ -374,7 +341,7 @@ void XLogClient::ReadTailLoop(nvme::Driver* driver, size_t len,
         // Fully consumed already (shouldn't normally happen).
       }
       ++read_seq_;
-      ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done), 0);
+      ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done));
     });
   });
 }
@@ -433,7 +400,7 @@ void XLogClient::ReplicaFetch(nvme::Driver* driver, size_t len,
           acc->insert(acc->end(), bytes.begin(), bytes.end());
           read_cursor_ = fetch_end;
           ++read_seq_;  // past the dead slot
-          ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done), 0);
+          ReadTailLoop(driver, len, std::move(acc), ctx, std::move(done));
         };
         if (split.head < want) {
           // The extent wraps the replica ring: two window reads.

@@ -12,7 +12,6 @@
 #include "obs/span.h"
 #include "pcie/fabric.h"
 #include "pcie/store_engine.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace xssd::host {
@@ -33,29 +32,6 @@ struct XLogClientOptions {
   /// then fails with Unavailable so the caller can Reconnect(). 0 waits
   /// forever (the seed behaviour).
   sim::SimTime sync_stall_timeout = 0;
-  /// With a stall timeout set, also fail a Sync whose counter stalled on a
-  /// device that is *alive* — with DeadlineExceeded, distinguishing "log
-  /// stream stuck" (replication stalled, fenced writer) from "device died"
-  /// (Unavailable). Off by default: a healthy-but-slow device should be
-  /// waited out, and only HA-aware callers retry on DeadlineExceeded.
-  bool fail_on_stall = false;
-  /// Tail-read slot reread backoff. When the destaged counter says page
-  /// read_seq_ is on the conventional side but the ring slot does not parse
-  /// to that sequence yet (destage write still landing, or a retried slot),
-  /// the client rereads the slot after `reread_backoff`, doubling per
-  /// consecutive miss up to `reread_backoff_max`.
-  sim::SimTime reread_backoff = sim::Us(5);
-  sim::SimTime reread_backoff_max = sim::Us(160);
-  /// Seeded uniform jitter added on top of each backoff step, as a fraction
-  /// of the current delay, so concurrent readers de-synchronise instead of
-  /// hammering the drive in lockstep. 0 disables.
-  double reread_jitter = 0.25;
-  /// Fail the tail read with DeadlineExceeded after this many consecutive
-  /// rereads of one slot — the slot is evidently stuck, not merely slow.
-  /// 0 retries forever (the seed behaviour).
-  uint32_t reread_attempt_limit = 0;
-  /// Seed of the client-side jitter rng (independent of the device seed).
-  uint64_t jitter_seed = 0x9E3779B9;
 };
 
 /// \brief Host-side fast-path client for one Villars device: the engine
@@ -128,12 +104,21 @@ class XLogClient {
   /// virtual time) until the Destage module has moved enough data to the
   /// conventional side. Reads advance an internal cursor; `driver` performs
   /// the conventional-side NVMe reads.
+  ///
+  /// Once the destaged counter covers the next page, its ring slot must
+  /// hold exactly that page. Any other content means the destage ring
+  /// lapped the reader or the stream restarted under it: the bytes are gone
+  /// from the conventional side, and the read fails at once with
+  /// OutOfRange naming the first lost stream offset, where the cursor
+  /// stays.
   void ReadTail(nvme::Driver* driver, size_t len, ReadCallback done);
 
   uint64_t read_cursor() const { return read_cursor_; }
-  /// Tail-read slot rereads issued (the backoff path above).
-  uint64_t slot_rereads() const { return slot_rereads_; }
-  /// Tail reads failed with DeadlineExceeded on a stuck slot.
+  /// Always 0: a mismatched slot fails the read instead of being reread.
+  /// Kept because perfbench/destage_mixed_io.cc reports it.
+  uint64_t slot_rereads() const { return 0; }
+  /// Tail reads failed with OutOfRange because the ring no longer held the
+  /// requested stream bytes.
   uint64_t read_deadline_failures() const { return read_deadline_failures_; }
 
   // -- Replica re-fetch (uncorrectable-read escalation, §4.2 HA) ------------
@@ -197,8 +182,7 @@ class XLogClient {
                 sim::SimTime last_progress);
   void ReadTailLoop(nvme::Driver* driver, size_t len,
                     std::shared_ptr<std::vector<uint8_t>> acc,
-                    obs::SpanContext ctx, ReadCallback done,
-                    uint32_t rereads);
+                    obs::SpanContext ctx, ReadCallback done);
   /// Recover the lost page's stream extent from the replica ring after an
   /// uncorrectable destage-ring read; falls back to `local_status` when the
   /// replica cannot cover it (not yet replicated, or already overwritten).
@@ -231,15 +215,12 @@ class XLogClient {
   uint64_t read_cursor_ = 0;
   uint64_t read_seq_ = 0;  ///< next destage-ring sequence to parse
   std::vector<uint8_t> tail_leftover_;  ///< page bytes past the last read
-  uint64_t slot_rereads_ = 0;
   uint64_t read_deadline_failures_ = 0;
 
   // Replica re-fetch (0 = disarmed).
   uint64_t replica_window_base_ = 0;
   uint64_t replica_fetches_ = 0;
   uint64_t replica_fetched_bytes_ = 0;
-
-  sim::Rng jitter_rng_;
 
   // x_alloc state.
   struct Allocation {

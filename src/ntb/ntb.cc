@@ -6,10 +6,8 @@
 
 namespace xssd::ntb {
 
-NtbAdapter::NtbAdapter(sim::Simulator* sim, pcie::PcieFabric* local,
-                       NtbConfig config, std::string name)
+NtbAdapter::NtbAdapter(sim::Simulator* sim, NtbConfig config, std::string name)
     : sim_(sim),
-      local_(local),
       config_(config),
       name_(std::move(name)),
       link_(sim, config.bytes_per_sec) {
@@ -37,38 +35,17 @@ void NtbAdapter::SetSpans(obs::SpanRecorder* spans,
   span_node_ = spans ? spans->InternNode(node_tag) : 0;
 }
 
-Status NtbAdapter::CheckOverlap(uint64_t offset, uint64_t size) const {
-  for (const Window& w : windows_) {
-    bool disjoint = offset + size <= w.offset || w.offset + w.size <= offset;
-    if (!disjoint) return Status::InvalidArgument("NTB windows overlap");
-  }
-  return Status::OK();
-}
-
 Status NtbAdapter::AddWindow(uint64_t offset, uint64_t size,
                              pcie::PcieFabric* remote_fabric,
                              uint64_t remote_base) {
   if (remote_fabric == nullptr || size == 0) {
     return Status::InvalidArgument("bad NTB window");
   }
-  XSSD_RETURN_IF_ERROR(CheckOverlap(offset, size));
-  windows_.push_back(
-      Window{offset, size, {MulticastTarget{remote_fabric, remote_base}}});
-  return Status::OK();
-}
-
-Status NtbAdapter::AddMulticastWindow(uint64_t offset, uint64_t size,
-                                      std::vector<MulticastTarget> members) {
-  if (members.empty() || size == 0) {
-    return Status::InvalidArgument("empty multicast group");
+  for (const Window& w : windows_) {
+    bool disjoint = offset + size <= w.offset || w.offset + w.size <= offset;
+    if (!disjoint) return Status::InvalidArgument("NTB windows overlap");
   }
-  for (const MulticastTarget& member : members) {
-    if (member.remote == nullptr) {
-      return Status::InvalidArgument("null multicast member");
-    }
-  }
-  XSSD_RETURN_IF_ERROR(CheckOverlap(offset, size));
-  windows_.push_back(Window{offset, size, std::move(members)});
+  windows_.push_back(Window{offset, size, remote_fabric, remote_base});
   return Status::OK();
 }
 
@@ -123,8 +100,6 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
     }
   }
 
-  // One cable transfer regardless of fan-out: the adapter replicates in
-  // hardware on the far side of the link.
   uint64_t wire = pcie::WireBytesFor(len, config_.forward_chunk);
   uint64_t packets = pcie::TlpCountFor(len, config_.forward_chunk);
   forwarded_wire_bytes_ += wire;
@@ -150,41 +125,19 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
                                  spans_->current());
     spans_->EndSpanAt(link_ctx, delivered_at);
   }
-  bool cross_domain = false;
-  for (const MulticastTarget& member : window->members) {
-    if (member.remote->domain() != local_->domain()) cross_domain = true;
-  }
-  if (!cross_domain) {
-    sim_->ScheduleAt(
-        delivered_at,
-        [this, link_ctx, members = window->members, window_offset,
-         copy = std::move(copy), chunk = config_.forward_chunk]() {
-          obs::ScopedContext scope(spans_, link_ctx);
-          for (const MulticastTarget& member : members) {
-            // Address translation is the only transformation NTB performs
-            // (§2.3); inject into each member fabric as peer-to-peer traffic.
-            member.remote->PeerWrite(member.remote_base + window_offset,
-                                     copy.data(), copy.size(), chunk);
-          }
-        });
-    return;
-  }
-  // Partitioned run: deliver into each member's own scheduler domain. The
-  // delivery time satisfies the lookahead contract by construction
-  // (delivered_at >= now + hop_latency >= now + lookahead). The payload is
-  // shared, not copied per member — delivery callbacks only read it.
-  auto shared_copy = std::make_shared<std::vector<uint8_t>>(std::move(copy));
-  for (const MulticastTarget& member : window->members) {
-    sim_->ScheduleAtIn(
-        member.remote->domain(), delivered_at,
-        [this, link_ctx, member, window_offset, shared_copy,
-         chunk = config_.forward_chunk]() {
-          obs::ScopedContext scope(spans_, link_ctx);
-          member.remote->PeerWrite(member.remote_base + window_offset,
-                                   shared_copy->data(), shared_copy->size(),
-                                   chunk);
-        });
-  }
+  // Deliver in the remote fabric's scheduler domain. When that differs from
+  // ours, delivered_at >= now + hop_latency >= now + lookahead satisfies the
+  // cross-domain contract by construction.
+  sim_->ScheduleAtIn(
+      window->remote->domain(), delivered_at,
+      [this, link_ctx, remote = window->remote,
+       addr = window->remote_base + window_offset, copy = std::move(copy),
+       chunk = config_.forward_chunk]() {
+        obs::ScopedContext scope(spans_, link_ctx);
+        // Address translation is the only transformation NTB performs
+        // (§2.3); inject into the remote fabric as peer-to-peer traffic.
+        remote->PeerWrite(addr, copy.data(), copy.size(), chunk);
+      });
 }
 
 void NtbAdapter::OnMmioRead(uint64_t offset, uint8_t* out, size_t len) {
@@ -197,15 +150,14 @@ void NtbAdapter::OnMmioRead(uint64_t offset, uint8_t* out, size_t len) {
   }
   // Cross-NTB reads exist but are slow and unused by the Villars protocol
   // (all coordination is done with posted writes). Serve them functionally
-  // from the first member for completeness.
+  // for completeness.
   const Window* window = FindWindow(offset);
   if (window == nullptr || offset + len > window->offset + window->size) {
     std::fill(out, out + len, 0);
     return;
   }
-  const MulticastTarget& member = window->members.front();
-  uint64_t remote_addr = member.remote_base + (offset - window->offset);
-  Status status = member.remote->FunctionalRead(remote_addr, out, len);
+  uint64_t remote_addr = window->remote_base + (offset - window->offset);
+  Status status = window->remote->FunctionalRead(remote_addr, out, len);
   if (!status.ok()) std::fill(out, out + len, 0);
 }
 

@@ -46,27 +46,12 @@ struct NtbConfig {
 /// of the paper composes.
 class NtbAdapter : public pcie::MmioDevice {
  public:
-  NtbAdapter(sim::Simulator* sim, pcie::PcieFabric* local, NtbConfig config,
-             std::string name);
+  NtbAdapter(sim::Simulator* sim, NtbConfig config, std::string name);
 
   /// Map [offset, offset+size) of this adapter's BAR onto
   /// remote_fabric[remote_base ...]. Windows must not overlap.
   Status AddWindow(uint64_t offset, uint64_t size,
                    pcie::PcieFabric* remote_fabric, uint64_t remote_base);
-
-  /// One member of a multicast group.
-  struct MulticastTarget {
-    pcie::PcieFabric* remote;
-    uint64_t remote_base;
-  };
-
-  /// Map [offset, offset+size) as a *multicast* window: each write is
-  /// carried once on the local cable and fanned out to every member — the
-  /// hardware multicast the paper notes NTB adapters support (§4.2) but
-  /// its prototype leaves unused. The bandwidth saving on the primary is
-  /// exactly (members - 1)x.
-  Status AddMulticastWindow(uint64_t offset, uint64_t size,
-                            std::vector<MulticastTarget> members);
 
   // pcie::MmioDevice — traffic landing on the local window.
   void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
@@ -123,15 +108,13 @@ class NtbAdapter : public pcie::MmioDevice {
   struct Window {
     uint64_t offset;
     uint64_t size;
-    // A unicast window has one member; a multicast window has several.
-    std::vector<MulticastTarget> members;
+    pcie::PcieFabric* remote;
+    uint64_t remote_base;
   };
 
   const Window* FindWindow(uint64_t offset) const;
-  Status CheckOverlap(uint64_t offset, uint64_t size) const;
 
   sim::Simulator* sim_;
-  pcie::PcieFabric* local_;
   NtbConfig config_;
   std::string name_;
   sim::BandwidthServer link_;

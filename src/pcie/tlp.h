@@ -2,33 +2,12 @@
 #define XSSD_PCIE_TLP_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "common/status.h"
 
 namespace xssd::pcie {
 
-/// Transaction Layer Packet kinds used in the model. Memory writes are
-/// posted (no completion); memory reads elicit a Completion-with-Data.
-enum class TlpType : uint8_t {
-  kMemWrite = 0,
-  kMemRead = 1,
-  kCompletionData = 2,
-};
-
-/// \brief A PCIe Transaction Layer Packet.
-///
-/// The fabric moves data as TLPs. Only the fields the simulation needs are
-/// modeled, but packets can be serialized to a wire image (EncodeTlp) whose
-/// size matches the timing model, so the per-packet overhead charged on
-/// links is the same number of bytes a real link would carry.
-struct Tlp {
-  TlpType type = TlpType::kMemWrite;
-  uint64_t address = 0;   ///< target bus address (writes/reads)
-  uint32_t read_len = 0;  ///< requested bytes (kMemRead only)
-  uint16_t tag = 0;       ///< matches reads to completions
-  std::vector<uint8_t> payload;  ///< data (writes / completions)
-};
+/// Transaction Layer Packet accounting. The fabric, the store engine and
+/// the NTB bridge move payload bytes, not packets; they charge each link
+/// the wire bytes a real link would carry for that payload split into TLPs.
 
 /// Framing + DLL + TL header bytes added to every TLP on the wire:
 /// STP(1) + sequence(2) + 4-DW header(16) + LCRC(4) + END(1) ≈ 24, plus
@@ -38,21 +17,15 @@ inline constexpr uint32_t kTlpOverheadBytes = 26;
 /// Largest payload a single memory-write TLP may carry (Max_Payload_Size).
 inline constexpr uint32_t kMaxPayloadBytes = 256;
 
-/// Bytes a TLP occupies on the wire (header/framing + payload).
-inline uint64_t TlpWireBytes(const Tlp& tlp) {
-  return kTlpOverheadBytes + tlp.payload.size();
+/// Number of TLPs needed for `len` payload bytes at `chunk` bytes each.
+inline uint64_t TlpCountFor(uint64_t len, uint32_t chunk) {
+  return (len + chunk - 1) / chunk;
 }
 
 /// Wire bytes to move `len` payload bytes when split into `chunk`-byte TLPs.
-uint64_t WireBytesFor(uint64_t len, uint32_t chunk);
-
-/// Number of TLPs needed for `len` payload bytes at `chunk` bytes each.
-uint64_t TlpCountFor(uint64_t len, uint32_t chunk);
-
-/// Serialize/deserialize a TLP to a byte image (used by tests and by the
-/// NTB bridge, which forwards raw TLP images between fabrics).
-std::vector<uint8_t> EncodeTlp(const Tlp& tlp);
-Result<Tlp> DecodeTlp(const std::vector<uint8_t>& wire);
+inline uint64_t WireBytesFor(uint64_t len, uint32_t chunk) {
+  return len + TlpCountFor(len, chunk) * kTlpOverheadBytes;
+}
 
 }  // namespace xssd::pcie
 

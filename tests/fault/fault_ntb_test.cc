@@ -49,7 +49,7 @@ TEST(FaultNtbAdapterTest, LinkDownDropsForwardedWritesSilently) {
   sim::Simulator sim;
   pcie::PcieFabric local(&sim, pcie::FabricConfig{}, "local");
   pcie::PcieFabric remote(&sim, pcie::FabricConfig{}, "remote");
-  ntb::NtbAdapter adapter(&sim, &local, ntb::NtbConfig{}, "ntb");
+  ntb::NtbAdapter adapter(&sim, ntb::NtbConfig{}, "ntb");
   SinkDevice sink(8192);
   ASSERT_TRUE(local.AddMmioRegion(0x1000, 4096, &adapter, "win").ok());
   ASSERT_TRUE(remote.AddMmioRegion(0x9000, 8192, &sink, "sink").ok());
@@ -85,7 +85,7 @@ TEST(FaultNtbAdapterTest, LinkStallDelaysDelivery) {
     sim::Simulator sim;
     pcie::PcieFabric local(&sim, pcie::FabricConfig{}, "local");
     pcie::PcieFabric remote(&sim, pcie::FabricConfig{}, "remote");
-    ntb::NtbAdapter adapter(&sim, &local, ntb::NtbConfig{}, "ntb");
+    ntb::NtbAdapter adapter(&sim, ntb::NtbConfig{}, "ntb");
     SinkDevice sink(8192);
     EXPECT_TRUE(local.AddMmioRegion(0x1000, 4096, &adapter, "win").ok());
     EXPECT_TRUE(remote.AddMmioRegion(0x9000, 8192, &sink, "sink").ok());

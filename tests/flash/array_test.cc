@@ -27,7 +27,7 @@ class ArrayTest : public ::testing::Test {
   Status ProgramSync(const Address& addr, std::vector<uint8_t> data) {
     Status result = Status::Internal("no callback");
     array_.Program(addr, std::move(data),
-                   [&](Status status) { result = status; });
+                   {}, [&](Status status) { result = status; });
     sim_.Run();
     return result;
   }
@@ -92,7 +92,7 @@ TEST_F(ArrayTest, EraseResetsBlockForReprogram) {
 TEST_F(ArrayTest, ProgramTimingIncludesBusAndDieLatency) {
   Address addr{0, 0, 0, 0, 0};
   sim::SimTime done = 0;
-  array_.Program(addr, Page(1), [&](Status) { done = sim_.Now(); });
+  array_.Program(addr, Page(1), {}, [&](Status) { done = sim_.Now(); });
   sim_.Run();
   const Timing timing;
   // >= channel transfer (4 KiB / 250 MB/s ~ 16.4 us) + tPROG.
@@ -103,8 +103,8 @@ TEST_F(ArrayTest, SameDieOperationsSerialize) {
   Address a{0, 0, 0, 0, 0};
   Address b{0, 0, 0, 1, 0};  // same die, other block
   sim::SimTime done_a = 0, done_b = 0;
-  array_.Program(a, Page(1), [&](Status) { done_a = sim_.Now(); });
-  array_.Program(b, Page(2), [&](Status) { done_b = sim_.Now(); });
+  array_.Program(a, Page(1), {}, [&](Status) { done_a = sim_.Now(); });
+  array_.Program(b, Page(2), {}, [&](Status) { done_b = sim_.Now(); });
   sim_.Run();
   const Timing timing;
   EXPECT_GE(done_b, done_a + timing.program_latency);
@@ -114,8 +114,8 @@ TEST_F(ArrayTest, DifferentChannelsOverlap) {
   Address a{0, 0, 0, 0, 0};
   Address b{1, 0, 0, 0, 0};
   sim::SimTime done_a = 0, done_b = 0;
-  array_.Program(a, Page(1), [&](Status) { done_a = sim_.Now(); });
-  array_.Program(b, Page(2), [&](Status) { done_b = sim_.Now(); });
+  array_.Program(a, Page(1), {}, [&](Status) { done_a = sim_.Now(); });
+  array_.Program(b, Page(2), {}, [&](Status) { done_b = sim_.Now(); });
   sim_.Run();
   const Timing timing;
   // Both finish within ~one program window of each other.
@@ -126,7 +126,7 @@ TEST_F(ArrayTest, DifferentChannelsOverlap) {
 TEST_F(ArrayTest, DieBusyProbes) {
   Address addr{0, 1, 0, 0, 0};
   EXPECT_TRUE(array_.DieIdle(0, 1));
-  array_.Program(addr, Page(1), [](Status) {});
+  array_.Program(addr, Page(1), {}, [](Status) {});
   EXPECT_FALSE(array_.DieIdle(0, 1));
   EXPECT_GT(array_.DieBusyUntil(0, 1), sim_.Now());
   sim_.Run();
@@ -175,7 +175,7 @@ TEST(ArrayReliability, FactoryBadBlocksRejectPrograms) {
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Status status = Status::OK();
   array.Program(Address{0, 0, 0, 0, 0}, {1, 2, 3},
-                [&](Status s) { status = s; });
+                {}, [&](Status s) { status = s; });
   sim.Run();
   EXPECT_TRUE(status.IsIoError());
   EXPECT_TRUE(array.IsBadBlock(Address{0, 0, 0, 0, 0}));
@@ -188,7 +188,7 @@ TEST(ArrayReliability, ProgramFailureGrowsBadBlock) {
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Status status = Status::OK();
   Address addr{0, 0, 0, 0, 0};
-  array.Program(addr, {1}, [&](Status s) { status = s; });
+  array.Program(addr, {1}, {}, [&](Status s) { status = s; });
   sim.Run();
   EXPECT_TRUE(status.IsIoError());
   EXPECT_TRUE(array.IsBadBlock(addr));
@@ -202,7 +202,7 @@ TEST(ArrayReliability, UncorrectableErrorsSurfaceAsCorruption) {
   reliability.ecc_correctable_bits = 10;
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Address addr{0, 0, 0, 0, 0};
-  array.Program(addr, std::vector<uint8_t>(4096, 0xAA), [](Status) {});
+  array.Program(addr, std::vector<uint8_t>(4096, 0xAA), {}, [](Status) {});
   sim.Run();
   Status status = Status::OK();
   array.Read(addr, [&](Status s, std::vector<uint8_t>) { status = s; });
@@ -218,7 +218,7 @@ TEST(ArrayReliability, CorrectableErrorsAreTransparent) {
   reliability.ecc_correctable_bits = 72;
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Address addr{0, 0, 0, 0, 0};
-  array.Program(addr, std::vector<uint8_t>(4096, 0xAA), [](Status) {});
+  array.Program(addr, std::vector<uint8_t>(4096, 0xAA), {}, [](Status) {});
   sim.Run();
   for (int i = 0; i < 50; ++i) {
     Status status = Status::Internal("x");

@@ -218,7 +218,7 @@ TEST(ReliabilityFaults, RetentionFaultInjectsDwell) {
   Address addr{0, 0, 0, 0, 0};
   Status programmed = Status::Internal("pending");
   array.Program(addr, std::vector<uint8_t>(4096, 0x42),
-                [&](Status s) { programmed = s; });
+                {}, [&](Status s) { programmed = s; });
   sim.Run();
   ASSERT_TRUE(programmed.ok());
 
@@ -260,7 +260,7 @@ TEST(ReliabilityFaults, DisturbFaultInjectsReads) {
   Address addr{0, 0, 0, 0, 0};
   Status programmed = Status::Internal("pending");
   array.Program(addr, std::vector<uint8_t>(4096, 0x43),
-                [&](Status s) { programmed = s; });
+                {}, [&](Status s) { programmed = s; });
   sim.Run();
   ASSERT_TRUE(programmed.ok());
 

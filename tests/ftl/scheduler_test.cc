@@ -31,7 +31,7 @@ class SchedulerTest : public ::testing::Test {
                     uint32_t page, std::vector<int>* order, int tag) {
     flash::Address addr{0, die, 0, block, page};
     scheduler_.Program(io_class, addr, Page(static_cast<uint8_t>(tag)),
-                       [order, tag](Status status) {
+                       {}, [order, tag](Status status) {
                          ASSERT_TRUE(status.ok());
                          order->push_back(tag);
                        });
@@ -45,7 +45,7 @@ class SchedulerTest : public ::testing::Test {
 TEST_F(SchedulerTest, SingleOpCompletes) {
   bool done = false;
   scheduler_.Program(IoClass::kConventional, flash::Address{0, 0, 0, 0, 0},
-                     Page(1), [&](Status status) {
+                     Page(1), {}, [&](Status status) {
                        EXPECT_TRUE(status.ok());
                        done = true;
                      });
@@ -132,7 +132,7 @@ TEST_F(SchedulerTest, ReadAndEraseComplete) {
   bool programmed = false, read_ok = false, erased = false;
   flash::Address addr{0, 0, 0, 0, 0};
   scheduler_.Program(IoClass::kConventional, addr, Page(7),
-                     [&](Status s) { programmed = s.ok(); });
+                     {}, [&](Status s) { programmed = s.ok(); });
   scheduler_.Read(IoClass::kConventional, addr,
                   [&](Status s, std::vector<uint8_t> data) {
                     read_ok = s.ok() && data[0] == 7;
@@ -151,9 +151,9 @@ TEST_F(SchedulerTest, BusOverlapsDiePrograms) {
   // 2 * (transfer + tPROG).
   sim::SimTime done = 0;
   scheduler_.Program(IoClass::kConventional, flash::Address{0, 0, 0, 0, 0},
-                     Page(1), [&](Status) { done = sim_.Now(); });
+                     Page(1), {}, [&](Status) { done = sim_.Now(); });
   scheduler_.Program(IoClass::kConventional, flash::Address{0, 1, 0, 0, 0},
-                     Page(2), [&](Status) { done = sim_.Now(); });
+                     Page(2), {}, [&](Status) { done = sim_.Now(); });
   sim_.Run();
   flash::Timing timing;
   sim::SimTime transfer = sim::TransferTime(4096, timing.channel_bytes_per_sec);

@@ -8,8 +8,6 @@
 
 #include <vector>
 
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "host/node.h"
 #include "host/xcalls.h"
 #include "host/xlog_client.h"
@@ -137,46 +135,6 @@ TEST_F(XLogClientEdgeTest, ReconnectAfterHardCrash) {
   EXPECT_EQ(x_pwrite(sim_, node_.client(), fresh.data(), fresh.size()),
             static_cast<ssize_t>(fresh.size()));
   EXPECT_EQ(x_fsync(sim_, node_.client()), 0);
-}
-
-TEST(XLogClientTypedErrors, StallOnLiveDeviceIsDeadlineExceeded) {
-  // fail_on_stall turns "no progress but the device is alive" into a typed
-  // DeadlineExceeded — the signal a failover workload uses to distinguish
-  // a stuck log stream (wait or switch) from a dead device (Unavailable).
-  // Here the stream is stuck because the eager secondary never receives the
-  // mirror bytes: the primary's outbound NTB is down and retransmit is off.
-  sim::Simulator sim;
-  core::VillarsConfig config = SmallConfig();
-  config.transport.retransmit_timeout = 0;
-  XLogClientOptions options = WithStallTimeout(sim::Ms(1));
-  options.fail_on_stall = true;
-  StorageNode primary(&sim, config, pcie::FabricConfig{}, "pri", options);
-  StorageNode secondary(&sim, config, pcie::FabricConfig{}, "sec");
-  ASSERT_TRUE(primary.Init().ok());
-  ASSERT_TRUE(secondary.Init().ok());
-  ReplicationGroup group({&primary, &secondary});
-  ASSERT_TRUE(
-      group.Setup(core::ReplicationProtocol::kEager, sim::UsF(0.8)).ok());
-
-  fault::FaultPlan plan =
-      fault::FaultPlanBuilder("blackout")
-          .Window(fault::FaultKind::kNtbLinkDown, sim::Ns(0), sim::Ms(100))
-          .Build();
-  fault::FaultInjector injector(&sim, plan, 3);
-  primary.ntb().set_fault_injector(&injector);
-
-  std::vector<uint8_t> data(4096, 0x6B);
-  ASSERT_EQ(x_pwrite(sim, primary.client(), data.data(), data.size()),
-            static_cast<ssize_t>(data.size()));
-  Status sync_status = Status::Internal("pending");
-  primary.client().Sync([&](Status s) { sync_status = s; });
-  sim.RunFor(sim::Ms(20));
-
-  EXPECT_TRUE(sync_status.IsDeadlineExceeded()) << sync_status.ToString();
-  EXPECT_EQ(primary.client().sync_failures(), 1u);
-  EXPECT_FALSE(primary.device().halted());
-  // Local persistence kept going — only replication credit is stuck.
-  EXPECT_GE(primary.device().cmb().local_credit(), data.size());
 }
 
 TEST_F(XLogClientEdgeTest, ReconnectWithoutEpochChangeKeepsCursors) {

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
-#include "host/node.h"
-#include "host/xcalls.h"
+#include "pcie/tlp.h"
 
 namespace xssd::ntb {
 namespace {
@@ -31,7 +31,7 @@ class NtbTest : public ::testing::Test {
   NtbTest()
       : local_(&sim_, pcie::FabricConfig{}, "local"),
         remote_(&sim_, pcie::FabricConfig{}, "remote"),
-        adapter_(&sim_, &local_, NtbConfig{}, "ntb"),
+        adapter_(&sim_, NtbConfig{}, "ntb"),
         sink_(8192) {
     EXPECT_TRUE(local_.AddMmioRegion(0x1000, 4096, &adapter_, "win").ok());
     EXPECT_TRUE(remote_.AddMmioRegion(0x9000, 8192, &sink_, "sink").ok());
@@ -89,80 +89,6 @@ TEST_F(NtbTest, ReadsServedFromRemoteFunctionally) {
   sim_.Run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 0xEE);
-}
-
-TEST_F(NtbTest, MulticastFansOutWithOneCableTransfer) {
-  sim::Simulator sim2;
-  pcie::PcieFabric remote2(&sim_, pcie::FabricConfig{}, "remote2");
-  SinkDevice sink2(8192);
-  ASSERT_TRUE(remote2.AddMmioRegion(0x9000, 8192, &sink2, "sink2").ok());
-
-  ASSERT_TRUE(adapter_
-                  .AddMulticastWindow(
-                      0, 4096,
-                      {NtbAdapter::MulticastTarget{&remote_, 0x9000},
-                       NtbAdapter::MulticastTarget{&remote2, 0x9000}})
-                  .ok());
-  uint8_t data[64];
-  for (int i = 0; i < 64; ++i) data[i] = static_cast<uint8_t>(i ^ 0xA5);
-  local_.HostWrite(0x1000 + 8, data, 64, 64);
-  sim_.Run();
-
-  // Both members received the bytes...
-  EXPECT_EQ(std::memcmp(sink_.memory.data() + 8, data, 64), 0);
-  EXPECT_EQ(std::memcmp(sink2.memory.data() + 8, data, 64), 0);
-  // ...for a single transfer's worth of cable bytes.
-  EXPECT_EQ(adapter_.forwarded_payload_bytes(), 64u);
-}
-
-TEST_F(NtbTest, MulticastValidation) {
-  EXPECT_FALSE(adapter_.AddMulticastWindow(0, 4096, {}).ok());
-  EXPECT_FALSE(adapter_
-                   .AddMulticastWindow(
-                       0, 4096, {NtbAdapter::MulticastTarget{nullptr, 0}})
-                   .ok());
-}
-
-TEST(NtbReplication, MulticastMirroringSavesPrimaryBandwidth) {
-  // Two full replication groups (1 primary + 2 secondaries each), one with
-  // per-peer flows and one with a multicast window; same workload. The
-  // multicast primary must push half the cable bytes.
-  auto run = [](bool multicast) -> uint64_t {
-    sim::Simulator sim;
-    core::VillarsConfig config;
-    config.geometry.channels = 2;
-    config.geometry.dies_per_channel = 2;
-    config.geometry.blocks_per_plane = 16;
-    config.geometry.pages_per_block = 32;
-    config.destage.ring_lba_count = 64;
-    host::StorageNode primary(&sim, config, pcie::FabricConfig{}, "p");
-    host::StorageNode s1(&sim, config, pcie::FabricConfig{}, "s1");
-    host::StorageNode s2(&sim, config, pcie::FabricConfig{}, "s2");
-    EXPECT_TRUE(primary.Init().ok());
-    EXPECT_TRUE(s1.Init().ok());
-    EXPECT_TRUE(s2.Init().ok());
-    host::ReplicationGroup group({&primary, &s1, &s2});
-    EXPECT_TRUE(
-        group.Setup(core::ReplicationProtocol::kEager, sim::UsF(0.8)).ok());
-    if (multicast) {
-      Result<uint64_t> window =
-          primary.ConnectMulticastWindowTo(6, {&s1, &s2});
-      EXPECT_TRUE(window.ok());
-      primary.device().transport().EnableMulticast(*window);
-    }
-    std::vector<uint8_t> wal(8000, 0x5C);
-    EXPECT_EQ(host::x_pwrite(sim, primary.client(), wal.data(), wal.size()),
-              8000);
-    EXPECT_EQ(host::x_fsync(sim, primary.client()), 0);
-    // Both secondaries must hold the bytes either way.
-    EXPECT_GE(s1.device().cmb().local_credit(), 8000u);
-    EXPECT_GE(s2.device().cmb().local_credit(), 8000u);
-    return primary.ntb().forwarded_payload_bytes();
-  };
-
-  uint64_t unicast_bytes = run(false);
-  uint64_t multicast_bytes = run(true);
-  EXPECT_EQ(unicast_bytes, 2 * multicast_bytes);
 }
 
 }  // namespace

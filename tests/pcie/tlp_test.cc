@@ -5,54 +5,6 @@
 namespace xssd::pcie {
 namespace {
 
-TEST(Tlp, EncodeDecodeRoundTripWrite) {
-  Tlp tlp;
-  tlp.type = TlpType::kMemWrite;
-  tlp.address = 0xE000'1234;
-  tlp.tag = 17;
-  tlp.payload = {1, 2, 3, 4, 5};
-  auto wire = EncodeTlp(tlp);
-  Result<Tlp> decoded = DecodeTlp(wire);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->type, TlpType::kMemWrite);
-  EXPECT_EQ(decoded->address, 0xE000'1234u);
-  EXPECT_EQ(decoded->tag, 17);
-  EXPECT_EQ(decoded->payload, tlp.payload);
-}
-
-TEST(Tlp, EncodeDecodeRoundTripRead) {
-  Tlp tlp;
-  tlp.type = TlpType::kMemRead;
-  tlp.address = 0xF000'0000;
-  tlp.read_len = 64;
-  auto wire = EncodeTlp(tlp);
-  Result<Tlp> decoded = DecodeTlp(wire);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->type, TlpType::kMemRead);
-  EXPECT_EQ(decoded->read_len, 64u);
-  EXPECT_TRUE(decoded->payload.empty());
-}
-
-TEST(Tlp, DecodeRejectsShortImage) {
-  std::vector<uint8_t> wire(5, 0);
-  EXPECT_TRUE(DecodeTlp(wire).status().IsCorruption());
-}
-
-TEST(Tlp, DecodeRejectsBadType) {
-  Tlp tlp;
-  auto wire = EncodeTlp(tlp);
-  wire[0] = 99;
-  EXPECT_TRUE(DecodeTlp(wire).status().IsCorruption());
-}
-
-TEST(Tlp, DecodeRejectsLengthMismatch) {
-  Tlp tlp;
-  tlp.payload = {1, 2, 3};
-  auto wire = EncodeTlp(tlp);
-  wire.pop_back();
-  EXPECT_TRUE(DecodeTlp(wire).status().IsCorruption());
-}
-
 TEST(Tlp, TlpCountChunking) {
   EXPECT_EQ(TlpCountFor(0, 64), 0u);
   EXPECT_EQ(TlpCountFor(1, 64), 1u);
@@ -66,13 +18,6 @@ TEST(Tlp, WireBytesIncludePerPacketOverhead) {
   EXPECT_EQ(WireBytesFor(128, 64), 128 + 2 * kTlpOverheadBytes);
   // Uncached stores pay overhead every 8 bytes.
   EXPECT_EQ(WireBytesFor(64, 8), 64 + 8 * kTlpOverheadBytes);
-}
-
-TEST(Tlp, WireBytesMatchesEncodedSizeClass) {
-  // The analytic model and an actual encoded packet agree on payload size.
-  Tlp tlp;
-  tlp.payload.assign(64, 0xCC);
-  EXPECT_EQ(TlpWireBytes(tlp), 64 + kTlpOverheadBytes);
 }
 
 }  // namespace
