@@ -143,8 +143,8 @@ bool Harness::BuildCluster() {
 void Harness::AttachObservers() {
   core::VillarsDevice& device = primary().device();
   device.cmb().SetArrivalObserver(
-      [this](uint64_t stream_offset, const uint8_t* data, size_t len) {
-        model_->OnArrival(stream_offset, data, len);
+      [this](uint64_t stream_offset, const Bytes& data) {
+        model_->OnArrival(stream_offset, data.data(), data.size());
       });
   device.cmb().SetCreditObserver(
       [this](uint64_t credit) { model_->OnCredit(credit); });

@@ -1,0 +1,65 @@
+#include "common/bytes.h"
+
+#include <limits>
+#include <new>
+
+#include "common/logging.h"
+
+namespace xssd {
+
+namespace {
+uint64_t g_live_slabs = 0;
+}  // namespace
+
+Bytes::Slab* Bytes::NewSlab(size_t inline_len) {
+  XSSD_CHECK(inline_len <= std::numeric_limits<uint32_t>::max());
+  void* raw = ::operator new(sizeof(Slab) + inline_len);
+  ++g_live_slabs;
+  return new (raw) Slab{1, static_cast<uint8_t*>(raw) + sizeof(Slab), {}};
+}
+
+void Bytes::Free(Slab* slab) {
+  --g_live_slabs;
+  slab->~Slab();
+  ::operator delete(slab);
+}
+
+Bytes::Bytes(std::vector<uint8_t>&& vec) {
+  if (vec.empty()) return;
+  XSSD_CHECK(vec.size() <= std::numeric_limits<uint32_t>::max());
+  slab_ = NewSlab(0);
+  slab_->adopted = std::move(vec);
+  slab_->bytes = slab_->adopted.data();
+  size_ = static_cast<uint32_t>(slab_->adopted.size());
+}
+
+Bytes Bytes::Allocate(size_t len) {
+  Bytes out;
+  out.slab_ = NewSlab(len);
+  out.size_ = static_cast<uint32_t>(len);
+  return out;
+}
+
+Bytes Bytes::Copy(const uint8_t* data, size_t len) {
+  return Build(len, [&](uint8_t* out) { std::memcpy(out, data, len); });
+}
+
+Bytes Bytes::Slice(size_t offset, size_t len) const {
+  XSSD_CHECK(offset <= size_ && len <= size_ - offset);
+  Bytes out(*this);
+  out.offset_ = static_cast<uint32_t>(offset_ + offset);
+  out.size_ = static_cast<uint32_t>(len);
+  return out;
+}
+
+Bytes Bytes::Fit(size_t len) const {
+  if (len <= size_) return len == size_ ? *this : Slice(0, len);
+  return Build(len, [&](uint8_t* out) {
+    if (size_ > 0) std::memcpy(out, data(), size_);
+    std::memset(out + size_, 0, len - size_);
+  });
+}
+
+uint64_t Bytes::live_slabs() { return g_live_slabs; }
+
+}  // namespace xssd

@@ -47,8 +47,8 @@ uint64_t CmbModule::InferStreamOffset(uint64_t ring_offset) const {
   return base + delta;
 }
 
-void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
-                            size_t len) {
+void CmbModule::OnRingWrite(uint64_t ring_offset, const Bytes& data) {
+  const size_t len = data.size();
   XSSD_CHECK(ring_offset + len <= config_.ring_bytes);
   uint64_t stream_offset = InferStreamOffset(ring_offset);
 
@@ -76,8 +76,8 @@ void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
   }
   obs::ScopedContext span_scope(spans_, span_ctx);
 
-  if (arrival_observer_) arrival_observer_(stream_offset, data, len);
-  if (arrival_hook_) arrival_hook_(stream_offset, data, len);
+  if (arrival_observer_) arrival_observer_(stream_offset, data);
+  if (arrival_hook_) arrival_hook_(stream_offset, data);
 
   if (m_append_bytes_) {
     m_append_bytes_->Add(len);
@@ -85,9 +85,7 @@ void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
   }
 
   // Stage, then proactively dequeue into backing memory (Figure 5, 1→2).
-  staging_.push_back(
-      Staged{stream_offset, std::vector<uint8_t>(data, data + len),
-             span_ctx});
+  staging_.push_back(Staged{stream_offset, data, span_ctx});
   staging_bytes_ += len;
   if (m_staging_occupancy_) {
     m_staging_occupancy_->Set(static_cast<double>(staging_bytes_));
@@ -109,7 +107,7 @@ void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
     if (m_staging_occupancy_) {
       m_staging_occupancy_->Set(static_cast<double>(staging_bytes_));
     }
-    Persist(chunk.stream_offset, std::move(chunk.data), chunk.span);
+    Persist(chunk.stream_offset, chunk.data, chunk.span);
   });
 }
 
@@ -125,7 +123,7 @@ void CmbModule::SetSpans(obs::SpanRecorder* spans,
   span_node_ = spans ? spans->InternNode(node_tag) : 0;
 }
 
-void CmbModule::Persist(uint64_t stream_offset, std::vector<uint8_t> data,
+void CmbModule::Persist(uint64_t stream_offset, const Bytes& data,
                         obs::SpanContext span) {
   if (injector_ != nullptr &&
       injector_->CrashPoint(site_prefix_ + "cmb.persist")) {
@@ -196,7 +194,7 @@ void CmbModule::DrainStagingForPowerLoss() {
     Staged chunk = std::move(staging_.front());
     staging_.pop_front();
     staging_bytes_ -= chunk.data.size();
-    Persist(chunk.stream_offset, std::move(chunk.data), chunk.span);
+    Persist(chunk.stream_offset, chunk.data, chunk.span);
   }
   if (m_staging_occupancy_) m_staging_occupancy_->Set(0);
 }

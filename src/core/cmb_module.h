@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/config.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -40,16 +41,17 @@ class CmbModule {
   /// Fires on every chunk arrival (before persistence) with the stream
   /// offset — the Transport module's mirror tap (Figure 6 step 1).
   using ArrivalHook =
-      std::function<void(uint64_t stream_offset, const uint8_t* data,
-                         size_t len)>;
+      std::function<void(uint64_t stream_offset, const Bytes& data)>;
 
   CmbModule(sim::Simulator* sim, const CmbConfig& config);
 
   CmbModule(const CmbModule&) = delete;
   CmbModule& operator=(const CmbModule&) = delete;
 
-  /// A memory-write TLP landed on the ring window at `ring_offset`.
-  void OnRingWrite(uint64_t ring_offset, const uint8_t* data, size_t len);
+  /// A memory-write TLP landed on the ring window at `ring_offset`. The
+  /// staging queue holds the handle; the bytes are copied once, into the
+  /// ring, when the chunk persists.
+  void OnRingWrite(uint64_t ring_offset, const Bytes& data);
 
   /// Serve a read of the ring window (CMB is readable per the standard).
   void ReadRing(uint64_t ring_offset, uint8_t* out, size_t len) const;
@@ -160,7 +162,7 @@ class CmbModule {
 
   /// Move one staged chunk into backing memory (persist point). `span` is
   /// the chunk's cmb.stage span, closed once the bytes are persistent.
-  void Persist(uint64_t stream_offset, std::vector<uint8_t> data,
+  void Persist(uint64_t stream_offset, const Bytes& data,
                obs::SpanContext span);
 
   void AdvanceCredit();
@@ -180,7 +182,7 @@ class CmbModule {
 
   struct Staged {
     uint64_t stream_offset;
-    std::vector<uint8_t> data;
+    Bytes data;
     obs::SpanContext span;
   };
   std::deque<Staged> staging_;  ///< arrived, persist event pending

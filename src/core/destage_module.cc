@@ -141,14 +141,13 @@ void DestageModule::EmitPage(uint32_t len) {
                        (next_sequence_ % config_.ring_lba_count));
   }
 
-  std::vector<uint8_t> data(len);
-  cmb_->CopyOut(destage_cursor_, data.data(), len);
+  // The payload moves straight from the ring into the page image.
+  Bytes page = BuildDestagePage(header, ftl_->page_bytes(), [&](uint8_t* out) {
+    cmb_->CopyOut(destage_cursor_, out, len);
+  });
   // Reading the ring consumes backing-memory bandwidth too — the shared-
   // DRAM contention the paper's DRAM-backed CMB exhibits under load.
   cmb_->backing_port().Acquire(len);
-
-  std::vector<uint8_t> page =
-      BuildDestagePage(header, data.data(), len, ftl_->page_bytes());
 
   uint64_t begin = destage_cursor_;
   uint64_t end = destage_cursor_ + len;
@@ -198,18 +197,18 @@ void DestageModule::EmitPage(uint32_t len) {
             page_span);
 }
 
-void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
-                              uint64_t begin, uint64_t end, uint32_t len,
+void DestageModule::IssuePage(uint64_t lba, Bytes page, uint64_t begin,
+                              uint64_t end, uint32_t len,
                               sim::SimTime issued_at, uint32_t attempt,
                               obs::SpanContext span) {
-  // The FTL consumes its argument; keep the original for a potential
-  // re-issue after a failed program.
-  std::vector<uint8_t> copy = page;
+  // The FTL gets a handle on the page; this one stays for a re-issue
+  // after a failed program.
+  Bytes handle = page;
   // Make the page span ambient so the FTL's flash.program span (and any
   // re-issue after backoff) nests under it.
   obs::ScopedContext span_scope(spans_, span);
   ftl_->WriteDirect(
-      ftl::IoClass::kDestage, lba, std::move(copy),
+      ftl::IoClass::kDestage, lba, std::move(handle),
       [this, generation = generation_, lba, page = std::move(page), begin,
        end, len, issued_at, attempt, span](Status status) mutable {
         if (generation != generation_) {

@@ -167,9 +167,9 @@ class DestageModule {
   /// sequence number and ring slot — the recovery chain walk depends on
   /// consecutive sequences with chaining stream offsets, so a retried page
   /// must land exactly where the failed attempt would have.
-  void IssuePage(uint64_t lba, std::vector<uint8_t> page, uint64_t begin,
-                 uint64_t end, uint32_t len, sim::SimTime issued_at,
-                 uint32_t attempt, obs::SpanContext span);
+  void IssuePage(uint64_t lba, Bytes page, uint64_t begin, uint64_t end,
+                 uint32_t len, sim::SimTime issued_at, uint32_t attempt,
+                 obs::SpanContext span);
 
   void ArmTimer();
 

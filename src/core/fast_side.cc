@@ -22,17 +22,16 @@ FastSide::FastSide(sim::Simulator* sim, pcie::PcieFabric* fabric,
     destage_.OnCreditAdvance(credit);
     transport_.OnLocalCredit(credit);
   });
-  cmb_.SetArrivalHook(
-      [this](uint64_t stream_offset, const uint8_t* data, size_t len) {
-        transport_.OnCmbArrival(stream_offset, data, len);
-      });
+  cmb_.SetArrivalHook([this](uint64_t stream_offset, const Bytes& data) {
+    transport_.OnCmbArrival(stream_offset, data);
+  });
   transport_.SetRingReader(
       [this](uint64_t stream_offset, uint8_t* out, size_t len) {
         cmb_.CopyOut(stream_offset, out, len);
       });
 }
 
-void FastSide::OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) {
+void FastSide::OnMmioWrite(uint64_t offset, const Bytes& data) {
   if (halted_) return;
   if (offset >= kRingWindowOffset) {
     // Ring region: the direct host window first, then one intake alias per
@@ -42,20 +41,20 @@ void FastSide::OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) {
     if (access.window > 0 && !transport_.AdmitRingWrite(access.window - 1)) {
       return;
     }
-    cmb_.OnRingWrite(access.ring_offset, data, len);
+    cmb_.OnRingWrite(access.ring_offset, data);
     return;
   }
   // Control-page writes.
   uint32_t mailbox = ShadowMailboxIndex(offset);
-  if (mailbox < kMaxPeers && len == 8) {
+  if (mailbox < kMaxPeers && data.size() == 8) {
     uint64_t value = 0;
-    std::memcpy(&value, data, 8);
+    std::memcpy(&value, data.data(), 8);
     transport_.OnShadowWrite(mailbox, value);
     return;
   }
-  if (offset == kRegDestageBarrier && len == 8) {
+  if (offset == kRegDestageBarrier && data.size() == 8) {
     uint64_t value = 0;
-    std::memcpy(&value, data, 8);
+    std::memcpy(&value, data.data(), 8);
     destage_.SetBarrier(value);
     return;
   }

@@ -40,7 +40,7 @@ class FastSide : public pcie::MmioDevice {
   const std::string& name() const { return name_; }
 
   // pcie::MmioDevice — this fast side's BAR range.
-  void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override;
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override;
 
   /// Serve a vendor admin command addressed to this fast side, filling the

@@ -41,17 +41,14 @@ uint32_t PageCrc(const DestagePageHeader& header, const uint8_t* data,
 
 }  // namespace
 
-std::vector<uint8_t> BuildDestagePage(const DestagePageHeader& header,
-                                      const uint8_t* data, size_t len,
-                                      uint32_t page_bytes) {
-  XSSD_CHECK(len <= DestagePayloadCapacity(page_bytes));
-  XSSD_CHECK(header.data_len == len);
-  std::vector<uint8_t> page(page_bytes, 0);
+void SealDestagePage(const DestagePageHeader& header, uint8_t* page,
+                     uint32_t page_bytes) {
+  uint8_t* payload = page + DestagePageHeader::kSize;
   DestagePageHeader out = header;
-  out.crc = PageCrc(header, data, len);
-  EncodeHeader(out, page.data());
-  std::memcpy(page.data() + DestagePageHeader::kSize, data, len);
-  return page;
+  out.crc = PageCrc(header, payload, header.data_len);
+  EncodeHeader(out, page);
+  std::memset(payload + header.data_len, 0,
+              DestagePayloadCapacity(page_bytes) - header.data_len);
 }
 
 Result<ParsedDestagePage> ParseDestagePage(const std::vector<uint8_t>& page) {

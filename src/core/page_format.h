@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace xssd::core {
@@ -32,10 +34,25 @@ constexpr uint32_t DestagePayloadCapacity(uint32_t page_bytes) {
   return page_bytes - DestagePageHeader::kSize;
 }
 
-/// Assemble a full page image: header + data + zero filler.
-std::vector<uint8_t> BuildDestagePage(const DestagePageHeader& header,
-                                      const uint8_t* data, size_t len,
-                                      uint32_t page_bytes);
+/// Finish a page image whose header.data_len payload bytes already sit in
+/// their slot: write the header with its CRC and zero the filler after the
+/// payload. BuildDestagePage's second pass; call that instead.
+void SealDestagePage(const DestagePageHeader& header, uint8_t* page,
+                     uint32_t page_bytes);
+
+/// Assemble a full page image in one pass: `fill_payload(uint8_t* out)`
+/// writes the header.data_len payload bytes straight into their slot, then
+/// the header (with the CRC, computed once) and zero filler go around them.
+template <typename FillPayload>
+Bytes BuildDestagePage(const DestagePageHeader& header, uint32_t page_bytes,
+                       FillPayload&& fill_payload) {
+  XSSD_CHECK(page_bytes >= DestagePageHeader::kSize &&
+             header.data_len <= DestagePayloadCapacity(page_bytes));
+  return Bytes::Build(page_bytes, [&](uint8_t* page) {
+    fill_payload(page + DestagePageHeader::kSize);
+    SealDestagePage(header, page, page_bytes);
+  });
+}
 
 /// Parsed view of a destaged page.
 struct ParsedDestagePage {

@@ -161,20 +161,22 @@ void TransportModule::UpdateLagGauge() {
 
 void TransportModule::WriteToPeerRing(uint64_t window_base,
                                       uint64_t stream_offset,
-                                      const uint8_t* data, size_t len) {
+                                      const Bytes& data) {
   XSSD_CHECK(ring_bytes_ > 0);
+  const size_t len = data.size();
   uint64_t base = window_base + IntakeAliasOffset(ring_bytes_, member_slot_);
   RingSplit split = SplitRingRange(stream_offset, len, ring_bytes_);
-  fabric_->PeerWrite(base + split.offset, data, split.head,
+  fabric_->PeerWrite(base + split.offset, data.Slice(0, split.head),
                      pcie::StoreEngine::kWcLineBytes);
   if (split.head < len) {
-    fabric_->PeerWrite(base, data + split.head, len - split.head,
+    fabric_->PeerWrite(base, data.Slice(split.head, len - split.head),
                        pcie::StoreEngine::kWcLineBytes);
   }
 }
 
 void TransportModule::OnCmbArrival(uint64_t stream_offset,
-                                   const uint8_t* data, size_t len) {
+                                   const Bytes& data) {
+  const size_t len = data.size();
   if (role_ != Role::kPrimary || active_slots_.empty()) return;
   // Replication wait: arrival until every peer's shadow counter covers
   // these bytes (closed in OnShadowWrite). Ambient for the mirror fan-out
@@ -193,7 +195,7 @@ void TransportModule::OnCmbArrival(uint64_t stream_offset,
   for (uint32_t slot : active_slots_) {
     mirrored_bytes_ += len;
     if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
-    WriteToPeerRing(peer_slots_[slot].window, stream_offset, data, len);
+    WriteToPeerRing(peer_slots_[slot].window, stream_offset, data);
   }
 }
 
@@ -211,7 +213,7 @@ void TransportModule::UpdateTick() {
     uint8_t payload[8];
     uint64_t value = local_credit_;
     std::memcpy(payload, &value, 8);
-    fabric_->PeerWrite(primary_shadow_addr_, payload, 8, 8);
+    fabric_->PeerWrite(primary_shadow_addr_, Bytes::Copy(payload, 8), 8);
     ++counter_updates_sent_;
     if (m_counter_updates_) m_counter_updates_->Add();
   }
@@ -307,13 +309,12 @@ void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
   uint64_t floor =
       local_credit_ > ring_bytes_ ? local_credit_ - ring_bytes_ : 0;
   from = std::max(from, floor);
-  std::vector<uint8_t> buf;
   for (uint64_t off = from; off < local_credit_;) {
     size_t n = static_cast<size_t>(std::min<uint64_t>(
         config_.retransmit_chunk, local_credit_ - off));
-    buf.resize(n);
-    ring_reader_(off, buf.data(), n);
-    WriteToPeerRing(window_base, off, buf.data(), n);
+    Bytes chunk =
+        Bytes::Build(n, [&](uint8_t* out) { ring_reader_(off, out, n); });
+    WriteToPeerRing(window_base, off, chunk);
     retransmitted_bytes_ += n;
     if (m_retransmitted_bytes_) m_retransmitted_bytes_->Add(n);
     off += n;

@@ -105,7 +105,8 @@ class TransportModule {
   // -- Data-path hooks ------------------------------------------------------
 
   /// Primary tap: a chunk arrived on the local CMB (Figure 6 step 1-2).
-  void OnCmbArrival(uint64_t stream_offset, const uint8_t* data, size_t len);
+  /// Each mirror write carries a slice of the arriving handle.
+  void OnCmbArrival(uint64_t stream_offset, const Bytes& data);
 
   /// Secondary tap: local credit advanced (reported on the next cycle).
   void OnLocalCredit(uint64_t credit);
@@ -184,13 +185,13 @@ class TransportModule {
   void RetransmitRange(uint64_t window_base, uint64_t from);
   void RetransmitRound();
 
-  /// The one ring writer: post stream bytes [stream_offset, +len) to the
-  /// peer whose CMB BAR is at `window_base`, into the intake alias of this
-  /// device's member slot (so the receiver can term-fence us), at the ring
-  /// offset the local write used — rings are sized identically within a
-  /// replication group — wrapping at the ring end.
+  /// The one ring writer: post `data` as stream bytes [stream_offset, +len)
+  /// to the peer whose CMB BAR is at `window_base`, into the intake alias of
+  /// this device's member slot (so the receiver can term-fence us), at the
+  /// ring offset the local write used — rings are sized identically within
+  /// a replication group — wrapping at the ring end.
   void WriteToPeerRing(uint64_t window_base, uint64_t stream_offset,
-                       const uint8_t* data, size_t len);
+                       const Bytes& data);
 
   sim::Simulator* sim_;
   pcie::PcieFabric* fabric_;

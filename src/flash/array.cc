@@ -1,6 +1,7 @@
 #include "flash/array.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -114,7 +115,7 @@ uint64_t Array::SampleBitErrors(const Block& block, double ber_scale) {
   return errors;
 }
 
-void Array::Program(const Address& addr, std::vector<uint8_t> data,
+void Array::Program(const Address& addr, Bytes data,
                     std::vector<uint8_t> oob, ProgramCallback done,
                     sim::Simulator::Callback bus_released) {
   XSSD_CHECK(Contains(geometry_, addr));
@@ -142,7 +143,7 @@ void Array::Program(const Address& addr, std::vector<uint8_t> data,
                    });
     return;
   }
-  data.resize(geometry_.page_bytes, 0);
+  data = data.Fit(geometry_.page_bytes);
 
   bool fail = reliability_.program_fail_rate > 0 &&
               rng_.Bernoulli(reliability_.program_fail_rate);
@@ -216,8 +217,12 @@ void Array::Read(const Address& addr, ReadCallback done) {
   sim::SimTime bus_done = std::max(
       channel_bus_[addr.channel]->Acquire(geometry_.page_bytes), start_bus);
 
-  std::vector<uint8_t> data = block.pages[addr.page];
-  if (data.empty()) data.assign(geometry_.page_bytes, 0xFF);  // erased page
+  Bytes data = block.pages[addr.page];
+  if (data.empty()) {  // erased page
+    data = Bytes::Build(geometry_.page_bytes, [&](uint8_t* out) {
+      std::memset(out, 0xFF, geometry_.page_bytes);
+    });
+  }
 
   Status status = Status::OK();
   if (errors > reliability_.ecc_correctable_bits) {
@@ -225,11 +230,14 @@ void Array::Read(const Address& addr, ReadCallback done) {
     if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
     ++stats_.retry_exhausted;
     if (m_retry_exhausted_) m_retry_exhausted_->Add();
-    // Corrupt the returned image deterministically.
+    // Corrupt a copy of the image deterministically; the stored page
+    // keeps its bytes.
+    std::vector<uint8_t> image = data.ToVector();
     for (uint64_t i = 0; i < errors && i < 64; ++i) {
-      uint64_t bit = rng_.Uniform(data.size() * 8);
-      data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      uint64_t bit = rng_.Uniform(image.size() * 8);
+      image[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     }
+    data = Bytes(std::move(image));
     status = Status::Corruption("uncorrectable bit errors");
   } else {
     stats_.corrected_bit_errors += errors;
@@ -269,7 +277,7 @@ void Array::Erase(const Address& addr, EraseCallback done) {
     return;
   }
   ++block.erase_count;
-  for (auto& page : block.pages) page.clear();
+  for (auto& page : block.pages) page = Bytes();
   for (auto& spare : block.oob) spare.clear();
   block.next_page = 0;
   block.programmed_at = sim_->Now();  // dwell epoch restarts at the erase
@@ -306,7 +314,7 @@ double Array::PredictedBer(const Address& addr) const {
   return BaseBer(BlockAt(addr));
 }
 
-const std::vector<uint8_t>* Array::PeekPage(const Address& addr) const {
+const Bytes* Array::PeekPage(const Address& addr) const {
   const Block& block = BlockAt(addr);
   if (block.pages[addr.page].empty()) return nullptr;
   return &block.pages[addr.page];

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "flash/geometry.h"
 #include "flash/timing.h"
@@ -49,7 +50,7 @@ struct ArrayStats {
 class Array {
  public:
   using ProgramCallback = std::function<void(Status)>;
-  using ReadCallback = std::function<void(Status, std::vector<uint8_t>)>;
+  using ReadCallback = std::function<void(Status, Bytes)>;
   using EraseCallback = std::function<void(Status)>;
 
   Array(sim::Simulator* sim, Geometry geometry, Timing timing,
@@ -58,7 +59,8 @@ class Array {
   Array(const Array&) = delete;
   Array& operator=(const Array&) = delete;
 
-  /// Program a full page. `data` shorter than page_bytes is zero-padded.
+  /// Program a full page; the block keeps the `data` handle. `data` shorter
+  /// than page_bytes is zero-padded (a copy), a longer one is cut.
   /// Fails with kIoError on (injected) program failure — the caller must
   /// treat the block as bad — or kFailedPrecondition on NAND rule
   /// violations (page not erased / out-of-order program).
@@ -68,12 +70,13 @@ class Array {
   /// `bus_released` (optional) fires when the channel-bus transfer into the
   /// die's page register finishes — the point the scheduler may start the
   /// next transfer on this channel while tPROG runs.
-  void Program(const Address& addr, std::vector<uint8_t> data,
+  void Program(const Address& addr, Bytes data,
                std::vector<uint8_t> oob, ProgramCallback done,
                sim::Simulator::Callback bus_released = nullptr);
 
-  /// Read a full page. kCorruption when errors exceed the ECC budget; the
-  /// returned data is then the *corrupted* image.
+  /// Read a full page. A correctable read returns the stored handle.
+  /// kCorruption when errors exceed the ECC budget; the returned data is
+  /// then a *corrupted* copy of the image.
   void Read(const Address& addr, ReadCallback done);
 
   /// Erase a block (page component of `addr` ignored).
@@ -101,7 +104,7 @@ class Array {
 
   /// Synchronous functional peek at stored page bytes (tests/recovery
   /// tooling only — no timing, no ECC).
-  const std::vector<uint8_t>* PeekPage(const Address& addr) const;
+  const Bytes* PeekPage(const Address& addr) const;
 
   /// Synchronous peek at a page's OOB (spare) bytes, or nullptr when the
   /// page is erased or carries no OOB. Recovery's boot-time mapping scan
@@ -133,7 +136,7 @@ class Array {
 
  private:
   struct Block {
-    std::vector<std::vector<uint8_t>> pages;  // empty vector == erased
+    std::vector<Bytes> pages;                 // empty handle == erased
     std::vector<std::vector<uint8_t>> oob;    // spare area, same lifecycle
     uint32_t next_page = 0;                   // NAND in-order program cursor
     uint32_t erase_count = 0;

@@ -129,10 +129,9 @@ void Ftl::EvictIfNeeded() {
   }
 }
 
-void Ftl::WriteBuffered(uint64_t lpn, std::vector<uint8_t> data,
-                        WriteCallback done) {
+void Ftl::WriteBuffered(uint64_t lpn, Bytes data, WriteCallback done) {
   XSSD_CHECK(lpn < map_.lpn_count());
-  data.resize(page_bytes(), 0);
+  data = data.Fit(page_bytes());
   ++stats_.host_writes;
   if (m_host_writes_) m_host_writes_->Add();
   // The logical version is assigned at accept so that writes queued behind
@@ -152,7 +151,7 @@ void Ftl::WriteBuffered(uint64_t lpn, std::vector<uint8_t> data,
   AdmitWrite(lpn, seq, std::move(data), std::move(done));
 }
 
-void Ftl::AdmitWrite(uint64_t lpn, uint64_t seq, std::vector<uint8_t> data,
+void Ftl::AdmitWrite(uint64_t lpn, uint64_t seq, Bytes data,
                      WriteCallback done) {
   auto it = buffer_.find(lpn);
   if (it == buffer_.end()) {
@@ -188,10 +187,10 @@ void Ftl::AdmitWrite(uint64_t lpn, uint64_t seq, std::vector<uint8_t> data,
                    [done = std::move(done)]() { done(Status::OK()); });
 }
 
-void Ftl::WriteDirect(IoClass io_class, uint64_t lpn,
-                      std::vector<uint8_t> data, WriteCallback done) {
+void Ftl::WriteDirect(IoClass io_class, uint64_t lpn, Bytes data,
+                      WriteCallback done) {
   XSSD_CHECK(lpn < map_.lpn_count());
-  data.resize(page_bytes(), 0);
+  data = data.Fit(page_bytes());
   ++stats_.host_writes;
   if (m_host_writes_) m_host_writes_->Add();
   uint64_t seq = next_seq_++;
@@ -221,8 +220,7 @@ void Ftl::WriteDirect(IoClass io_class, uint64_t lpn,
 
 void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
                       uint64_t lpn, uint64_t seq, uint64_t src_ppn,
-                      std::vector<uint8_t> data, WriteCallback done,
-                      uint32_t attempts) {
+                      Bytes data, WriteCallback done, uint32_t attempts) {
   Result<flash::Address> addr = allocator_.AllocatePage(stream);
   if (!addr.ok()) {
     // Out of erased blocks: force a GC pass, then retry.
@@ -247,10 +245,13 @@ void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
   uint64_t stamp = ++next_stamp_;
   std::vector<uint8_t> oob = EncodeOob(OobMeta{lpn, seq, stamp});
   ++inflight_programs_[flash::BlockIndex(array_->geometry(), target)];
+  // The array keeps one handle on the page; this one stays for a retry.
+  Bytes page = data;
   scheduler_.Program(
-      io_class, target, data, std::move(oob),
-      [this, io_class, stream, lpn, seq, stamp, src_ppn, ppn, target, data,
-       attempts, done = std::move(done)](Status status) mutable {
+      io_class, target, std::move(page), std::move(oob),
+      [this, io_class, stream, lpn, seq, stamp, src_ppn, ppn, target,
+       data = std::move(data), attempts,
+       done = std::move(done)](Status status) mutable {
         --inflight_programs_[flash::BlockIndex(array_->geometry(), target)];
         if (status.IsIoError()) {
           // Grown bad block: retire it and retry elsewhere (paper §7.1:
@@ -301,7 +302,7 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
     ++stats_.buffer_hits;
     if (m_buffer_hits_) m_buffer_hits_->Add();
     TouchLru(lpn);
-    std::vector<uint8_t> copy = it->second.data;
+    std::vector<uint8_t> copy = it->second.data.ToVector();
     sim::SimTime at = buffer_port_.Acquire(page_bytes());
     sim_->ScheduleAt(
         at + config_.firmware_latency,
@@ -322,8 +323,7 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
   flash::Address addr = flash::AddressOfPage(array_->geometry(), ppn);
   scheduler_.Read(
       io_class, addr,
-      [this, ppn, done = std::move(done)](Status status,
-                                          std::vector<uint8_t> data) mutable {
+      [this, ppn, done = std::move(done)](Status status, Bytes data) mutable {
         if (status.IsCorruption()) {
           // Retry-ladder exhaustion reached the host path. Start the
           // escalation chain in the background — relocate what still reads,
@@ -346,7 +346,7 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
             flightrec_->AutoDump("Corruption escalation on host read");
           }
         }
-        done(status, std::move(data));
+        done(status, data.ToVector());
       });
 }
 
@@ -371,10 +371,8 @@ bool Ftl::FlushOne() {
     --dirty_count_;
     ++flush_inflight_;
     UpdateGauges();
-    std::vector<uint8_t> data = it->second.data;
-    uint64_t seq = it->second.seq;
     ProgramPage(IoClass::kConventional, BlockAllocator::kConventionalStream,
-                lpn, seq, kUnmapped, std::move(data),
+                lpn, it->second.seq, kUnmapped, it->second.data,
                 [this, lpn](Status status) {
                   auto slot = buffer_.find(lpn);
                   if (slot != buffer_.end()) slot->second.flushing = false;
@@ -603,8 +601,7 @@ void Ftl::CollectStep(std::shared_ptr<Collect> collect, uint32_t page) {
   uint64_t ppn = collect->victim * geom.pages_per_block + page;
   scheduler_.Read(
       IoClass::kConventional, flash::AddressOfPage(geom, ppn),
-      [this, collect, lpn, ppn, page](Status status,
-                                      std::vector<uint8_t> data) {
+      [this, collect, lpn, ppn, page](Status status, Bytes data) {
         const bool for_gc = collect->mode == CollectMode::kGc;
         if (!status.ok()) {
           if (for_gc) {

@@ -118,17 +118,19 @@ class Ftl {
   uint32_t page_bytes() const { return array_->geometry().page_bytes; }
 
   /// Buffered page write (conventional class). `done` fires when the data
-  /// is accepted into the data buffer, not when it reaches NAND.
-  void WriteBuffered(uint64_t lpn, std::vector<uint8_t> data,
-                     WriteCallback done);
+  /// is accepted into the data buffer, not when it reaches NAND. The buffer
+  /// and then the flash array keep the `data` handle; a short page is
+  /// zero-padded here, once.
+  void WriteBuffered(uint64_t lpn, Bytes data, WriteCallback done);
 
   /// Direct page write that bypasses the buffer. `done` fires when the
   /// page is programmed. Used by the Destage module (IoClass::kDestage)
-  /// and by GC internally.
-  void WriteDirect(IoClass io_class, uint64_t lpn, std::vector<uint8_t> data,
+  /// and by GC internally. Padded like WriteBuffered.
+  void WriteDirect(IoClass io_class, uint64_t lpn, Bytes data,
                    WriteCallback done);
 
-  /// Page read; served from the data buffer when present.
+  /// Page read; served from the data buffer when present. The one copy of
+  /// the page bytes is made here, into the callback's vector.
   void ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done);
 
   /// Durability barrier: `done` fires when every page dirty at call time
@@ -214,7 +216,7 @@ class Ftl {
 
  private:
   struct BufferSlot {
-    std::vector<uint8_t> data;
+    Bytes data;
     uint64_t seq = 0;  ///< logical version of the buffered copy
     bool dirty = false;
     bool flushing = false;
@@ -227,8 +229,8 @@ class Ftl {
   /// `src_ppn == kUnmapped` maps through PageMap::Map (host/destage write);
   /// otherwise the program is a GC relocation applied via MapRelocated.
   void ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
-                   uint64_t lpn, uint64_t seq, uint64_t src_ppn,
-                   std::vector<uint8_t> data, WriteCallback done,
+                   uint64_t lpn, uint64_t seq, uint64_t src_ppn, Bytes data,
+                   WriteCallback done,
                    uint32_t attempts = 0);
 
   /// True after a crash clause fired: stop initiating background work.
@@ -242,8 +244,7 @@ class Ftl {
   /// Admit a buffered write or queue it when the buffer is saturated.
   /// `seq` was assigned at accept time; a queued write that gets lapped by
   /// a newer in-buffer write for the same lpn is superseded on admission.
-  void AdmitWrite(uint64_t lpn, uint64_t seq, std::vector<uint8_t> data,
-                  WriteCallback done);
+  void AdmitWrite(uint64_t lpn, uint64_t seq, Bytes data, WriteCallback done);
   void DrainAdmissionQueue();
   /// Resolve Flush() waiters whose target has been reached.
   void CheckFlushWaiters();
@@ -317,7 +318,7 @@ class Ftl {
   struct AdmissionWaiter {
     uint64_t lpn;
     uint64_t seq;
-    std::vector<uint8_t> data;
+    Bytes data;
     WriteCallback done;
   };
   std::deque<AdmissionWaiter> admission_queue_;

@@ -125,7 +125,7 @@ void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
 }
 
 void Scheduler::Program(IoClass io_class, const flash::Address& addr,
-                        std::vector<uint8_t> data, std::vector<uint8_t> oob,
+                        Bytes data, std::vector<uint8_t> oob,
                         flash::Array::ProgramCallback done) {
   Op op;
   op.io_class = io_class;
@@ -160,9 +160,8 @@ void Scheduler::Read(IoClass io_class, const flash::Address& addr,
                std::function<void()> completed) mutable {
     bus_released();
     array_->Read(addr, [completed = std::move(completed),
-                        done = std::move(done)](
-                           Status status,
-                           std::vector<uint8_t> data) mutable {
+                        done = std::move(done)](Status status,
+                                                Bytes data) mutable {
       completed();
       done(status, std::move(data));
     });

@@ -125,7 +125,7 @@ void PatrolScrubber::PatrolBlock(uint64_t block) {
     flash::Address addr = flash::AddressOfPage(geom, ppn);
     ftl_->scheduler().Read(
         IoClass::kConventional, addr,
-        [this, block, escalated](Status status, std::vector<uint8_t>) {
+        [this, block, escalated](Status status, Bytes) {
           if (!status.IsCorruption()) return;
           ++stats_.patrol_uncorrectable;
           if (m_patrol_uncorrectable_) m_patrol_uncorrectable_->Add();

@@ -179,13 +179,12 @@ void ReplicaSupervisor::SendHeartbeat(size_t i) {
   hb.leader = agent.leader;
   hb.base = agent.base;
   agent.last_credit = hb.credit;
-  uint8_t payload[kHeartbeatBytes];
-  EncodeHeartbeat(hb, payload);
+  Bytes payload = Bytes::Build(
+      kHeartbeatBytes, [&](uint8_t* out) { EncodeHeartbeat(hb, out); });
   for (size_t j = 0; j < nodes_.size(); ++j) {
     if (j == i) continue;
-    nodes_[i]->fabric().HostWrite(
-        HeartbeatWindow(j) + kHeartbeatStride * i, payload, kHeartbeatBytes,
-        64);
+    nodes_[i]->fabric().HostWrite(HeartbeatWindow(j) + kHeartbeatStride * i,
+                                  payload, 64);
   }
 }
 

@@ -106,17 +106,20 @@ void XLogClient::ReadRegister(uint64_t reg,
   });
 }
 
-void XLogClient::StoreRing(uint64_t stream_offset, const uint8_t* data,
-                           size_t len, sim::Simulator::Callback posted) {
+void XLogClient::StoreRing(uint64_t stream_offset, Bytes data,
+                           sim::Simulator::Callback posted) {
   uint64_t base = cmb_base_ + core::kRingWindowOffset;
+  const size_t len = data.size();
   core::RingSplit split = core::SplitRingRange(stream_offset, len, ring_bytes_);
   if (split.head < len) {
     // The range wraps: two store sequences, completion on the second.
-    store_engine_.Store(base + split.offset, data, split.head, nullptr);
-    store_engine_.Store(base, data + split.head, len - split.head,
+    store_engine_.Store(base + split.offset, data.Slice(0, split.head),
+                        nullptr);
+    store_engine_.Store(base, data.Slice(split.head, len - split.head),
                         std::move(posted));
   } else {
-    store_engine_.Store(base + split.offset, data, len, std::move(posted));
+    store_engine_.Store(base + split.offset, std::move(data),
+                        std::move(posted));
   }
 }
 
@@ -133,15 +136,15 @@ void XLogClient::Append(const uint8_t* data, size_t len, DoneCallback done) {
       done(status);
     };
   }
-  auto copy = std::make_shared<std::vector<uint8_t>>(data, data + len);
-  AppendLoop(std::move(copy), 0, root, std::move(done));
+  // The append's one Bytes: every store, mirror and staged chunk below
+  // holds a slice of it.
+  AppendLoop(Bytes::Copy(data, len), 0, root, std::move(done));
 }
 
-void XLogClient::AppendLoop(std::shared_ptr<std::vector<uint8_t>> data,
-                            size_t offset, obs::SpanContext ctx,
+void XLogClient::AppendLoop(Bytes data, size_t offset, obs::SpanContext ctx,
                             DoneCallback done) {
   obs::ScopedContext scope(spans_, ctx);
-  size_t remaining = data->size() - offset;
+  size_t remaining = data.size() - offset;
   if (remaining == 0) {
     done(Status::OK());
     return;
@@ -178,8 +181,8 @@ void XLogClient::AppendLoop(std::shared_ptr<std::vector<uint8_t>> data,
 
   size_t chunk = static_cast<size_t>(
       std::min<uint64_t>(remaining, avail));
-  const uint8_t* src = data->data() + offset;  // before the lambda moves data
-  StoreRing(written_, src, chunk,
+  Bytes store = data.Slice(offset, chunk);  // before the lambda moves data
+  StoreRing(written_, std::move(store),
             [this, data = std::move(data), offset = offset + chunk, ctx,
              done = std::move(done)]() mutable {
               AppendLoop(std::move(data), offset, ctx, std::move(done));
@@ -453,10 +456,11 @@ void XLogClient::WriteAt(uint64_t stream_offset, const uint8_t* data,
                               stream_offset + len);
   }
   obs::ScopedContext scope(spans_, root);
-  StoreRing(stream_offset, data, len, [this, root, done = std::move(done)]() {
-    if (spans_) spans_->EndSpan(root);
-    done(Status::OK());
-  });
+  StoreRing(stream_offset, Bytes::Copy(data, len),
+            [this, root, done = std::move(done)]() {
+              if (spans_) spans_->EndSpan(root);
+              done(Status::OK());
+            });
 }
 
 Status XLogClient::XFree(uint64_t stream_offset) {
@@ -481,7 +485,8 @@ void XLogClient::PushBarrier() {
   if (!allocations_.empty()) barrier = allocations_.begin()->first;
   uint8_t payload[8];
   std::memcpy(payload, &barrier, 8);
-  fabric_->HostWrite(cmb_base_ + core::kRegDestageBarrier, payload, 8, 8);
+  fabric_->HostWrite(cmb_base_ + core::kRegDestageBarrier,
+                     Bytes::Copy(payload, 8), 8);
 }
 
 }  // namespace xssd::host

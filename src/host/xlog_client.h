@@ -166,13 +166,13 @@ class XLogClient {
   /// One stage of the Append loop: write what the window allows, then poll.
   /// `ctx` is the root request span, re-established as the ambient context
   /// at every asynchronous re-entry.
-  void AppendLoop(std::shared_ptr<std::vector<uint8_t>> data, size_t offset,
-                  obs::SpanContext ctx, DoneCallback done);
+  void AppendLoop(Bytes data, size_t offset, obs::SpanContext ctx,
+                  DoneCallback done);
 
-  /// The one ring store: write stream bytes [stream_offset, +len) into the
-  /// CMB ring window, wrapping at the ring end; `posted` fires once the
-  /// last store is posted.
-  void StoreRing(uint64_t stream_offset, const uint8_t* data, size_t len,
+  /// The one ring store: write `data` as stream bytes [stream_offset, +len)
+  /// into the CMB ring window, wrapping at the ring end; `posted` fires once
+  /// the last store is posted.
+  void StoreRing(uint64_t stream_offset, Bytes data,
                  sim::Simulator::Callback posted);
 
   /// Async read of a control register.

@@ -56,8 +56,8 @@ const NtbAdapter::Window* NtbAdapter::FindWindow(uint64_t offset) const {
   return nullptr;
 }
 
-void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
-                             size_t len) {
+void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
+  const size_t len = data.size();
   if (config_.scratchpad_bytes > 0 && offset >= config_.scratchpad_offset &&
       offset + len <= config_.scratchpad_offset + config_.scratchpad_bytes) {
     // Scratchpad store: terminate locally, never forward. An inbound
@@ -68,7 +68,7 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
             fault::FaultInjector::LinkAction::kDrop) {
       return;
     }
-    std::copy(data, data + len,
+    std::copy(data.begin(), data.end(),
               scratchpad_.begin() +
                   static_cast<ptrdiff_t>(offset - config_.scratchpad_offset));
     return;
@@ -112,7 +112,6 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
     m_forwards_->Add();
   }
 
-  std::vector<uint8_t> copy(data, data + len);
   sim::SimTime cable_done = link_.Acquire(wire);
   if (m_link_busy_us_) m_link_busy_us_->Set(sim::ToUs(link_.busy_time()));
   sim::SimTime delivered_at = cable_done + config_.hop_latency + stall_delay;
@@ -131,12 +130,12 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
   sim_->ScheduleAtIn(
       window->remote->domain(), delivered_at,
       [this, link_ctx, remote = window->remote,
-       addr = window->remote_base + window_offset, copy = std::move(copy),
+       addr = window->remote_base + window_offset, data,
        chunk = config_.forward_chunk]() {
         obs::ScopedContext scope(spans_, link_ctx);
         // Address translation is the only transformation NTB performs
         // (§2.3); inject into the remote fabric as peer-to-peer traffic.
-        remote->PeerWrite(addr, copy.data(), copy.size(), chunk);
+        remote->PeerWrite(addr, data, chunk);
       });
 }
 

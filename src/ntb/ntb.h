@@ -54,7 +54,7 @@ class NtbAdapter : public pcie::MmioDevice {
                    pcie::PcieFabric* remote_fabric, uint64_t remote_base);
 
   // pcie::MmioDevice — traffic landing on the local window.
-  void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override;
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override;
 
   /// Bytes forwarded across the cable so far (wire bytes incl. overhead) —

@@ -30,15 +30,15 @@ Status Controller::ConfigureQueue(uint16_t qid, const QueueConfig& config) {
   return Status::OK();
 }
 
-void Controller::OnMmioWrite(uint64_t offset, const uint8_t* data,
-                             size_t len) {
+void Controller::OnMmioWrite(uint64_t offset, const Bytes& data) {
+  const size_t len = data.size();
   if (offset >= kDoorbellBase &&
       offset < kDoorbellBase + kMaxQueues * kDoorbellStride) {
     uint64_t rel = offset - kDoorbellBase;
     uint16_t qid = static_cast<uint16_t>(rel / kDoorbellStride);
     bool is_sq_tail = (rel % kDoorbellStride) < 4;
     uint32_t value = 0;
-    std::memcpy(&value, data, std::min<size_t>(len, 4));
+    std::memcpy(&value, data.data(), std::min<size_t>(len, 4));
     if (is_sq_tail) {
       OnDoorbell(qid, value);
     }
@@ -47,7 +47,7 @@ void Controller::OnMmioWrite(uint64_t offset, const uint8_t* data,
     return;
   }
   if (offset == kRegCc && len >= 4) {
-    std::memcpy(&cc_, data, 4);
+    std::memcpy(&cc_, data.data(), 4);
     return;
   }
   // Other register writes (AQA/ASQ/ACQ) are accepted but queue setup goes
@@ -84,7 +84,7 @@ void Controller::FetchNext(uint16_t qid) {
   uint64_t sqe_addr = q.config.sq_base + q.sq_head * kSqeBytes;
   // DMA-fetch the submission entry from host memory.
   fabric_->DmaFromHost(sqe_addr, kSqeBytes,
-                       [this, qid](std::vector<uint8_t> bytes) {
+                       [this, qid](Bytes bytes) {
                          QueueState& queue = queues_[qid];
                          queue.fetching = false;
                          queue.sq_head = static_cast<uint16_t>(
@@ -143,25 +143,24 @@ void Controller::ExecuteIo(uint16_t qid, const Command& cmd,
       if (m_writes_) m_writes_->Add();
       uint64_t lba = cmd.slba();
       uint32_t blocks = cmd.nlb0() + 1;
-      if (lba + blocks > namespace_blocks()) {
+      if (!InNamespace(lba, blocks)) {
         cpl.status = CmdStatus::kLbaOutOfRange;
         done(cpl);
         return;
       }
-      // DMA the data in, then write page-per-LBA through the data buffer.
+      // DMA the data in, then write page-per-LBA through the data buffer:
+      // each block is a slice of the one DMA buffer.
       uint64_t bytes = static_cast<uint64_t>(blocks) * block_bytes();
       fabric_->DmaFromHost(
           cmd.prp1, bytes,
-          [this, lba, blocks, cpl,
-           done = std::move(done)](std::vector<uint8_t> data) mutable {
+          [this, lba, blocks, cpl, done = std::move(done)](Bytes data) mutable {
             auto remaining = std::make_shared<uint32_t>(blocks);
             auto failed = std::make_shared<bool>(false);
             for (uint32_t i = 0; i < blocks; ++i) {
-              std::vector<uint8_t> page(
-                  data.begin() + static_cast<size_t>(i) * block_bytes(),
-                  data.begin() + static_cast<size_t>(i + 1) * block_bytes());
               ftl_->WriteBuffered(
-                  lba + i, std::move(page),
+                  lba + i,
+                  data.Slice(static_cast<size_t>(i) * block_bytes(),
+                             block_bytes()),
                   [remaining, failed, cpl, done](Status status) mutable {
                     if (!status.ok()) *failed = true;
                     if (--*remaining == 0) {
@@ -178,7 +177,7 @@ void Controller::ExecuteIo(uint16_t qid, const Command& cmd,
       if (m_reads_) m_reads_->Add();
       uint64_t lba = cmd.slba();
       uint32_t blocks = cmd.nlb0() + 1;
-      if (lba + blocks > namespace_blocks()) {
+      if (!InNamespace(lba, blocks)) {
         cpl.status = CmdStatus::kLbaOutOfRange;
         done(cpl);
         return;

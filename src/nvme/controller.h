@@ -69,7 +69,7 @@ class Controller : public pcie::MmioDevice {
   }
 
   // pcie::MmioDevice
-  void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override;
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override;
 
   ftl::Ftl* ftl() { return ftl_; }
@@ -94,6 +94,12 @@ class Controller : public pcie::MmioDevice {
     bool cq_phase = true;
     bool fetching = false;
   };
+
+  /// [lba, lba + blocks) lies in the namespace. Written so that an slba
+  /// near 2^64 from the host cannot wrap past the check.
+  bool InNamespace(uint64_t lba, uint64_t blocks) const {
+    return lba < namespace_blocks() && blocks <= namespace_blocks() - lba;
+  }
 
   void OnDoorbell(uint16_t qid, uint32_t value);
   /// Fetch and launch the next command if the SQ is non-empty.

@@ -66,7 +66,7 @@ void Driver::Submit(uint16_t qid, Command cmd, Pending pending) {
     uint64_t db = bar0_base_ + kDoorbellBase + qid * kDoorbellStride;
     uint8_t value[4];
     std::memcpy(value, &tail, 4);
-    fabric_->HostWrite(db, value, 4, 4);
+    fabric_->HostWrite(db, Bytes::Copy(value, 4), 4);
   });
 }
 

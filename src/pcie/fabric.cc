@@ -1,5 +1,6 @@
 #include "pcie/fabric.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -33,7 +34,10 @@ PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
       upstream_(sim, link_bytes_per_sec_),
       peer_(sim, link_bytes_per_sec_),
       host_memory_port_(sim, config.host_memory_bytes_per_sec),
-      host_memory_(config.host_memory_bytes, 0) {}
+      host_memory_(static_cast<uint8_t*>(
+          std::calloc(std::max<uint64_t>(config.host_memory_bytes, 1), 1))) {
+  XSSD_CHECK(host_memory_ != nullptr);
+}
 
 void PcieFabric::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
@@ -72,9 +76,10 @@ const PcieFabric::Region* PcieFabric::FindRegion(uint64_t addr) const {
 }
 
 void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
-                             const uint8_t* data, size_t len, uint32_t chunk,
+                             Bytes data, uint32_t chunk,
                              sim::Simulator::Callback posted, bool peer_path) {
   CheckDomain();
+  const size_t len = data.size();
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
   XSSD_CHECK(addr + len <= region->base + region->size);
@@ -90,7 +95,7 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
       landed = static_cast<size_t>(injector_->InjectPcieTruncation(len));
     }
   }
-  std::vector<uint8_t> copy(data, data + landed);
+  if (landed < len) data = data.Slice(0, landed);
   uint64_t offset = addr - region->base;
   MmioDevice* device = region->device;
   sim::SimTime done_at = server.Acquire(wire_bytes);
@@ -101,9 +106,9 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
     obs::SpanContext ctx =
         spans_ ? spans_->current() : obs::SpanContext{};
     sim_->ScheduleAt(done_at + config_.propagation + extra_delay,
-                     [this, ctx, device, offset, copy = std::move(copy)]() {
+                     [this, ctx, device, offset, data = std::move(data)]() {
                        obs::ScopedContext scope(spans_, ctx);
-                       device->OnMmioWrite(offset, copy.data(), copy.size());
+                       device->OnMmioWrite(offset, data);
                      });
   }
   // The write stays posted: the sender sees acceptance onto the link, never
@@ -111,17 +116,17 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
   if (posted) sim_->ScheduleAt(done_at, std::move(posted));
 }
 
-void PcieFabric::HostWrite(uint64_t addr, const uint8_t* data, size_t len,
-                           uint32_t chunk, sim::Simulator::Callback posted) {
-  if (m_host_write_bytes_) m_host_write_bytes_->Add(len);
-  RoutedWrite(downstream_, addr, data, len, chunk, std::move(posted),
+void PcieFabric::HostWrite(uint64_t addr, Bytes data, uint32_t chunk,
+                           sim::Simulator::Callback posted) {
+  if (m_host_write_bytes_) m_host_write_bytes_->Add(data.size());
+  RoutedWrite(downstream_, addr, std::move(data), chunk, std::move(posted),
               /*peer_path=*/false);
 }
 
-void PcieFabric::PeerWrite(uint64_t addr, const uint8_t* data, size_t len,
-                           uint32_t chunk, sim::Simulator::Callback posted) {
-  if (m_peer_write_bytes_) m_peer_write_bytes_->Add(len);
-  RoutedWrite(peer_, addr, data, len, chunk, std::move(posted),
+void PcieFabric::PeerWrite(uint64_t addr, Bytes data, uint32_t chunk,
+                           sim::Simulator::Callback posted) {
+  if (m_peer_write_bytes_) m_peer_write_bytes_->Add(data.size());
+  RoutedWrite(peer_, addr, std::move(data), chunk, std::move(posted),
               /*peer_path=*/true);
 }
 
@@ -158,30 +163,31 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
 void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                            sim::Simulator::Callback done) {
   CheckDomain();
-  XSSD_CHECK(host_addr + len <= host_memory_.size());
+  XSSD_CHECK(host_addr <= host_memory_size() &&
+             len <= host_memory_size() - host_addr);
   if (m_dma_to_host_bytes_) m_dma_to_host_bytes_->Add(len);
   std::vector<uint8_t> copy(data, data + len);
   sim::SimTime link_done =
       upstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
   sim_->ScheduleAt(link_done, [this, host_addr, copy = std::move(copy),
                                done = std::move(done)]() mutable {
-    std::memcpy(host_memory_.data() + host_addr, copy.data(), copy.size());
+    std::memcpy(host_memory() + host_addr, copy.data(), copy.size());
     host_memory_port_.Acquire(copy.size(), std::move(done));
   });
 }
 
 void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
-                             std::function<void(std::vector<uint8_t>)> done) {
+                             std::function<void(Bytes)> done) {
   CheckDomain();
-  XSSD_CHECK(host_addr + len <= host_memory_.size());
+  XSSD_CHECK(host_addr <= host_memory_size() &&
+             len <= host_memory_size() - host_addr);
   if (m_dma_from_host_bytes_) m_dma_from_host_bytes_->Add(len);
   // Read request downstream is negligible; charge memory port + upstream
   // completion stream.
   sim::SimTime mem_done = host_memory_port_.Acquire(len);
   sim_->ScheduleAt(mem_done, [this, host_addr, len,
                               done = std::move(done)]() mutable {
-    std::vector<uint8_t> data(host_memory_.begin() + host_addr,
-                              host_memory_.begin() + host_addr + len);
+    Bytes data = Bytes::Copy(host_memory() + host_addr, len);
     sim::SimTime link_done =
         downstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
     sim_->ScheduleAt(
@@ -198,7 +204,7 @@ Status PcieFabric::FunctionalWrite(uint64_t addr, const uint8_t* data,
   if (region == nullptr || addr + len > region->base + region->size) {
     return Status::OutOfRange("no MMIO region covers address");
   }
-  region->device->OnMmioWrite(addr - region->base, data, len);
+  region->device->OnMmioWrite(addr - region->base, Bytes::Copy(data, len));
   return Status::OK();
 }
 

@@ -2,11 +2,13 @@
 #define XSSD_PCIE_FABRIC_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -27,9 +29,9 @@ class MmioDevice {
  public:
   virtual ~MmioDevice() = default;
 
-  /// A memory-write TLP for [offset, offset+len) landed on this region.
-  virtual void OnMmioWrite(uint64_t offset, const uint8_t* data,
-                           size_t len) = 0;
+  /// A memory-write TLP for [offset, offset + data.size()) landed on this
+  /// region. A receiver that keeps the bytes keeps the handle.
+  virtual void OnMmioWrite(uint64_t offset, const Bytes& data) = 0;
 
   /// Serve a memory-read of [offset, offset+len) into `out`.
   virtual void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) = 0;
@@ -75,14 +77,14 @@ class PcieFabric {
 
   // -- Host-initiated traffic (CPU -> device) ------------------------------
 
-  /// Post a memory write of `len` bytes to bus address `addr`, split into
-  /// TLPs of at most `chunk` payload bytes (64 for write-combined stores,
-  /// 8 for uncached stores, kMaxPayloadBytes for bulk transfers).
-  /// `posted` fires when the last TLP has been accepted onto the link (the
-  /// CPU-visible cost of a posted write); delivery to the device happens one
-  /// propagation delay later.
-  void HostWrite(uint64_t addr, const uint8_t* data, size_t len,
-                 uint32_t chunk, sim::Simulator::Callback posted = nullptr);
+  /// Post a memory write of `data` to bus address `addr`, split into TLPs
+  /// of at most `chunk` payload bytes (64 for write-combined stores, 8 for
+  /// uncached stores, kMaxPayloadBytes for bulk transfers). `posted` fires
+  /// when the last TLP has been accepted onto the link (the CPU-visible cost
+  /// of a posted write); delivery of the same handle to the device happens
+  /// one propagation delay later.
+  void HostWrite(uint64_t addr, Bytes data, uint32_t chunk,
+                 sim::Simulator::Callback posted = nullptr);
 
   /// Non-posted memory read; `done` receives the bytes after the round trip.
   void HostRead(uint64_t addr, size_t len,
@@ -94,16 +96,17 @@ class PcieFabric {
   void DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                  sim::Simulator::Callback done);
 
-  /// Device reads `len` bytes of host memory at `host_addr`.
+  /// Device reads `len` bytes of host memory at `host_addr`: the one copy
+  /// out of host DRAM, delivered as a Bytes the device passes on.
   void DmaFromHost(uint64_t host_addr, size_t len,
-                   std::function<void(std::vector<uint8_t>)> done);
+                   std::function<void(Bytes)> done);
 
   // -- Peer-to-peer (device -> device through the switch) ------------------
 
   /// A device posts a write to another device's BAR (e.g. Villars Transport
   /// module -> NTB adapter window). Charged on the peer-to-peer server.
-  void PeerWrite(uint64_t addr, const uint8_t* data, size_t len,
-                 uint32_t chunk, sim::Simulator::Callback posted = nullptr);
+  void PeerWrite(uint64_t addr, Bytes data, uint32_t chunk,
+                 sim::Simulator::Callback posted = nullptr);
 
   /// Immediate functional write, bypassing timing. Used for setup/reset
   /// paths, never on measured paths.
@@ -112,8 +115,8 @@ class PcieFabric {
 
   // -- Host memory image ----------------------------------------------------
 
-  uint8_t* host_memory() { return host_memory_.data(); }
-  uint64_t host_memory_size() const { return host_memory_.size(); }
+  uint8_t* host_memory() { return host_memory_.get(); }
+  uint64_t host_memory_size() const { return config_.host_memory_bytes; }
 
   sim::Simulator* simulator() { return sim_; }
   const FabricConfig& config() const { return config_; }
@@ -168,9 +171,13 @@ class PcieFabric {
   }
 
   /// Common write path for HostWrite/PeerWrite.
-  void RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
-                   const uint8_t* data, size_t len, uint32_t chunk,
-                   sim::Simulator::Callback posted, bool peer_path);
+  void RoutedWrite(sim::BandwidthServer& server, uint64_t addr, Bytes data,
+                   uint32_t chunk, sim::Simulator::Callback posted,
+                   bool peer_path);
+
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
 
   sim::Simulator* sim_;
   fault::FaultInjector* injector_ = nullptr;
@@ -185,7 +192,9 @@ class PcieFabric {
   sim::BandwidthServer host_memory_port_;
 
   std::vector<Region> regions_;
-  std::vector<uint8_t> host_memory_;
+  /// From calloc: the image reads as zeros (the CQ phase-bit protocol
+  /// depends on that) without every page being touched up front.
+  std::unique_ptr<uint8_t, FreeDeleter> host_memory_;
 
   // Observability (null until SetMetrics).
   obs::Counter* m_host_write_bytes_ = nullptr;

@@ -27,12 +27,12 @@ class StoreEngine {
   StoreEngine(PcieFabric* fabric, MmioMode mode)
       : fabric_(fabric), mode_(mode) {}
 
-  /// Store `len` bytes at bus address `addr`; `posted` fires when the last
-  /// TLP has been accepted onto the link (the point a fenced CPU store
-  /// sequence retires).
-  void Store(uint64_t addr, const uint8_t* data, size_t len,
+  /// Store `data` at bus address `addr`; `posted` fires when the last TLP
+  /// has been accepted onto the link (the point a fenced CPU store sequence
+  /// retires).
+  void Store(uint64_t addr, Bytes data,
              sim::Simulator::Callback posted = nullptr) {
-    fabric_->HostWrite(addr, data, len, ChunkBytes(), std::move(posted));
+    fabric_->HostWrite(addr, std::move(data), ChunkBytes(), std::move(posted));
   }
 
   /// TLP payload granularity implied by the mode.

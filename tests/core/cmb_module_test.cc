@@ -25,7 +25,7 @@ class CmbTest : public ::testing::Test {
   CmbTest() : cmb_(&sim_, SmallConfig()) {}
 
   void Write(uint64_t ring_offset, const std::vector<uint8_t>& data) {
-    cmb_.OnRingWrite(ring_offset, data.data(), data.size());
+    cmb_.OnRingWrite(ring_offset, xssd::Bytes::Copy(data.data(), data.size()));
   }
 
   sim::Simulator sim_;
@@ -54,7 +54,7 @@ TEST_F(CmbTest, CreditHookFiresOnAdvance) {
 
 TEST_F(CmbTest, ArrivalHookSeesStreamOffsets) {
   std::vector<uint64_t> offsets;
-  cmb_.SetArrivalHook([&](uint64_t offset, const uint8_t*, size_t) {
+  cmb_.SetArrivalHook([&](uint64_t offset, const xssd::Bytes&) {
     offsets.push_back(offset);
   });
   Write(0, Bytes(64, 1));
@@ -172,9 +172,9 @@ TEST_F(CmbTest, PersistLatencyScalesWithBackingRate) {
   uint64_t sram_done = 0, dram_done = 0;
   cmb_.SetCreditHook([&](uint64_t) { sram_done = sim_.Now(); });
   dram_cmb.SetCreditHook([&](uint64_t) { dram_done = sim2.Now(); });
-  std::vector<uint8_t> chunk(1024, 9);
-  cmb_.OnRingWrite(0, chunk.data(), chunk.size());
-  dram_cmb.OnRingWrite(0, chunk.data(), chunk.size());
+  xssd::Bytes chunk(std::vector<uint8_t>(1024, 9));
+  cmb_.OnRingWrite(0, chunk);
+  dram_cmb.OnRingWrite(0, chunk);
   sim_.Run();
   sim2.Run();
   EXPECT_LT(sram_done, dram_done);
@@ -212,8 +212,8 @@ TEST_P(CmbShuffleTest, WindowedShuffledArrivalsConverge) {
       std::swap(chunks[i - 1], chunks[rng.Uniform(i)]);
     }
     for (auto [offset, len] : chunks) {
-      cmb.OnRingWrite(offset % config.ring_bytes, stream.data() + offset,
-                      len);
+      cmb.OnRingWrite(offset % config.ring_bytes,
+                      xssd::Bytes::Copy(stream.data() + offset, len));
     }
     sim.Run();
     base = window_end;

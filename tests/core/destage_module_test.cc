@@ -49,12 +49,12 @@ class DestageTest : public ::testing::Test {
 
   void WriteStream(uint64_t offset, size_t len, uint8_t fill) {
     // Split on ring wrap, as the host-side store path does.
-    std::vector<uint8_t> data(len, fill);
+    Bytes data(std::vector<uint8_t>(len, fill));
     uint64_t ring_offset = offset % cmb_.ring_bytes();
     size_t first = static_cast<size_t>(
         std::min<uint64_t>(len, cmb_.ring_bytes() - ring_offset));
-    cmb_.OnRingWrite(ring_offset, data.data(), first);
-    if (first < len) cmb_.OnRingWrite(0, data.data() + first, len - first);
+    cmb_.OnRingWrite(ring_offset, data.Slice(0, first));
+    if (first < len) cmb_.OnRingWrite(0, data.Slice(first, len - first));
   }
 
   Result<ParsedDestagePage> ReadRingSlot(uint64_t slot) {

@@ -7,6 +7,17 @@
 namespace xssd::core {
 namespace {
 
+// A built page image as a vector the tests can corrupt.
+std::vector<uint8_t> Build(const DestagePageHeader& header,
+                           const std::vector<uint8_t>& data,
+                           uint32_t page_bytes) {
+  return BuildDestagePage(header, page_bytes,
+                          [&](uint8_t* out) {
+                            std::memcpy(out, data.data(), data.size());
+                          })
+      .ToVector();
+}
+
 TEST(PageFormat, BuildParseRoundTrip) {
   std::vector<uint8_t> data(1000);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
@@ -16,8 +27,7 @@ TEST(PageFormat, BuildParseRoundTrip) {
   header.data_len = static_cast<uint32_t>(data.size());
   header.epoch = 3;
 
-  std::vector<uint8_t> page =
-      BuildDestagePage(header, data.data(), data.size(), 16384);
+  std::vector<uint8_t> page = Build(header, data, 16384);
   EXPECT_EQ(page.size(), 16384u);
 
   Result<ParsedDestagePage> parsed = ParseDestagePage(page);
@@ -32,8 +42,7 @@ TEST(PageFormat, FillerIsZero) {
   std::vector<uint8_t> data(10, 0xFF);
   DestagePageHeader header;
   header.data_len = 10;
-  std::vector<uint8_t> page =
-      BuildDestagePage(header, data.data(), data.size(), 4096);
+  std::vector<uint8_t> page = Build(header, data, 4096);
   for (size_t i = DestagePageHeader::kSize + 10; i < page.size(); ++i) {
     EXPECT_EQ(page[i], 0) << "at " << i;
   }
@@ -50,7 +59,7 @@ TEST(PageFormat, CorruptionDetectedInData) {
   std::vector<uint8_t> data(100, 0xAB);
   DestagePageHeader header;
   header.data_len = 100;
-  auto page = BuildDestagePage(header, data.data(), data.size(), 4096);
+  auto page = Build(header, data, 4096);
   page[DestagePageHeader::kSize + 50] ^= 0x01;
   EXPECT_TRUE(ParseDestagePage(page).status().IsCorruption());
 }
@@ -60,7 +69,7 @@ TEST(PageFormat, CorruptionDetectedInHeader) {
   DestagePageHeader header;
   header.data_len = 100;
   header.sequence = 7;
-  auto page = BuildDestagePage(header, data.data(), data.size(), 4096);
+  auto page = Build(header, data, 4096);
   page[8] ^= 0x01;  // sequence field
   EXPECT_TRUE(ParseDestagePage(page).status().IsCorruption());
 }
@@ -74,7 +83,7 @@ TEST(PageFormat, InsaneLengthRejected) {
   std::vector<uint8_t> data(10, 1);
   DestagePageHeader header;
   header.data_len = 10;
-  auto page = BuildDestagePage(header, data.data(), data.size(), 4096);
+  auto page = Build(header, data, 4096);
   // Corrupt the length to exceed the page; CRC check would also catch it,
   // but the bounds check must fire first (no OOB read).
   uint32_t huge = 1 << 30;

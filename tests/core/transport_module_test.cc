@@ -10,9 +10,8 @@ namespace {
 /// Captures peer-write traffic landing on a fabric region.
 class SinkDevice : public pcie::MmioDevice {
  public:
-  void OnMmioWrite(uint64_t offset, const uint8_t* data,
-                   size_t len) override {
-    writes.push_back({offset, std::vector<uint8_t>(data, data + len)});
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override {
+    writes.push_back({offset, data.ToVector()});
   }
   void OnMmioRead(uint64_t, uint8_t* out, size_t len) override {
     std::memset(out, 0, len);
@@ -37,7 +36,7 @@ class TransportTest : public ::testing::Test {
 
 TEST_F(TransportTest, StandaloneDoesNotMirror) {
   uint8_t data[16] = {0};
-  transport_.OnCmbArrival(0, data, 16);
+  transport_.OnCmbArrival(0, Bytes::Copy(data, 16));
   sim_.Run();
   EXPECT_TRUE(sink_.writes.empty());
 }
@@ -47,7 +46,7 @@ TEST_F(TransportTest, PrimaryMirrorsToPeerRingWindow) {
   transport_.SetRole(Role::kPrimary);
   uint8_t data[16];
   for (int i = 0; i < 16; ++i) data[i] = static_cast<uint8_t>(i);
-  transport_.OnCmbArrival(100, data, 16);
+  transport_.OnCmbArrival(100, Bytes::Copy(data, 16));
   sim_.Run();
   ASSERT_EQ(sink_.writes.size(), 1u);
   // Member slot 0 (no term set) pushes through the peer's intake alias 0,
@@ -62,7 +61,7 @@ TEST_F(TransportTest, MirrorWrapsRingOffsets) {
   std::vector<uint8_t> data(200, 0x7E);
   // Stream offset 4000 in a 4096-byte ring: wraps after 96 bytes, to the
   // start of the same intake alias.
-  transport_.OnCmbArrival(4000, data.data(), data.size());
+  transport_.OnCmbArrival(4000, Bytes(std::move(data)));
   sim_.Run();
   ASSERT_EQ(sink_.writes.size(), 2u);
   EXPECT_EQ(sink_.writes[0].first, kRingWindowOffset + 4096 + 4000);
@@ -76,7 +75,7 @@ TEST_F(TransportTest, OneMirrorFlowPerPeer) {
   ASSERT_TRUE(transport_.AddPeerAt(1, 0x14000).ok());
   transport_.SetRole(Role::kPrimary);
   uint8_t data[8] = {1};
-  transport_.OnCmbArrival(0, data, 8);
+  transport_.OnCmbArrival(0, Bytes::Copy(data, 8));
   sim_.Run();
   EXPECT_EQ(sink_.writes.size(), 2u);  // both land in the same sink region
   EXPECT_EQ(transport_.mirrored_bytes(), 16u);

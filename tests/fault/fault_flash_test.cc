@@ -45,7 +45,7 @@ TEST(FaultFlashTest, InjectedProgramFailGrowsBadBlock) {
 
   flash::Address addr{0, 0, 0, 0, 0};
   Status result = Status::OK();
-  std::vector<uint8_t> page(SmallGeometry().page_bytes, 0x5A);
+  Bytes page(std::vector<uint8_t>(SmallGeometry().page_bytes, 0x5A));
   array.Program(addr, page, {}, [&](Status status) { result = status; });
   sim.Run();
 
@@ -93,7 +93,7 @@ TEST(FaultFlashTest, InjectedUncorrectableReadReturnsCorruption) {
   flash::Array array(&sim, SmallGeometry(), flash::Timing{},
                      flash::Reliability{}, 1);
   flash::Address addr{0, 0, 0, 0, 0};
-  std::vector<uint8_t> page(SmallGeometry().page_bytes, 0x77);
+  Bytes page(std::vector<uint8_t>(SmallGeometry().page_bytes, 0x77));
   Status programmed = Status::IoError("unset");
   array.Program(addr, page, {}, [&](Status status) { programmed = status; });
   sim.Run();
@@ -104,17 +104,15 @@ TEST(FaultFlashTest, InjectedUncorrectableReadReturnsCorruption) {
   array.set_fault_injector(&injector);
 
   Status read_status = Status::OK();
-  array.Read(addr, [&](Status status, std::vector<uint8_t>) {
-    read_status = status;
-  });
+  array.Read(addr, [&](Status status, Bytes) { read_status = status; });
   sim.Run();
   EXPECT_EQ(read_status.code(), StatusCode::kCorruption);
   EXPECT_EQ(array.stats().uncorrectable_reads, 1u);
 
   // Detach: the same page reads back clean — the medium was never damaged.
   array.set_fault_injector(nullptr);
-  std::vector<uint8_t> out;
-  array.Read(addr, [&](Status status, std::vector<uint8_t> data) {
+  Bytes out;
+  array.Read(addr, [&](Status status, Bytes data) {
     read_status = status;
     out = std::move(data);
   });
@@ -135,8 +133,8 @@ TEST(FaultFlashTest, FtlRetiresInjectedBadBlockAndRetries) {
   array.set_fault_injector(&injector);
 
   Status result = Status::IoError("unset");
-  std::vector<uint8_t> data(ftl.page_bytes(), 0x3C);
-  ftl.WriteDirect(ftl::IoClass::kDestage, 0, data,
+  ftl.WriteDirect(ftl::IoClass::kDestage, 0,
+                  std::vector<uint8_t>(ftl.page_bytes(), 0x3C),
                   [&](Status status) { result = status; });
   sim.Run();
 
@@ -312,7 +310,8 @@ TEST(FaultFlashTest, FailedWritebackFailsFlushAndKeepsPageDirty) {
   std::vector<uint8_t> newest(ftl.page_bytes(), 0x22);
   ftl.WriteBuffered(lpn, std::vector<uint8_t>(ftl.page_bytes(), 0x11),
                     [](Status) {});
-  ftl.WriteBuffered(lpn, newest, [](Status) {});
+  ftl.WriteBuffered(lpn, Bytes::Copy(newest.data(), newest.size()),
+                    [](Status) {});
   bool first_done = false;
   Status first = Status::OK();
   ftl.Flush([&](Status status) {

@@ -18,9 +18,8 @@ namespace {
 class SinkDevice : public pcie::MmioDevice {
  public:
   explicit SinkDevice(size_t size) : memory(size, 0) {}
-  void OnMmioWrite(uint64_t offset, const uint8_t* data,
-                   size_t len) override {
-    std::memcpy(memory.data() + offset, data, len);
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override {
+    std::memcpy(memory.data() + offset, data.data(), data.size());
     ++writes;
     last_write_at = 0;
   }
@@ -61,7 +60,8 @@ TEST(FaultNtbAdapterTest, LinkDownDropsForwardedWritesSilently) {
 
   uint8_t data[64] = {0x5A};
   bool posted = false;
-  local.HostWrite(0x1000, data, 64, 64, [&]() { posted = true; });
+  local.HostWrite(0x1000, Bytes::Copy(data, 64), 64,
+                  [&]() { posted = true; });
   sim.Run();
 
   // The posted write completes from the sender's view — the loss is
@@ -75,7 +75,7 @@ TEST(FaultNtbAdapterTest, LinkDownDropsForwardedWritesSilently) {
 
   // After the flap the same write goes through.
   sim.RunFor(sim::Us(200));
-  local.HostWrite(0x1000, data, 64, 64);
+  local.HostWrite(0x1000, Bytes::Copy(data, 64), 64);
   sim.Run();
   EXPECT_EQ(sink.writes, 1);
 }
@@ -95,7 +95,7 @@ TEST(FaultNtbAdapterTest, LinkStallDelaysDelivery) {
         LinkPlan(fault::FaultKind::kNtbLinkStall, 0, sim::Us(100), stall), 1);
     if (stall > 0) adapter.set_fault_injector(&injector);
     uint8_t byte = 1;
-    local.HostWrite(0x1000, &byte, 1, 64);
+    local.HostWrite(0x1000, Bytes::Copy(&byte, 1), 64);
     sim.Run();
     EXPECT_EQ(sink.writes, 1);
     return sim.Now();

@@ -24,7 +24,7 @@ class ArrayTest : public ::testing::Test {
     return std::vector<uint8_t>(array_.geometry().page_bytes, fill);
   }
 
-  Status ProgramSync(const Address& addr, std::vector<uint8_t> data) {
+  Status ProgramSync(const Address& addr, Bytes data) {
     Status result = Status::Internal("no callback");
     array_.Program(addr, std::move(data),
                    {}, [&](Status status) { result = status; });
@@ -35,9 +35,9 @@ class ArrayTest : public ::testing::Test {
   Result<std::vector<uint8_t>> ReadSync(const Address& addr) {
     Status status = Status::Internal("no callback");
     std::vector<uint8_t> data;
-    array_.Read(addr, [&](Status s, std::vector<uint8_t> d) {
+    array_.Read(addr, [&](Status s, Bytes d) {
       status = s;
-      data = std::move(d);
+      data = d.ToVector();
     });
     sim_.Run();
     if (!status.ok()) return status;
@@ -153,7 +153,7 @@ TEST_F(ArrayTest, PeekPage) {
   Address addr{0, 0, 0, 0, 0};
   EXPECT_EQ(array_.PeekPage(addr), nullptr);
   ASSERT_TRUE(ProgramSync(addr, Page(0x33)).ok());
-  const std::vector<uint8_t>* page = array_.PeekPage(addr);
+  const Bytes* page = array_.PeekPage(addr);
   ASSERT_NE(page, nullptr);
   EXPECT_EQ((*page)[0], 0x33);
 }
@@ -174,8 +174,8 @@ TEST(ArrayReliability, FactoryBadBlocksRejectPrograms) {
   reliability.factory_bad_block_rate = 1.0;  // every block bad
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Status status = Status::OK();
-  array.Program(Address{0, 0, 0, 0, 0}, {1, 2, 3},
-                {}, [&](Status s) { status = s; });
+  array.Program(Address{0, 0, 0, 0, 0}, std::vector<uint8_t>{1, 2, 3}, {},
+                [&](Status s) { status = s; });
   sim.Run();
   EXPECT_TRUE(status.IsIoError());
   EXPECT_TRUE(array.IsBadBlock(Address{0, 0, 0, 0, 0}));
@@ -188,7 +188,8 @@ TEST(ArrayReliability, ProgramFailureGrowsBadBlock) {
   Array array(&sim, SmallGeometry(), Timing{}, reliability, 7);
   Status status = Status::OK();
   Address addr{0, 0, 0, 0, 0};
-  array.Program(addr, {1}, {}, [&](Status s) { status = s; });
+  array.Program(addr, std::vector<uint8_t>{1}, {},
+                [&](Status s) { status = s; });
   sim.Run();
   EXPECT_TRUE(status.IsIoError());
   EXPECT_TRUE(array.IsBadBlock(addr));
@@ -205,7 +206,7 @@ TEST(ArrayReliability, UncorrectableErrorsSurfaceAsCorruption) {
   array.Program(addr, std::vector<uint8_t>(4096, 0xAA), {}, [](Status) {});
   sim.Run();
   Status status = Status::OK();
-  array.Read(addr, [&](Status s, std::vector<uint8_t>) { status = s; });
+  array.Read(addr, [&](Status s, Bytes) { status = s; });
   sim.Run();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_GE(array.stats().uncorrectable_reads, 1u);
@@ -222,8 +223,8 @@ TEST(ArrayReliability, CorrectableErrorsAreTransparent) {
   sim.Run();
   for (int i = 0; i < 50; ++i) {
     Status status = Status::Internal("x");
-    std::vector<uint8_t> data;
-    array.Read(addr, [&](Status s, std::vector<uint8_t> d) {
+    Bytes data;
+    array.Read(addr, [&](Status s, Bytes d) {
       status = s;
       data = std::move(d);
     });

@@ -46,7 +46,7 @@ class ReliabilityTest : public ::testing::Test {
   Status ReadSync(const Address& addr) {
     bool fired = false;
     Status status = Status::Internal("no callback");
-    array_.Read(addr, [&](Status s, std::vector<uint8_t>) {
+    array_.Read(addr, [&](Status s, Bytes) {
       status = s;
       fired = true;
     });
@@ -225,7 +225,7 @@ TEST(ReliabilityFaults, RetentionFaultInjectsDwell) {
   auto read = [&]() {
     bool fired = false;
     Status status = Status::Internal("pending");
-    array.Read(addr, [&](Status s, std::vector<uint8_t>) {
+    array.Read(addr, [&](Status s, Bytes) {
       status = s;
       fired = true;
     });
@@ -267,7 +267,7 @@ TEST(ReliabilityFaults, DisturbFaultInjectsReads) {
   auto read = [&]() {
     bool fired = false;
     Status status = Status::Internal("pending");
-    array.Read(addr, [&](Status s, std::vector<uint8_t>) {
+    array.Read(addr, [&](Status s, Bytes) {
       status = s;
       fired = true;
     });

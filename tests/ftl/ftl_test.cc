@@ -38,7 +38,7 @@ class FtlTest : public ::testing::Test {
     return std::vector<uint8_t>(4096, fill);
   }
 
-  Status WriteSync(uint64_t lpn, std::vector<uint8_t> data) {
+  Status WriteSync(uint64_t lpn, Bytes data) {
     Status result = Status::Internal("pending");
     ftl_.WriteBuffered(lpn, std::move(data),
                        [&](Status status) { result = status; });
@@ -64,6 +64,13 @@ class FtlTest : public ::testing::Test {
     ftl_.Flush([&](Status status) { result = status; });
     sim_.Run();
     return result;
+  }
+
+  /// The page the array holds for `lpn` (nullptr when unmapped).
+  const Bytes* Stored(uint64_t lpn) {
+    uint64_t ppn = ftl_.page_map().Lookup(lpn);
+    if (ppn == kUnmapped) return nullptr;
+    return array_.PeekPage(flash::AddressOfPage(array_.geometry(), ppn));
   }
 
   sim::Simulator sim_;
@@ -93,11 +100,15 @@ TEST_F(FtlTest, BufferedWriteAckIsFasterThanProgram) {
 }
 
 TEST_F(FtlTest, FlushPersistsAndSurvivesBufferDrop) {
-  ASSERT_TRUE(WriteSync(5, Page(0x5A)).ok());
+  Bytes page(Page(0x5A));
+  ASSERT_TRUE(WriteSync(5, page).ok());
   EXPECT_GT(ftl_.dirty_pages(), 0u);
   ASSERT_TRUE(FlushSync().ok());
   EXPECT_EQ(ftl_.dirty_pages(), 0u);
   EXPECT_GE(ftl_.stats().flash_programs, 1u);
+  // The array keeps the buffer handed in, not a copy of it.
+  ASSERT_NE(Stored(5), nullptr);
+  EXPECT_EQ(Stored(5)->data(), page.data());
   auto data = ReadSync(5);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ((*data)[0], 0x5A);
@@ -203,6 +214,39 @@ TEST_F(FtlTest, GcReclaimsSpaceUnderChurn) {
   // count can legitimately undercut host writes; GC relocations push it
   // back up. It must at least be positive and finite.
   EXPECT_GT(ftl_.stats().WriteAmplification(), 0.0);
+}
+
+TEST_F(FtlTest, GcRelocatesPagesWithoutCopying) {
+  // Cold (odd) lpns interleaved with hot (even) ones on a mostly full
+  // device, so GC victims hold live cold pages.
+  constexpr uint64_t kLpns = 384;
+  for (uint64_t lpn = 0; lpn < kLpns; ++lpn) {
+    ftl_.WriteBuffered(lpn, Page(static_cast<uint8_t>(lpn)), [](Status) {});
+  }
+  sim_.Run();
+  ASSERT_TRUE(FlushSync().ok());
+  std::map<uint64_t, std::pair<uint64_t, const uint8_t*>> cold;
+  for (uint64_t lpn = 1; lpn < kLpns; lpn += 2) {
+    ASSERT_NE(Stored(lpn), nullptr);
+    cold[lpn] = {ftl_.page_map().Lookup(lpn), Stored(lpn)->data()};
+  }
+  sim::Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    ftl_.WriteBuffered(2 * rng.Uniform(kLpns / 2), Page(1), [](Status) {});
+    if (i % 64 == 63) sim_.Run();
+  }
+  sim_.Run();
+  ASSERT_TRUE(FlushSync().ok());
+  ASSERT_GT(ftl_.stats().gc_relocations, 0u);
+  // A relocated page is the victim page's bytes, moved by handle.
+  int moved = 0;
+  for (const auto& [lpn, before] : cold) {
+    if (ftl_.page_map().Lookup(lpn) == before.first) continue;
+    ++moved;
+    ASSERT_NE(Stored(lpn), nullptr);
+    EXPECT_EQ(Stored(lpn)->data(), before.second) << "lpn " << lpn;
+  }
+  EXPECT_GT(moved, 0);
 }
 
 TEST(FtlBadBlocks, ProgramFailuresAreRetriedTransparently) {

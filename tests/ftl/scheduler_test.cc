@@ -134,7 +134,7 @@ TEST_F(SchedulerTest, ReadAndEraseComplete) {
   scheduler_.Program(IoClass::kConventional, addr, Page(7),
                      {}, [&](Status s) { programmed = s.ok(); });
   scheduler_.Read(IoClass::kConventional, addr,
-                  [&](Status s, std::vector<uint8_t> data) {
+                  [&](Status s, Bytes data) {
                     read_ok = s.ok() && data[0] == 7;
                   });
   scheduler_.Erase(IoClass::kConventional, addr,

@@ -48,7 +48,9 @@ pid_t Spawn(const BenchSpec& spec, const std::string& dir) {
       env.emplace_back(*e);
     }
   }
-  env.push_back("XSSD_SIM_SCHEDULER=" + spec.scheduler);
+  if (!spec.scheduler.empty()) {
+    env.push_back("XSSD_SIM_SCHEDULER=" + spec.scheduler);
+  }
   std::vector<char*> argv, envp;
   for (std::string& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);

@@ -13,9 +13,10 @@
 namespace xssd::gate {
 
 /// \brief One bench invocation. It runs in a fresh directory of its own,
-/// where relative output paths (`--metrics metrics.json`) land, with
-/// XSSD_SIM_SCHEDULER always set: an inherited value cannot turn an
-/// equivalence check into a self-comparison.
+/// where relative output paths (`--metrics metrics.json`) land. An
+/// inherited XSSD_SIM_SCHEDULER is always dropped, so it cannot turn an
+/// equivalence check into a self-comparison; `scheduler` sets it, unless
+/// empty (perfbench, which refuses the variable).
 struct BenchSpec {
   std::string tag;  ///< run directory name, unique within the test
   std::string bench;

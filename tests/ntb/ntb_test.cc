@@ -14,9 +14,8 @@ namespace {
 class SinkDevice : public pcie::MmioDevice {
  public:
   explicit SinkDevice(size_t size) : memory(size, 0) {}
-  void OnMmioWrite(uint64_t offset, const uint8_t* data,
-                   size_t len) override {
-    std::memcpy(memory.data() + offset, data, len);
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override {
+    std::memcpy(memory.data() + offset, data.data(), data.size());
     ++writes;
   }
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override {
@@ -48,7 +47,7 @@ TEST_F(NtbTest, ForwardsWritesWithAddressTranslation) {
   ASSERT_TRUE(adapter_.AddWindow(0, 4096, &remote_, 0x9000).ok());
   uint8_t data[32];
   for (int i = 0; i < 32; ++i) data[i] = static_cast<uint8_t>(i + 1);
-  local_.HostWrite(0x1000 + 100, data, 32, 64);
+  local_.HostWrite(0x1000 + 100, Bytes::Copy(data, 32), 64);
   sim_.Run();
   EXPECT_EQ(sink_.writes, 1);
   EXPECT_EQ(std::memcmp(sink_.memory.data() + 100, data, 32), 0);
@@ -57,7 +56,7 @@ TEST_F(NtbTest, ForwardsWritesWithAddressTranslation) {
 TEST_F(NtbTest, CrossLinkAddsLatency) {
   ASSERT_TRUE(adapter_.AddWindow(0, 4096, &remote_, 0x9000).ok());
   uint8_t byte = 0x5A;
-  local_.HostWrite(0x1000, &byte, 1, 64);
+  local_.HostWrite(0x1000, Bytes::Copy(&byte, 1), 64);
   sim_.Run();
   // Local link + NTB cable + hop latency + remote fabric: >= 1.3 us hop.
   EXPECT_GE(sim_.Now(), NtbConfig{}.hop_latency);
@@ -66,7 +65,7 @@ TEST_F(NtbTest, CrossLinkAddsLatency) {
 TEST_F(NtbTest, WireAccountingCountsOverheadPerChunk) {
   ASSERT_TRUE(adapter_.AddWindow(0, 4096, &remote_, 0x9000).ok());
   uint8_t data[128] = {0};
-  local_.HostWrite(0x1000, data, 128, 64);
+  local_.HostWrite(0x1000, Bytes::Copy(data, 128), 64);
   sim_.Run();
   EXPECT_EQ(adapter_.forwarded_payload_bytes(), 128u);
   EXPECT_EQ(adapter_.forwarded_packets(), 2u);

@@ -114,17 +114,20 @@ TEST_F(NvmeStackTest, MultiBlockTransfer) {
 }
 
 TEST_F(NvmeStackTest, LbaOutOfRangeRejected) {
-  uint64_t bad_lba = node_.driver().namespace_blocks();
   std::vector<uint8_t> data(node_.driver().block_bytes(), 0);
-  Status status = runner_.Await([&](std::function<void(Status)> done) {
-    node_.driver().Write(bad_lba, data.data(), 1, std::move(done));
-  });
-  EXPECT_FALSE(status.ok());
-  auto read = runner_.AwaitValue<std::vector<uint8_t>>(
-      [&](std::function<void(Status, std::vector<uint8_t>)> done) {
-        node_.driver().Read(bad_lba, 1, std::move(done));
-      });
-  EXPECT_FALSE(read.ok());
+  // One past the end, and an slba whose `slba + blocks` wraps to 0.
+  for (uint64_t bad_lba : {node_.driver().namespace_blocks(), UINT64_MAX}) {
+    SCOPED_TRACE(bad_lba);
+    Status status = runner_.Await([&](std::function<void(Status)> done) {
+      node_.driver().Write(bad_lba, data.data(), 1, std::move(done));
+    });
+    EXPECT_FALSE(status.ok());
+    auto read = runner_.AwaitValue<std::vector<uint8_t>>(
+        [&](std::function<void(Status, std::vector<uint8_t>)> done) {
+          node_.driver().Read(bad_lba, 1, std::move(done));
+        });
+    EXPECT_FALSE(read.ok());
+  }
 }
 
 TEST_F(NvmeStackTest, IdentifyReportsNamespaceSize) {

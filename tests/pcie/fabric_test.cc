@@ -14,10 +14,9 @@ class RecordingDevice : public MmioDevice {
  public:
   explicit RecordingDevice(size_t size) : memory_(size, 0) {}
 
-  void OnMmioWrite(uint64_t offset, const uint8_t* data,
-                   size_t len) override {
-    std::memcpy(memory_.data() + offset, data, len);
-    writes_.push_back({offset, len});
+  void OnMmioWrite(uint64_t offset, const Bytes& data) override {
+    std::memcpy(memory_.data() + offset, data.data(), data.size());
+    writes_.push_back({offset, data.size()});
   }
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override {
     std::memcpy(out, memory_.data() + offset, len);
@@ -55,7 +54,7 @@ TEST_F(FabricTest, NullDeviceRejected) {
 TEST_F(FabricTest, HostWriteDeliversDataAfterLinkAndPropagation) {
   uint8_t data[16];
   for (int i = 0; i < 16; ++i) data[i] = static_cast<uint8_t>(i);
-  fabric_.HostWrite(0x1100, data, 16, 64);
+  fabric_.HostWrite(0x1100, Bytes::Copy(data, 16), 64);
   EXPECT_TRUE(device_.writes_.empty());  // not delivered synchronously
   sim_.Run();
   ASSERT_EQ(device_.writes_.size(), 1u);
@@ -68,7 +67,7 @@ TEST_F(FabricTest, HostWriteDeliversDataAfterLinkAndPropagation) {
 TEST_F(FabricTest, PostedCallbackFiresAtLinkAcceptNotDelivery) {
   uint8_t data[16] = {0};
   sim::SimTime posted_at = 0;
-  fabric_.HostWrite(0x1000, data, 16, 64,
+  fabric_.HostWrite(0x1000, Bytes::Copy(data, 16), 64,
                     [&]() { posted_at = sim_.Now(); });
   sim_.Run();
   EXPECT_GT(posted_at, 0u);
@@ -80,7 +79,8 @@ TEST_F(FabricTest, ChunkingChargesPerTlpOverhead) {
   // longer.
   uint8_t data[128] = {0};
   sim::SimTime wc_done = 0;
-  fabric_.HostWrite(0x1000, data, 128, 64, [&]() { wc_done = sim_.Now(); });
+  fabric_.HostWrite(0x1000, Bytes::Copy(data, 128), 64,
+                    [&]() { wc_done = sim_.Now(); });
   sim_.Run();
   sim::SimTime wc_elapsed = wc_done;
 
@@ -89,7 +89,8 @@ TEST_F(FabricTest, ChunkingChargesPerTlpOverhead) {
   RecordingDevice dev2(4096);
   ASSERT_TRUE(fabric2.AddMmioRegion(0x1000, 4096, &dev2, "dev").ok());
   sim::SimTime uc_done = 0;
-  fabric2.HostWrite(0x1000, data, 128, 8, [&]() { uc_done = sim2.Now(); });
+  fabric2.HostWrite(0x1000, Bytes::Copy(data, 128), 8,
+                    [&]() { uc_done = sim2.Now(); });
   sim2.Run();
   EXPECT_GT(uc_done, wc_elapsed);
 }
@@ -127,12 +128,25 @@ TEST_F(FabricTest, DmaRoundTrip) {
   ASSERT_TRUE(wrote);
   EXPECT_EQ(std::memcmp(fabric_.host_memory() + 0x8000, payload, 256), 0);
 
-  std::vector<uint8_t> read_back;
-  fabric_.DmaFromHost(0x8000, 256, [&](std::vector<uint8_t> data) {
+  Bytes read_back;
+  fabric_.DmaFromHost(0x8000, 256, [&](Bytes data) {
     read_back = std::move(data);
   });
   sim_.Run();
+  ASSERT_EQ(read_back.size(), 256u);
   EXPECT_EQ(std::memcmp(read_back.data(), payload, 256), 0);
+}
+
+TEST(FabricDeathTest, DmaPastTheEndOfHostMemoryFailsAtOnce) {
+  // A PRP near 2^64 wraps `host_addr + len` past a naive bound; the check
+  // must fail at the call, before any event reads or writes out of bounds.
+  sim::Simulator sim;
+  PcieFabric fabric(&sim, FabricConfig{}, "t");
+  uint8_t payload[16] = {0};
+  EXPECT_DEATH(fabric.DmaFromHost(UINT64_MAX - 8, 16, [](Bytes) {}),
+               "CHECK failed");
+  EXPECT_DEATH(fabric.DmaToHost(UINT64_MAX - 8, payload, 16, [] {}),
+               "CHECK failed");
 }
 
 TEST_F(FabricTest, FunctionalAccessorsBypassTiming) {
