@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "ntb/ntb.h"
 #include "sim/event_pool.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -165,7 +166,7 @@ void SeedFuzz(RunCtx* ctx) {
 // merge of the domain queues.
 
 constexpr uint32_t kFabricDomains = 4;
-constexpr SimTime kFabricLookahead = 1300;  // NtbConfig::hop_latency default
+constexpr SimTime kFabricLookahead = xssd::ntb::kHopLatency;
 
 struct FabricCtx {
   Simulator* sim;

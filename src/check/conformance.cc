@@ -14,6 +14,12 @@ namespace xssd::check {
 
 namespace {
 
+/// Virtual-time budget per host op. Ops that outlive it are abandoned
+/// (their callbacks stay armed; the simulator keeps draining them). A
+/// timeout is a liveness divergence unless the run crashed or the schedule
+/// carries flash-write faults that can legally stall destaging.
+constexpr sim::SimTime kOpDeadline = sim::Ms(10);
+
 /// Small-but-real device (the integration-test geometry): enough flash for
 /// the 64-slot destage ring to wrap, small enough that 500 schedules fit in
 /// a CI minute. Retransmission is enabled so NTB fault windows heal instead
@@ -205,7 +211,7 @@ void Harness::ExecAppend(const Op& op) {
   result_.appended += op.len;
 
   auto status = AwaitBounded(
-      sim_, options_.op_deadline,
+      sim_, kOpDeadline,
       [&](std::function<void(Status)> done) {
         primary().client().Append(data->data(), data->size(),
                                   [data, done](Status s) { done(s); });
@@ -214,14 +220,14 @@ void Harness::ExecAppend(const Op& op) {
     model_->ReportFailure("harness.append_stall",
                           "append of " + std::to_string(op.len) +
                               " bytes made no progress for " +
-                              std::to_string(sim::ToUs(options_.op_deadline)) +
+                              std::to_string(sim::ToUs(kOpDeadline)) +
                               "us with no crash in flight");
   }
 }
 
 bool Harness::ExecFsync() {
   uint64_t written = primary().client().written();
-  auto status = AwaitBounded(sim_, options_.op_deadline,
+  auto status = AwaitBounded(sim_, kOpDeadline,
                              [&](std::function<void(Status)> done) {
                                primary().client().Sync(std::move(done));
                              });
@@ -231,7 +237,7 @@ bool Harness::ExecFsync() {
           "harness.fsync_stall",
           "fsync at write position " + std::to_string(written) +
               " made no progress for " +
-              std::to_string(sim::ToUs(options_.op_deadline)) +
+              std::to_string(sim::ToUs(kOpDeadline)) +
               "us with no crash in flight");
     }
     return false;
@@ -250,7 +256,7 @@ void Harness::ExecRead(const Op& op) {
 
   auto bytes = std::make_shared<std::vector<uint8_t>>();
   auto status = AwaitBounded(
-      sim_, options_.op_deadline, [&](std::function<void(Status)> done) {
+      sim_, kOpDeadline, [&](std::function<void(Status)> done) {
         primary().client().ReadTail(
             &primary().driver(), len,
             [bytes, done](Status s, std::vector<uint8_t> data) {

@@ -18,12 +18,6 @@ struct CheckOptions {
   /// (CmbModule::set_test_only_early_credit). Used to prove the oracle can
   /// catch a real ordering violation and the shrinker can minimize it.
   bool plant_early_credit_bug = false;
-
-  /// Virtual-time budget per host op. Ops that outlive it are abandoned
-  /// (their callbacks stay armed; the simulator keeps draining them). A
-  /// timeout is a liveness divergence unless the run crashed or the
-  /// schedule carries flash-write faults that can legally stall destaging.
-  sim::SimTime op_deadline = sim::Ms(10);
 };
 
 /// Outcome of one schedule run against the reference model.
@@ -51,8 +45,8 @@ struct CheckResult {
 /// options) pair yields the same CheckResult on every run and platform.
 ///
 /// Flow: wire nodes -> replication setup -> attach model observers -> arm
-/// the compiled fault plan -> execute host ops in order (each bounded by
-/// op_deadline) -> if a crash clause fired, settle, reboot, RecoverLog,
+/// the compiled fault plan -> execute host ops in order (each bounded by a
+/// 10 ms deadline) -> if a crash clause fired, settle, reboot, RecoverLog,
 /// validate the recovered prefix, and (standalone only) reconnect and
 /// re-append; otherwise run the quiescence epilogue (final fsync, destage
 /// settle, tail-read the remainder, secondary byte-exactness).

@@ -9,9 +9,14 @@
 namespace xssd::core {
 
 namespace {
+/// Raw SRAM port bandwidth.
+constexpr double kSramBytesPerSec = 4e9;
+/// Raw DRAM port bandwidth (DDR3 through the 64-bit bus).
+constexpr double kDramBytesPerSec = 2e9;
+
 double BackingRate(const CmbConfig& config) {
-  if (config.backing == BackingKind::kSram) return config.sram_bytes_per_sec;
-  return config.dram_bytes_per_sec * config.dram_available_fraction;
+  if (config.backing == BackingKind::kSram) return kSramBytesPerSec;
+  return kDramBytesPerSec * config.dram_available_fraction;
 }
 }  // namespace
 
@@ -19,7 +24,7 @@ CmbModule::CmbModule(sim::Simulator* sim, const CmbConfig& config)
     : sim_(sim),
       config_(config),
       backing_bytes_per_sec_(BackingRate(config)),
-      backing_(sim, backing_bytes_per_sec_, config.persist_overhead),
+      backing_(sim, backing_bytes_per_sec_),
       ring_(config.ring_bytes, 0) {
   XSSD_CHECK(config_.queue_bytes > 0);
   XSSD_CHECK(config_.ring_bytes >= config_.queue_bytes);

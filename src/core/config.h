@@ -28,18 +28,11 @@ struct CmbConfig {
   /// Staging-queue size pre-negotiated with the database (§4.1); the flow-
   /// control window. Paper finds 32 KiB best (§6.3).
   uint64_t queue_bytes = 32 * kKiB;
-  /// Raw SRAM port bandwidth.
-  double sram_bytes_per_sec = 4e9;
-  /// Raw DRAM port bandwidth (DDR3 through the 64-bit bus).
-  double dram_bytes_per_sec = 2e9;
   /// Fraction of DRAM bandwidth left for CMB after the device's regular
   /// data-buffering activity (the DRAM is shared; §6 implementation notes).
   /// The CMB intake and the destage module's ring reads both draw from
   /// this budget.
   double dram_available_fraction = 0.30;
-  /// Fixed staging cost per chunk moved from the queue into the PM ring
-  /// (queue pop + PM controller issue).
-  sim::SimTime persist_overhead = sim::Ns(0);
 };
 
 /// \brief Destage module configuration (paper §4.3).
@@ -53,12 +46,6 @@ struct DestageConfig {
   sim::SimTime latency_threshold = sim::Us(500);
   /// Maximum concurrent destage programs (pipeline depth across dies).
   uint32_t max_inflight = 32;
-  /// Re-issue attempts when a destage page write fails even after the
-  /// FTL's own bad-block retries. Retries reuse the same sequence number
-  /// and ring slot so the recovery chain walk is unaffected.
-  uint32_t max_write_retries = 4;
-  /// Backoff before re-issuing a failed destage write; doubles per attempt.
-  sim::SimTime retry_backoff = sim::Us(50);
 };
 
 /// Device role in a replication group (§4.2).
@@ -90,8 +77,6 @@ struct TransportConfig {
   /// (the paper's prototype behaviour; fault-tolerant setups opt in).
   sim::SimTime retransmit_timeout = 0;
   sim::SimTime retransmit_backoff_max = sim::Ms(5);
-  /// TLP payload granularity of retransmitted ring bytes.
-  uint32_t retransmit_chunk = 4096;
   /// After this long without any shadow progress the primary enters
   /// degraded mode: credit falls back to the local counter (logging
   /// continues un-replicated) until the lagging peers catch back up.
@@ -121,7 +106,6 @@ struct PartitionConfig {
 /// \brief Full Villars device configuration.
 struct VillarsConfig {
   flash::Geometry geometry;
-  flash::Timing flash_timing;
   flash::Reliability reliability;
   ftl::FtlConfig ftl;
   /// Patrol scrubber (off by default — see ScrubConfig::enabled).

@@ -6,6 +6,9 @@
 
 namespace xssd::core {
 
+/// Backoff before re-issuing a failed destage write; doubles per attempt.
+constexpr sim::SimTime kRetryBackoff = sim::Us(50);
+
 DestageModule::DestageModule(sim::Simulator* sim, ftl::Ftl* ftl,
                              CmbModule* cmb, const DestageConfig& config,
                              uint32_t epoch)
@@ -219,13 +222,13 @@ void DestageModule::IssuePage(uint64_t lba, Bytes page, uint64_t begin,
         }
         if (!status.ok()) {
           if (m_write_failures_) m_write_failures_->Add();
-          if (attempt < config_.max_write_retries) {
+          if (attempt < kMaxWriteRetries) {
             // Retry the same extent into the same ring slot after a
             // doubling backoff. The inflight_ slot stays held so the
             // power-loss drain waits for the outcome.
             ++stats_.write_retries;
             if (m_write_retries_) m_write_retries_->Add();
-            sim::SimTime backoff = config_.retry_backoff << attempt;
+            sim::SimTime backoff = kRetryBackoff << attempt;
             sim_->Schedule(backoff, [this, generation, lba,
                                      page = std::move(page), begin, end, len,
                                      issued_at, attempt, span]() mutable {

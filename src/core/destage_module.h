@@ -18,6 +18,11 @@ class FlightRecorder;
 
 namespace xssd::core {
 
+/// Re-issue attempts when a destage page write fails even after the FTL's
+/// own bad-block retries. Retries reuse the same sequence number and ring
+/// slot so the recovery chain walk is unaffected.
+inline constexpr uint32_t kMaxWriteRetries = 4;
+
 /// Destage statistics.
 struct DestageStats {
   uint64_t pages_written = 0;

@@ -174,9 +174,6 @@ void FastSide::HandleAdmin(const nvme::Command& cmd, nvme::Completion* cpl) {
       transport_.set_protocol(static_cast<ReplicationProtocol>(cmd.cdw10));
       break;
     }
-    case nvme::AdminOpcode::kXssdGetLogRing:
-      cpl->result = static_cast<uint32_t>(destage_.next_sequence());
-      break;
     default:
       cpl->status = nvme::CmdStatus::kInvalidOpcode;
       break;

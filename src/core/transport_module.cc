@@ -9,6 +9,9 @@
 
 namespace xssd::core {
 
+/// TLP payload granularity of retransmitted ring bytes.
+constexpr uint32_t kRetransmitChunk = 4096;
+
 TransportModule::TransportModule(sim::Simulator* sim,
                                  pcie::PcieFabric* fabric,
                                  const TransportConfig& config)
@@ -311,7 +314,7 @@ void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
   from = std::max(from, floor);
   for (uint64_t off = from; off < local_credit_;) {
     size_t n = static_cast<size_t>(std::min<uint64_t>(
-        config_.retransmit_chunk, local_credit_ - off));
+        kRetransmitChunk, local_credit_ - off));
     Bytes chunk =
         Bytes::Build(n, [&](uint8_t* out) { ring_reader_(off, out, n); });
     WriteToPeerRing(window_base, off, chunk);

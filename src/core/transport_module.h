@@ -180,8 +180,8 @@ class TransportModule {
   void OnRetransmitTimer();
 
   /// Re-mirror [from, local_credit_) — clamped to the last ring_bytes of
-  /// the stream — to the peer at `window_base` in retransmit_chunk pieces,
-  /// through the ring writer the live mirror uses.
+  /// the stream — to the peer at `window_base` in 4 KiB pieces, through
+  /// the ring writer the live mirror uses.
   void RetransmitRange(uint64_t window_base, uint64_t from);
   void RetransmitRound();
 

@@ -37,9 +37,9 @@ Status ValidateFastSide(const CmbConfig& cmb, const DestageConfig& destage,
     return Status::InvalidArgument(
         who + ": PM ring must be at least the staging-queue size");
   }
-  if (cmb.sram_bytes_per_sec <= 0 || cmb.dram_bytes_per_sec <= 0 ||
-      cmb.dram_available_fraction <= 0 || cmb.dram_available_fraction > 1) {
-    return Status::InvalidArgument(who + ": invalid backing-memory rates");
+  if (cmb.dram_available_fraction <= 0 || cmb.dram_available_fraction > 1) {
+    return Status::InvalidArgument(
+        who + ": DRAM available fraction must be in (0, 1]");
   }
   if (destage.ring_lba_count == 0) {
     return Status::InvalidArgument(who + ": destage ring is empty");

@@ -22,7 +22,7 @@ VillarsDevice::VillarsDevice(sim::Simulator* sim, pcie::PcieFabric* fabric,
                              const VillarsConfig& config, std::string name)
     : sim_(sim), fabric_(fabric), config_(config), name_(std::move(name)) {
   array_ = std::make_unique<flash::Array>(sim_, config_.geometry,
-                                          config_.flash_timing,
+                                          flash::Timing{},
                                           config_.reliability, config_.seed);
   ftl_ = std::make_unique<ftl::Ftl>(sim_, array_.get(), config_.ftl);
   ftl_->scheduler().set_policy(config_.scheduling);

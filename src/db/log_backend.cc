@@ -4,6 +4,11 @@
 
 namespace xssd::db {
 
+/// NVDIMM write bandwidth.
+constexpr double kPmBytesPerSec = 8e9;
+/// clwb + sfence drain.
+constexpr sim::SimTime kPersistBarrier = sim::Ns(400);
+
 void NoLogBackend::AppendDurable(const uint8_t* data, size_t len,
                                  std::function<void(Status)> done) {
   (void)data;
@@ -11,12 +16,15 @@ void NoLogBackend::AppendDurable(const uint8_t* data, size_t len,
   sim_->Schedule(0, [done = std::move(done)]() { done(Status::OK()); });
 }
 
+NvdimmBackend::NvdimmBackend(sim::Simulator* sim)
+    : sim_(sim), pm_port_(sim, kPmBytesPerSec) {}
+
 void NvdimmBackend::AppendDurable(const uint8_t* data, size_t len,
                                   std::function<void(Status)> done) {
   (void)data;
   Account(len);
   sim::SimTime stored = pm_port_.Acquire(len);
-  sim_->ScheduleAt(stored + options_.persist_barrier,
+  sim_->ScheduleAt(stored + kPersistBarrier,
                    [done = std::move(done)]() { done(Status::OK()); });
 }
 

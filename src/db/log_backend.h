@@ -66,15 +66,7 @@ class NoLogBackend : public LogBackend {
 /// path.
 class NvdimmBackend : public LogBackend {
  public:
-  struct Options {
-    double pm_bytes_per_sec = 8e9;           ///< NVDIMM write bandwidth
-    sim::SimTime persist_barrier = sim::Ns(400);  ///< clwb + sfence drain
-  };
-
-  NvdimmBackend(sim::Simulator* sim, Options options)
-      : sim_(sim), options_(options), pm_port_(sim, options.pm_bytes_per_sec) {}
-  explicit NvdimmBackend(sim::Simulator* sim)
-      : NvdimmBackend(sim, Options{}) {}
+  explicit NvdimmBackend(sim::Simulator* sim);
 
   void AppendDurable(const uint8_t* data, size_t len,
                      std::function<void(Status)> done) override;
@@ -85,7 +77,6 @@ class NvdimmBackend : public LogBackend {
 
  private:
   sim::Simulator* sim_;
-  Options options_;
   sim::BandwidthServer pm_port_;
 };
 

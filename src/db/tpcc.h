@@ -11,29 +11,10 @@ namespace xssd::db {
 
 /// \brief TPC-C workload parameters.
 ///
-/// Row sizes follow the spec's minima; transaction CPU costs are the
-/// simulated compute charged per transaction, calibrated so that 8 workers
-/// with no logging reach ≈300 ktxn/s — the ERMIA ceiling the paper's
-/// Figure 9 reports on its 8-core Xeon testbed.
+/// Row sizes follow the spec's minima. The transaction mix and the
+/// simulated CPU cost of each transaction type are fixed (tpcc.cc).
 struct TpccConfig {
   uint32_t warehouses = 16;  ///< paper §6: 16 warehouses
-  uint32_t districts_per_warehouse = 10;
-  uint32_t customers_per_district = 3000;
-  uint32_t items = 100000;
-
-  // Transaction mix (percent; spec-standard).
-  uint32_t new_order_pct = 45;
-  uint32_t payment_pct = 43;
-  uint32_t order_status_pct = 4;
-  uint32_t delivery_pct = 4;
-  // stock_level = remainder.
-
-  // Simulated CPU cost per transaction type.
-  sim::SimTime new_order_cpu = sim::Us(40);
-  sim::SimTime payment_cpu = sim::Us(15);
-  sim::SimTime order_status_cpu = sim::Us(12);
-  sim::SimTime delivery_cpu = sim::Us(35);
-  sim::SimTime stock_level_cpu = sim::Us(25);
 
   /// Scale knob for data population (rows actually materialized); the
   /// full spec population is pointless for log-path experiments.
@@ -70,8 +51,6 @@ class TpccWorkload {
   /// Build (but do not commit) one transaction of the given type.
   /// Returns its simulated CPU cost.
   sim::SimTime Prepare(TpccTxnType type, Transaction* txn);
-
-  const TpccConfig& config() const { return config_; }
 
   Table* warehouse() { return warehouse_; }
   Table* district() { return district_; }

@@ -81,13 +81,17 @@ WorkloadResult WorkloadDriver::Run(sim::SimTime warmup,
   // Let in-flight transactions drain (not counted).
   sim_->RunFor(sim::Ms(50));
 
+  // A warm-up-only run has an empty window and no rates.
+  auto rate = [measure](uint64_t count) {
+    return measure > 0 ? static_cast<double>(count) / sim::ToSec(measure)
+                       : 0.0;
+  };
   WorkloadResult result;
   result.committed_txns = committed_;
-  result.txns_per_sec = static_cast<double>(committed_) / sim::ToSec(measure);
+  result.txns_per_sec = rate(committed_);
   result.latency_us = latency_us_;
   result.log_bytes = log_bytes;
-  result.log_bytes_per_sec =
-      static_cast<double>(log_bytes) / sim::ToSec(measure);
+  result.log_bytes_per_sec = rate(log_bytes);
   result.avg_log_bytes_per_txn =
       committed_ ? static_cast<double>(log_bytes) / committed_ : 0;
   return result;

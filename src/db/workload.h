@@ -36,7 +36,8 @@ class WorkloadDriver {
                  uint32_t worker_count, uint64_t seed = 7);
 
   /// Run for `warmup + measure` of virtual time; statistics cover only the
-  /// measurement window.
+  /// measurement window. An empty window (`measure == 0`) reports zero
+  /// rates.
   WorkloadResult Run(sim::SimTime warmup, sim::SimTime measure);
 
  private:

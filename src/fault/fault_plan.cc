@@ -33,10 +33,12 @@ Status BadField(const std::string& where, const std::string& what) {
   return Status::InvalidArgument("fault plan: " + where + ": " + what);
 }
 
-/// Microsecond JSON field -> SimTime; rejects negatives.
+/// Microsecond JSON field -> SimTime; rejects negatives, non-finite values
+/// and times of 2^63 ns or more, which sim::UsF cannot round.
 Result<sim::SimTime> TimeField(const obs::JsonValue& v, const std::string& ctx) {
-  if (!v.is_number() || v.number < 0) {
-    return BadField(ctx, "must be a non-negative number of microseconds");
+  if (!v.is_number() || !std::isfinite(v.number) || v.number < 0 ||
+      v.number * 1000.0 >= 0x1p63) {
+    return BadField(ctx, "must be microseconds in [0, 2^63 ns)");
   }
   return sim::UsF(v.number);
 }
@@ -113,8 +115,10 @@ Result<FaultPlan> ParseFaultPlan(std::string_view json) {
             spec.site = fval.string;
           } else if (fkey == "after_hits") {
             if (!fval.is_number() || fval.number < 1 ||
+                fval.number > UINT32_MAX ||
                 fval.number != std::floor(fval.number)) {
-              return BadField(ctx, "after_hits must be a positive integer");
+              return BadField(ctx,
+                              "after_hits must be an integer in [1, 2^32)");
             }
             spec.after_hits = static_cast<uint32_t>(fval.number);
           } else if (fkey == "graceful") {

@@ -8,6 +8,11 @@
 
 namespace xssd::flash {
 
+/// Out-of-band (spare) bytes per page, programmed atomically with the
+/// page's data area. The FTL stores its mapping metadata (lpn + write seq)
+/// here; recovery rebuilds the page map from an OOB scan.
+constexpr size_t kOobBytes = 64;
+
 Array::Array(sim::Simulator* sim, Geometry geometry, Timing timing,
              Reliability reliability, uint64_t seed)
     : sim_(sim),
@@ -73,8 +78,7 @@ sim::SimTime Array::OccupyDie(Die& die, sim::SimTime earliest,
 }
 
 double Array::BaseBer(const Block& block) const {
-  double ber = reliability_.raw_bit_error_rate +
-               reliability_.ber_per_pe_cycle * block.erase_count;
+  double ber = reliability_.raw_bit_error_rate;
   // Retention dwell only applies to data: an erased block holds no charge
   // to leak, so its clock starts at the first program (see Program).
   if (reliability_.ber_per_retention_sec > 0 && block.next_page > 0 &&
@@ -119,7 +123,7 @@ void Array::Program(const Address& addr, Bytes data,
                     std::vector<uint8_t> oob, ProgramCallback done,
                     sim::Simulator::Callback bus_released) {
   XSSD_CHECK(Contains(geometry_, addr));
-  XSSD_CHECK(oob.size() <= geometry_.oob_bytes);
+  XSSD_CHECK(oob.size() <= kOobBytes);
   Block& block = BlockAt(addr);
   if (block.bad) {
     ++stats_.bad_block_rejects;

@@ -43,7 +43,8 @@ struct ArrayStats {
 ///  - a die serves one operation at a time (tR / tPROG / tBERS busy);
 ///  - page data moves over the per-channel bus at channel_bytes_per_sec;
 ///  - pages must be programmed in order within an erased block;
-///  - reads sample bit errors against the ECC budget (wear-dependent).
+///  - reads sample bit errors against the ECC budget (dwell- and
+///    disturb-dependent).
 ///
 /// Scheduling *policy* (who goes next) lives above, in ftl::Scheduler; the
 /// array exposes busy probes so the scheduler can be opportunistic.
@@ -64,9 +65,9 @@ class Array {
   /// Fails with kIoError on (injected) program failure — the caller must
   /// treat the block as bad — or kFailedPrecondition on NAND rule
   /// violations (page not erased / out-of-order program).
-  /// `oob` (at most geometry().oob_bytes) lands in the page's spare area in
-  /// the same program pulse — data and OOB are atomic, which is what makes
-  /// an OOB mapping scan a sound recovery source.
+  /// `oob` (at most 64 bytes) lands in the page's spare area in the same
+  /// program pulse — data and OOB are atomic, which is what makes an OOB
+  /// mapping scan a sound recovery source.
   /// `bus_released` (optional) fires when the channel-bus transfer into the
   /// die's page register finishes — the point the scheduler may start the
   /// next transfer on this channel while tPROG runs.
@@ -97,7 +98,7 @@ class Array {
   /// Virtual time the block was last erased or first programmed after that
   /// erase — the epoch retention dwell is measured from.
   sim::SimTime ProgrammedAt(const Address& addr) const;
-  /// Current effective raw bit-error rate of the page's block: wear +
+  /// Current effective raw bit-error rate of the page's block: raw +
   /// retention dwell + read disturb. Pure prediction — no sampling, no
   /// fault-injection boosts. The patrol scrubber ranks blocks with this.
   double PredictedBer(const Address& addr) const;
@@ -162,15 +163,15 @@ class Array {
   sim::SimTime OccupyDie(Die& die, sim::SimTime earliest,
                          sim::SimTime duration);
 
-  /// Effective BER of a block right now: raw + wear + retention + disturb.
+  /// Effective BER of a block right now: raw + retention + disturb.
   /// No fault-injection terms (PredictedBer shares this).
   double BaseBer(const Block& block) const;
 
-  /// Sample read bit errors for a block at its current wear, retention
-  /// dwell, and disturb count, scaled by `ber_scale` (the retry ladder
-  /// passes < 1 for shifted-reference re-senses). Fault-injection dwell and
-  /// disturb boosts are added here so injected decay is indistinguishable
-  /// from organic decay.
+  /// Sample read bit errors for a block at its current retention dwell
+  /// and disturb count, scaled by `ber_scale` (the retry ladder passes < 1
+  /// for shifted-reference re-senses). Fault-injection dwell and disturb
+  /// boosts are added here so injected decay is indistinguishable from
+  /// organic decay.
   uint64_t SampleBitErrors(const Block& block, double ber_scale);
 
   sim::Simulator* sim_;

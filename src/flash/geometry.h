@@ -22,10 +22,6 @@ struct Geometry {
   uint32_t blocks_per_plane = 64;
   uint32_t pages_per_block = 256;
   uint32_t page_bytes = 16 * kKiB;
-  /// Out-of-band (spare) bytes per page, programmed atomically with the
-  /// page's data area. The FTL stores its mapping metadata (lpn + write
-  /// seq) here; recovery rebuilds the page map from an OOB scan.
-  uint32_t oob_bytes = 64;
 
   uint32_t dies() const { return channels * dies_per_channel; }
   uint64_t blocks() const {

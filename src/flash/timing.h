@@ -21,10 +21,8 @@ struct Timing {
 
 /// \brief Reliability model knobs.
 struct Reliability {
-  /// Raw bit-error rate per read at zero wear. 0 disables injection.
+  /// Base raw bit-error rate per read. 0 disables injection.
   double raw_bit_error_rate = 0.0;
-  /// Additional BER per program/erase cycle of the block (wear-out).
-  double ber_per_pe_cycle = 0.0;
   /// Additional BER per second of retention dwell (virtual time since the
   /// block was first programmed after its last erase). Charge retention
   /// loss: data sitting cold decays.
@@ -41,7 +39,7 @@ struct Reliability {
   uint32_t read_retry_levels = 4;
   /// Effective-BER multiplier applied per retry level (< 1).
   double retry_ber_factor = 0.5;
-  /// Probability a program operation fails, grows with wear.
+  /// Probability a program operation fails.
   double program_fail_rate = 0.0;
   /// Fraction of blocks marked factory-bad.
   double factory_bad_block_rate = 0.0;

@@ -15,6 +15,15 @@ namespace {
 // Pause after a writeback fails for good, before writeback runs again.
 constexpr sim::SimTime kWritebackRetryDelay = sim::Us(100);
 
+/// Device DRAM bandwidth serving the data buffer (DDR3 on Cosmos+).
+constexpr double kBufferBytesPerSec = 2e9;
+/// Fixed device firmware latency per buffered-write acknowledgment.
+constexpr sim::SimTime kFirmwareLatency = sim::Us(2);
+/// Erased blocks held back for GC relocation (BlockAllocator reserve).
+/// Prevents host streams from draining the pool GC needs to make
+/// progress — see BlockAllocator::set_gc_reserve.
+constexpr uint64_t kGcReservedBlocks = 2;
+
 BlockAllocator::Stream StreamFor(IoClass io_class) {
   return io_class == IoClass::kDestage ? BlockAllocator::kDestageStream
                                        : BlockAllocator::kConventionalStream;
@@ -33,9 +42,9 @@ Ftl::Ftl(sim::Simulator* sim, flash::Array* array, FtlConfig config)
                (1.0 - config.overprovision))),
       allocator_(array->geometry()),
       wear_(array->geometry().blocks()),
-      buffer_port_(sim, config.buffer_bytes_per_sec),
+      buffer_port_(sim, kBufferBytesPerSec),
       inflight_programs_(array->geometry().blocks(), 0) {
-  allocator_.set_gc_reserve(config_.gc_reserved_blocks);
+  allocator_.set_gc_reserve(kGcReservedBlocks);
 }
 
 void Ftl::SetFaultInjector(fault::FaultInjector* injector,
@@ -183,7 +192,7 @@ void Ftl::AdmitWrite(uint64_t lpn, uint64_t seq, Bytes data,
   // Acknowledge once the data has crossed the device DRAM port plus a
   // small firmware cost — the device-visible latency of a cached write.
   sim::SimTime ack = buffer_port_.Acquire(page_bytes());
-  sim_->ScheduleAt(ack + config_.firmware_latency,
+  sim_->ScheduleAt(ack + kFirmwareLatency,
                    [done = std::move(done)]() { done(Status::OK()); });
 }
 
@@ -262,7 +271,7 @@ void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
           UpdateWearGauges();
           ++stats_.bad_block_retires;
           if (m_bad_block_retires_) m_bad_block_retires_->Add();
-          if (attempts + 1 >= config_.max_program_retries) {
+          if (attempts + 1 >= kMaxProgramRetries) {
             // A fault window is failing every program; stop burning blocks
             // and let the caller apply its own retry/backoff policy.
             done(status);
@@ -305,7 +314,7 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
     std::vector<uint8_t> copy = it->second.data.ToVector();
     sim::SimTime at = buffer_port_.Acquire(page_bytes());
     sim_->ScheduleAt(
-        at + config_.firmware_latency,
+        at + kFirmwareLatency,
         [copy = std::move(copy), done = std::move(done)]() mutable {
           done(Status::OK(), std::move(copy));
         });
@@ -314,7 +323,7 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
   uint64_t ppn = map_.Lookup(lpn);
   if (ppn == kUnmapped) {
     // Unwritten page reads as zeros, like a fresh namespace.
-    sim_->Schedule(config_.firmware_latency,
+    sim_->Schedule(kFirmwareLatency,
                    [len = page_bytes(), done = std::move(done)]() {
                      done(Status::OK(), std::vector<uint8_t>(len, 0));
                    });
@@ -438,7 +447,7 @@ void Ftl::CheckFlushWaiters() {
 
 void Ftl::Flush(FlushCallback done) {
   if (dirty_count_ == 0 && flush_inflight_ == 0) {
-    sim_->Schedule(config_.firmware_latency, [done = std::move(done)]() {
+    sim_->Schedule(kFirmwareLatency, [done = std::move(done)]() {
       done(Status::OK());
     });
     return;

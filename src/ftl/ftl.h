@@ -28,6 +28,11 @@ class FaultInjector;
 
 namespace xssd::ftl {
 
+/// Grown-bad-block program retries before the IoError is surfaced to the
+/// caller. Bounds the damage of a fault window that fails every program:
+/// past the cap the caller (destage module / host) owns the retry policy.
+inline constexpr uint32_t kMaxProgramRetries = 8;
+
 /// \brief FTL configuration.
 struct FtlConfig {
   /// Fraction of raw capacity reserved as over-provisioning.
@@ -40,22 +45,10 @@ struct FtlConfig {
   uint32_t max_writeback_inflight = 32;
   /// GC starts when the erased-block pool falls below this count.
   uint64_t gc_low_watermark = 8;
-  /// Device DRAM bandwidth serving the data buffer (DDR3 on Cosmos+).
-  double buffer_bytes_per_sec = 2e9;
-  /// Fixed device firmware latency per buffered-write acknowledgment.
-  sim::SimTime firmware_latency = sim::Us(2);
-  /// Grown-bad-block program retries before the IoError is surfaced to the
-  /// caller. Bounds the damage of a fault window that fails every program:
-  /// past the cap the caller (destage module / host) owns the retry policy.
-  uint32_t max_program_retries = 8;
   /// Wear-leveling blend weight for GC victim selection (GcTuning).
   double gc_wear_alpha = 2.0;
   /// Erase-count-spread bound that triggers cold-data migration (GcTuning).
   uint32_t gc_max_erase_spread = 16;
-  /// Erased blocks held back for GC relocation (BlockAllocator reserve).
-  /// Prevents host streams from draining the pool GC needs to make
-  /// progress — see BlockAllocator::set_gc_reserve.
-  uint64_t gc_reserved_blocks = 2;
 };
 
 /// Cumulative FTL statistics.
@@ -224,8 +217,8 @@ class Ftl {
   };
 
   /// Program `data` for `lpn` via `stream`, retrying on grown-bad blocks
-  /// up to config_.max_program_retries times. `seq` is the logical write
-  /// version carried in the OOB; each physical attempt gets a fresh stamp.
+  /// up to kMaxProgramRetries times. `seq` is the logical write version
+  /// carried in the OOB; each physical attempt gets a fresh stamp.
   /// `src_ppn == kUnmapped` maps through PageMap::Map (host/destage write);
   /// otherwise the program is a GC relocation applied via MapRelocated.
   void ProgramPage(IoClass io_class, BlockAllocator::Stream stream,

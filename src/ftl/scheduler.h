@@ -120,7 +120,8 @@ class Scheduler {
   /// or -1.
   int FindEligible(uint32_t channel, const std::deque<Op>& queue) const;
 
-  /// Pop & issue queue[k][index]; returns false if the bus is held.
+  /// Pop queue[io_class][index] and start it on the array; an op that uses
+  /// the bus holds the channel bus until its transfer ends.
   void Issue(uint32_t channel, int io_class, size_t index);
 
   sim::Simulator* sim_;

@@ -48,8 +48,8 @@ struct ScrubStats {
 /// reliability story.
 ///
 /// Every `scan_interval` of idle time it ranks the FTL's sealed, quiesced
-/// blocks by predicted raw bit-error rate (wear + retention dwell + read
-/// disturb, via flash::Array::PredictedBer) and either
+/// blocks by predicted raw bit-error rate (retention dwell + read disturb,
+/// via flash::Array::PredictedBer) and either
 ///  - refreshes the riskiest block (Ftl::RefreshBlock — relocate + erase,
 ///    resetting its dwell and disturb counters) when its predicted error
 ///    mean crosses `refresh_margin` of the ECC budget, or

@@ -9,6 +9,9 @@
 
 namespace xssd::host {
 
+/// Fixed CPU cost charged per credit-register poll (call + load).
+constexpr sim::SimTime kPollCpuOverhead = sim::Ns(60);
+
 XLogClient::XLogClient(sim::Simulator* sim, pcie::PcieFabric* fabric,
                        uint64_t cmb_base, XLogClientOptions options)
     : sim_(sim),
@@ -92,8 +95,8 @@ void XLogClient::ReadRegister(uint64_t reg,
     poll_ctx = spans_->StartSpan(obs::Stage::kHostPoll, span_node_,
                                  caller_ctx);
   }
-  sim_->Schedule(options_.poll_cpu_overhead, [this, reg, caller_ctx, poll_ctx,
-                                              done = std::move(done)]() {
+  sim_->Schedule(kPollCpuOverhead, [this, reg, caller_ctx, poll_ctx,
+                                    done = std::move(done)]() {
     fabric_->HostRead(cmb_base_ + reg, 8,
                       [this, caller_ctx, poll_ctx, done = std::move(done)](
                           std::vector<uint8_t> bytes) {

@@ -21,8 +21,6 @@ struct XLogClientOptions {
   /// MMIO mapping mode for the ring window. Write-combining is the fast
   /// configuration (paper §6.2); uncached exists for the Figure 10 sweep.
   pcie::MmioMode mmio_mode = pcie::MmioMode::kWriteCombining;
-  /// Fixed CPU cost charged per credit-register poll (call + load).
-  sim::SimTime poll_cpu_overhead = sim::Ns(60);
   /// Keep appends within ring capacity of the destage head. The device's
   /// flow control is advisory (paper §4.1); raw-intake microbenchmarks
   /// (Figure 10) turn this off.

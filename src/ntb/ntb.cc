@@ -6,16 +6,19 @@
 
 namespace xssd::ntb {
 
+constexpr double kBytesPerSec = 2e9;    ///< cross-link bandwidth
+constexpr uint32_t kForwardChunk = 64;  ///< TLP payload granularity
+
 NtbAdapter::NtbAdapter(sim::Simulator* sim, NtbConfig config, std::string name)
     : sim_(sim),
       config_(config),
       name_(std::move(name)),
-      link_(sim, config.bytes_per_sec) {
+      link_(sim, kBytesPerSec) {
   scratchpad_.resize(config_.scratchpad_bytes, 0);
   // The NTB hop is the only cross-fabric edge in the module graph, so its
   // cut-through latency is the simulator's cross-domain lookahead: no
   // forwarded write can land on the far fabric sooner than this.
-  if (config_.hop_latency > 0) sim_->DeclareLookahead(config_.hop_latency);
+  sim_->DeclareLookahead(kHopLatency);
 }
 
 void NtbAdapter::SetMetrics(obs::MetricsRegistry* registry,
@@ -38,7 +41,7 @@ void NtbAdapter::SetSpans(obs::SpanRecorder* spans,
 Status NtbAdapter::AddWindow(uint64_t offset, uint64_t size,
                              pcie::PcieFabric* remote_fabric,
                              uint64_t remote_base) {
-  if (remote_fabric == nullptr || size == 0) {
+  if (remote_fabric == nullptr || size == 0 || size > UINT64_MAX - offset) {
     return Status::InvalidArgument("bad NTB window");
   }
   for (const Window& w : windows_) {
@@ -74,7 +77,7 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
     return;
   }
   const Window* window = FindWindow(offset);
-  if (window == nullptr || offset + len > window->offset + window->size) {
+  if (window == nullptr || len > window->offset + window->size - offset) {
     XSSD_LOG(kWarning) << name_ << ": write outside any NTB window";
     return;
   }
@@ -100,8 +103,8 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
     }
   }
 
-  uint64_t wire = pcie::WireBytesFor(len, config_.forward_chunk);
-  uint64_t packets = pcie::TlpCountFor(len, config_.forward_chunk);
+  uint64_t wire = pcie::WireBytesFor(len, kForwardChunk);
+  uint64_t packets = pcie::TlpCountFor(len, kForwardChunk);
   forwarded_wire_bytes_ += wire;
   forwarded_payload_bytes_ += len;
   forwarded_packets_ += packets;
@@ -114,7 +117,7 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
 
   sim::SimTime cable_done = link_.Acquire(wire);
   if (m_link_busy_us_) m_link_busy_us_->Set(sim::ToUs(link_.busy_time()));
-  sim::SimTime delivered_at = cable_done + config_.hop_latency + stall_delay;
+  sim::SimTime delivered_at = cable_done + kHopLatency + stall_delay;
   // The link span covers cable serialisation plus the adapter hop; its end
   // is known now, so stamp it up front. The captured context is restored on
   // delivery so remote-side spans nest under this transfer.
@@ -125,17 +128,16 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
     spans_->EndSpanAt(link_ctx, delivered_at);
   }
   // Deliver in the remote fabric's scheduler domain. When that differs from
-  // ours, delivered_at >= now + hop_latency >= now + lookahead satisfies the
+  // ours, delivered_at >= now + kHopLatency >= now + lookahead satisfies the
   // cross-domain contract by construction.
   sim_->ScheduleAtIn(
       window->remote->domain(), delivered_at,
       [this, link_ctx, remote = window->remote,
-       addr = window->remote_base + window_offset, data,
-       chunk = config_.forward_chunk]() {
+       addr = window->remote_base + window_offset, data]() {
         obs::ScopedContext scope(spans_, link_ctx);
         // Address translation is the only transformation NTB performs
         // (§2.3); inject into the remote fabric as peer-to-peer traffic.
-        remote->PeerWrite(addr, data, chunk);
+        remote->PeerWrite(addr, data, kForwardChunk);
       });
 }
 
@@ -151,7 +153,7 @@ void NtbAdapter::OnMmioRead(uint64_t offset, uint8_t* out, size_t len) {
   // (all coordination is done with posted writes). Serve them functionally
   // for completeness.
   const Window* window = FindWindow(offset);
-  if (window == nullptr || offset + len > window->offset + window->size) {
+  if (window == nullptr || len > window->offset + window->size - offset) {
     std::fill(out, out + len, 0);
     return;
   }

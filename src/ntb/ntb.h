@@ -17,16 +17,14 @@ class FaultInjector;
 
 namespace xssd::ntb {
 
-/// \brief NTB adapter/link parameters.
-///
-/// Defaults approximate the Dolphin PXH830 daisy-chain of the paper's
-/// testbed. NTB carries raw TLPs — no protocol conversion (paper §2.3) —
-/// so the per-packet overhead is the PCIe TLP overhead, and the hop latency
-/// is the adapter's cut-through forwarding time.
+/// Adapter cut-through latency of the Dolphin PXH830 daisy-chain of the
+/// paper's testbed. NTB carries raw TLPs — no protocol conversion (paper
+/// §2.3) — so the per-packet overhead is the PCIe TLP overhead, and the
+/// hop latency is the adapter's cut-through forwarding time.
+inline constexpr sim::SimTime kHopLatency = sim::Ns(1300);
+
+/// \brief NTB adapter parameters.
 struct NtbConfig {
-  double bytes_per_sec = 2e9;             ///< cross-link bandwidth
-  sim::SimTime hop_latency = sim::Ns(1300);  ///< adapter cut-through latency
-  uint32_t forward_chunk = 64;           ///< TLP payload granularity
   /// Doorbell/scratchpad region of the BAR: writes landing here are stored
   /// locally (never forwarded) and served back to reads — the mailbox real
   /// NTB hardware exposes, used by the HA supervisor for heartbeats.
@@ -49,7 +47,8 @@ class NtbAdapter : public pcie::MmioDevice {
   NtbAdapter(sim::Simulator* sim, NtbConfig config, std::string name);
 
   /// Map [offset, offset+size) of this adapter's BAR onto
-  /// remote_fabric[remote_base ...]. Windows must not overlap.
+  /// remote_fabric[remote_base ...]. Windows must not overlap, and the end
+  /// must not pass 2^64.
   Status AddWindow(uint64_t offset, uint64_t size,
                    pcie::PcieFabric* remote_fabric, uint64_t remote_base);
 
@@ -75,7 +74,6 @@ class NtbAdapter : public pcie::MmioDevice {
     dropped_payload_bytes_ = 0;
   }
 
-  const NtbConfig& config() const { return config_; }
   sim::BandwidthServer& link() { return link_; }
 
   /// Register this adapter's metrics under `prefix` + "ntb.".

@@ -26,7 +26,6 @@ enum class AdminOpcode : uint8_t {
   kXssdSetUpdatePeriod = 0xC2,///< cdw10: shadow-counter period in ns
   kXssdSetDestagePolicy = 0xC3,///< cdw10: ftl::SchedulingPolicy
   kXssdSetReplication = 0xC4, ///< cdw10: ReplicationProtocol
-  kXssdGetLogRing = 0xC5,     ///< returns destage ring head/tail in result
   kXssdClearPeers = 0xC6,
   kXssdSetTerm = 0xC7,        ///< cdw10: term, cdw11: authorised writer slot
   kXssdRemovePeer = 0xC8,     ///< cdw10: member slot to drop from the group

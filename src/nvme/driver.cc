@@ -6,13 +6,18 @@
 
 namespace xssd::nvme {
 
+constexpr uint16_t kQueueEntries = 256;
+/// CPU cost of an I/O submission syscall (pwrite into the kernel).
+constexpr sim::SimTime kSubmitOverhead = sim::Us(2);
+/// CPU cost of interrupt + completion processing.
+constexpr sim::SimTime kCompletionOverhead = sim::Us(3);
+
 Driver::Driver(sim::Simulator* sim, pcie::PcieFabric* fabric,
-               Controller* controller, uint64_t bar0_base, Options options)
+               Controller* controller, uint64_t bar0_base)
     : sim_(sim),
       fabric_(fabric),
       controller_(controller),
-      bar0_base_(bar0_base),
-      options_(options) {}
+      bar0_base_(bar0_base) {}
 
 void Driver::SetSpans(obs::SpanRecorder* spans, const std::string& node_tag) {
   spans_ = spans;
@@ -22,7 +27,7 @@ void Driver::SetSpans(obs::SpanRecorder* spans, const std::string& node_tag) {
 uint64_t Driver::AllocHostBuffer(uint64_t bytes) {
   // 64-byte align every allocation.
   bump_ = (bump_ + 63) & ~63ull;
-  XSSD_CHECK(bump_ + bytes <= fabric_->host_memory_size());
+  XSSD_CHECK(bump_ + bytes <= pcie::kHostMemoryBytes);
   uint64_t addr = bump_;
   bump_ += bytes;
   return addr;
@@ -30,12 +35,12 @@ uint64_t Driver::AllocHostBuffer(uint64_t bytes) {
 
 Status Driver::Initialize() {
   for (int q = 0; q < 2; ++q) {
-    sq_base_[q] = AllocHostBuffer(options_.queue_entries * kSqeBytes);
-    cq_base_[q] = AllocHostBuffer(options_.queue_entries * kCqeBytes);
+    sq_base_[q] = AllocHostBuffer(kQueueEntries * kSqeBytes);
+    cq_base_[q] = AllocHostBuffer(kQueueEntries * kCqeBytes);
     QueueConfig config;
     config.sq_base = sq_base_[q];
     config.cq_base = cq_base_[q];
-    config.entries = options_.queue_entries;
+    config.entries = kQueueEntries;
     XSSD_RETURN_IF_ERROR(
         controller_->ConfigureQueue(static_cast<uint16_t>(q), config));
   }
@@ -58,11 +63,10 @@ void Driver::Submit(uint16_t qid, Command cmd, Pending pending) {
   std::memcpy(fabric_->host_memory() + sq_base_[qid] +
                   sq_tail_[qid] * kSqeBytes,
               sqe, kSqeBytes);
-  sq_tail_[qid] =
-      static_cast<uint16_t>((sq_tail_[qid] + 1) % options_.queue_entries);
+  sq_tail_[qid] = static_cast<uint16_t>((sq_tail_[qid] + 1) % kQueueEntries);
   uint32_t tail = sq_tail_[qid];
 
-  sim_->Schedule(options_.submit_overhead, [this, qid, tail]() {
+  sim_->Schedule(kSubmitOverhead, [this, qid, tail]() {
     uint64_t db = bar0_base_ + kDoorbellBase + qid * kDoorbellStride;
     uint8_t value[4];
     std::memcpy(value, &tail, 4);
@@ -78,8 +82,7 @@ void Driver::OnInterrupt(uint16_t qid) {
                          cq_head_[qid] * kCqeBytes;
     Completion cpl = DecodeCompletion(cqe);
     if (cpl.phase != cq_phase_[qid]) break;  // no new entry
-    cq_head_[qid] =
-        static_cast<uint16_t>((cq_head_[qid] + 1) % options_.queue_entries);
+    cq_head_[qid] = static_cast<uint16_t>((cq_head_[qid] + 1) % kQueueEntries);
     if (cq_head_[qid] == 0) cq_phase_[qid] = !cq_phase_[qid];
 
     uint32_t key = (static_cast<uint32_t>(qid) << 16) | cpl.cid;
@@ -90,7 +93,7 @@ void Driver::OnInterrupt(uint16_t qid) {
     }
     Pending pending = std::move(it->second);
     outstanding_.erase(it);
-    sim_->Schedule(options_.completion_overhead,
+    sim_->Schedule(kCompletionOverhead,
                    [cpl, pending = std::move(pending)]() mutable {
                      pending.done(cpl);
                    });

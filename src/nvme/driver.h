@@ -21,21 +21,10 @@ namespace xssd::nvme {
 /// doorbell MMIO, interrupt handling — are charged here. The x_* drop-in
 /// API (host/) bypasses exactly these costs, which is the asymmetry the
 /// paper's Figure 9 exposes.
-struct DriverOptions {
-  uint16_t queue_entries = 256;
-  /// CPU cost of an I/O submission syscall (pwrite into the kernel).
-  sim::SimTime submit_overhead = sim::Us(2);
-  /// CPU cost of interrupt + completion processing.
-  sim::SimTime completion_overhead = sim::Us(3);
-};
-
 class Driver {
  public:
-  using Options = DriverOptions;
-
   Driver(sim::Simulator* sim, pcie::PcieFabric* fabric,
-         Controller* controller, uint64_t bar0_base,
-         Options options = Options());
+         Controller* controller, uint64_t bar0_base);
 
   Driver(const Driver&) = delete;
   Driver& operator=(const Driver&) = delete;
@@ -98,7 +87,6 @@ class Driver {
   pcie::PcieFabric* fabric_;
   Controller* controller_;
   uint64_t bar0_base_;
-  Options options_;
 
   uint64_t bump_ = 0;       // host-memory bump allocator cursor
   uint64_t sq_base_[2] = {0, 0};

@@ -1,5 +1,7 @@
 #include "obs/watchdog.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "obs/flightrec.h"
@@ -101,9 +103,10 @@ Result<SloRule> ParseSloRule(const JsonValue& value) {
       }
       rule.threshold = field.number;
     } else if (key == "for_windows") {
-      if (!field.is_number() || field.number < 1) {
+      if (!field.is_number() || field.number < 1 || field.number > UINT32_MAX ||
+          field.number != std::floor(field.number)) {
         return Status::InvalidArgument(
-            "slo rule: for_windows must be a number >= 1");
+            "slo rule: for_windows must be an integer in [1, 2^32)");
       }
       rule.for_windows = static_cast<uint32_t>(field.number);
     } else if (key == "fatal") {

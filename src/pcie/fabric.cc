@@ -1,12 +1,18 @@
 #include "pcie/fabric.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
 
 namespace xssd::pcie {
+
+/// One-way switch+wire latency.
+constexpr sim::SimTime kPropagation = sim::Ns(250);
+/// Device read service time.
+constexpr sim::SimTime kReadTurnaround = sim::Ns(400);
+/// DDR bandwidth for DMA.
+constexpr double kHostMemoryBytesPerSec = 12e9;
 
 double LaneBytesPerSec(int generation) {
   // Effective per-lane data rates after encoding overhead.
@@ -33,9 +39,8 @@ PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
       downstream_(sim, link_bytes_per_sec_),
       upstream_(sim, link_bytes_per_sec_),
       peer_(sim, link_bytes_per_sec_),
-      host_memory_port_(sim, config.host_memory_bytes_per_sec),
-      host_memory_(static_cast<uint8_t*>(
-          std::calloc(std::max<uint64_t>(config.host_memory_bytes, 1), 1))) {
+      host_memory_port_(sim, kHostMemoryBytesPerSec),
+      host_memory_(static_cast<uint8_t*>(std::calloc(kHostMemoryBytes, 1))) {
   XSSD_CHECK(host_memory_ != nullptr);
 }
 
@@ -55,8 +60,8 @@ void PcieFabric::SetMetrics(obs::MetricsRegistry* registry,
 Status PcieFabric::AddMmioRegion(uint64_t base, uint64_t size,
                                  MmioDevice* device,
                                  std::string region_name) {
-  if (device == nullptr || size == 0) {
-    return Status::InvalidArgument("null device or empty region");
+  if (device == nullptr || size == 0 || size > UINT64_MAX - base) {
+    return Status::InvalidArgument("null device, empty or wrapping region");
   }
   for (const Region& r : regions_) {
     bool disjoint = base + size <= r.base || r.base + r.size <= base;
@@ -82,7 +87,7 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
   const size_t len = data.size();
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
-  XSSD_CHECK(addr + len <= region->base + region->size);
+  XSSD_CHECK(len <= region->base + region->size - addr);
   XSSD_CHECK(chunk > 0);
 
   // One Acquire covers all TLPs of this write back-to-back on the link.
@@ -105,7 +110,7 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
     // schedule is identical with tracing off).
     obs::SpanContext ctx =
         spans_ ? spans_->current() : obs::SpanContext{};
-    sim_->ScheduleAt(done_at + config_.propagation + extra_delay,
+    sim_->ScheduleAt(done_at + kPropagation + extra_delay,
                      [this, ctx, device, offset, data = std::move(data)]() {
                        obs::ScopedContext scope(spans_, ctx);
                        device->OnMmioWrite(offset, data);
@@ -135,15 +140,14 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
   CheckDomain();
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
-  XSSD_CHECK(addr + len <= region->base + region->size);
+  XSSD_CHECK(len <= region->base + region->size - addr);
   if (m_host_read_bytes_) m_host_read_bytes_->Add(len);
 
   // Request TLP downstream.
   sim::SimTime req_done = downstream_.Acquire(kTlpOverheadBytes);
   uint64_t offset = addr - region->base;
   MmioDevice* device = region->device;
-  sim::SimTime service_at =
-      req_done + config_.propagation + config_.read_turnaround;
+  sim::SimTime service_at = req_done + kPropagation + kReadTurnaround;
   sim_->ScheduleAt(service_at, [this, device, offset, len,
                                 done = std::move(done)]() mutable {
     // Device serves the read *now* (functional state as of this instant),
@@ -153,7 +157,7 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
     sim::SimTime cpl_done =
         upstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
     sim_->ScheduleAt(
-        cpl_done + config_.propagation,
+        cpl_done + kPropagation,
         [data = std::move(data), done = std::move(done)]() mutable {
           done(std::move(data));
         });
@@ -163,8 +167,8 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
 void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                            sim::Simulator::Callback done) {
   CheckDomain();
-  XSSD_CHECK(host_addr <= host_memory_size() &&
-             len <= host_memory_size() - host_addr);
+  XSSD_CHECK(host_addr <= kHostMemoryBytes &&
+             len <= kHostMemoryBytes - host_addr);
   if (m_dma_to_host_bytes_) m_dma_to_host_bytes_->Add(len);
   std::vector<uint8_t> copy(data, data + len);
   sim::SimTime link_done =
@@ -179,8 +183,8 @@ void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
 void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
                              std::function<void(Bytes)> done) {
   CheckDomain();
-  XSSD_CHECK(host_addr <= host_memory_size() &&
-             len <= host_memory_size() - host_addr);
+  XSSD_CHECK(host_addr <= kHostMemoryBytes &&
+             len <= kHostMemoryBytes - host_addr);
   if (m_dma_from_host_bytes_) m_dma_from_host_bytes_->Add(len);
   // Read request downstream is negligible; charge memory port + upstream
   // completion stream.
@@ -191,7 +195,7 @@ void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
     sim::SimTime link_done =
         downstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
     sim_->ScheduleAt(
-        link_done + config_.propagation,
+        link_done + kPropagation,
         [data = std::move(data), done = std::move(done)]() mutable {
           done(std::move(data));
         });
@@ -201,7 +205,7 @@ void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
 Status PcieFabric::FunctionalWrite(uint64_t addr, const uint8_t* data,
                                    size_t len) {
   const Region* region = FindRegion(addr);
-  if (region == nullptr || addr + len > region->base + region->size) {
+  if (region == nullptr || len > region->base + region->size - addr) {
     return Status::OutOfRange("no MMIO region covers address");
   }
   region->device->OnMmioWrite(addr - region->base, Bytes::Copy(data, len));
@@ -210,7 +214,7 @@ Status PcieFabric::FunctionalWrite(uint64_t addr, const uint8_t* data,
 
 Status PcieFabric::FunctionalRead(uint64_t addr, uint8_t* out, size_t len) {
   const Region* region = FindRegion(addr);
-  if (region == nullptr || addr + len > region->base + region->size) {
+  if (region == nullptr || len > region->base + region->size - addr) {
     return Status::OutOfRange("no MMIO region covers address");
   }
   region->device->OnMmioRead(addr - region->base, out, len);

@@ -40,14 +40,13 @@ class MmioDevice {
 /// Link speeds per PCIe generation, bytes/sec/lane (post-encoding).
 double LaneBytesPerSec(int generation);
 
+/// Size of each fabric's simulated host DRAM image.
+inline constexpr uint64_t kHostMemoryBytes = 64ull << 20;
+
 /// \brief Configuration of a host's PCIe subsystem.
 struct FabricConfig {
   int generation = 2;          ///< Villars is constrained to Gen2 (paper §6)
   int lanes = 4;               ///< ×4 → 2 GB/s, as in the paper's setup
-  sim::SimTime propagation = sim::Ns(250);   ///< one-way switch+wire latency
-  sim::SimTime read_turnaround = sim::Ns(400);  ///< device read service time
-  uint64_t host_memory_bytes = 64ull << 20;  ///< simulated host DRAM image
-  double host_memory_bytes_per_sec = 12e9;   ///< DDR bandwidth for DMA
   /// Scheduler domain this fabric (and every device on it) belongs to (see
   /// sim::Simulator). All traffic must enter a fabric from an event of its
   /// own domain; the only legal cross-domain edge is the NTB forward (which
@@ -71,7 +70,8 @@ class PcieFabric {
   PcieFabric(const PcieFabric&) = delete;
   PcieFabric& operator=(const PcieFabric&) = delete;
 
-  /// Map `device` at [base, base+size). Regions must not overlap.
+  /// Map `device` at [base, base+size). Regions must not overlap, and the
+  /// end must not pass 2^64.
   Status AddMmioRegion(uint64_t base, uint64_t size, MmioDevice* device,
                        std::string region_name);
 
@@ -116,10 +116,8 @@ class PcieFabric {
   // -- Host memory image ----------------------------------------------------
 
   uint8_t* host_memory() { return host_memory_.get(); }
-  uint64_t host_memory_size() const { return config_.host_memory_bytes; }
 
   sim::Simulator* simulator() { return sim_; }
-  const FabricConfig& config() const { return config_; }
   const std::string& name() const { return name_; }
 
   /// Scheduler domain of this fabric (FabricConfig::domain).

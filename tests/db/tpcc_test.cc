@@ -118,6 +118,14 @@ TEST_F(TpccTest, WorkloadDriverProducesThroughput) {
   EXPECT_LT(result.avg_log_bytes_per_txn, 2000.0);
 }
 
+TEST_F(TpccTest, EmptyMeasureWindowReportsZeroRates) {
+  // A warm-up-only run, as perfbench's tpcc_villars makes on every episode.
+  WorkloadDriver driver(&sim_, &db_, &workload_, 2);
+  WorkloadResult result = driver.Run(sim::Ms(5), 0);
+  EXPECT_EQ(result.txns_per_sec, 0.0);
+  EXPECT_EQ(result.log_bytes_per_sec, 0.0);
+}
+
 TEST_F(TpccTest, ThroughputScalesWithWorkers) {
   sim::Simulator sim1, sim4;
   NoLogBackend b1(&sim1), b4(&sim4);

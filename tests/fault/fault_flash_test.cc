@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/destage_module.h"
 #include "core/page_format.h"
 #include "fault/fault_injector.h"
 #include "flash/array.h"
@@ -217,7 +218,7 @@ TEST(FaultFlashTest, DestageReissueOutlastsFtlRetryCap) {
   sim.RunFor(sim::Ms(20));
 
   EXPECT_GE(node.device().ftl().stats().bad_block_retires,
-            node.device().config().ftl.max_program_retries);
+            ftl::kMaxProgramRetries);
   uint64_t retries = registry.GetCounter("destage.write_retries")->value();
   EXPECT_GE(retries, 1u);
   EXPECT_EQ(registry.GetCounter("destage.write_failures")->value(), retries);
@@ -278,11 +279,10 @@ TEST(FaultFlashTest, DestageLosesExtentOnceReissuesAreSpent) {
   ASSERT_EQ(host::x_fsync(sim, node.client()), 0);
   sim.RunUntil(sim::Ms(60));
 
-  const core::DestageConfig& destage = node.device().config().destage;
   EXPECT_EQ(registry.GetCounter("destage.write_retries")->value(),
-            destage.max_write_retries);
+            core::kMaxWriteRetries);
   EXPECT_EQ(registry.GetCounter("destage.write_failures")->value(),
-            destage.max_write_retries + 1u);
+            core::kMaxWriteRetries + 1u);
   EXPECT_EQ(node.device().destage().destaged(), capacity);
   EXPECT_FALSE(node.device().halted());
 

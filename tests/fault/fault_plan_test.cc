@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "fault/fault_plan.h"
 
 namespace xssd::fault {
@@ -84,6 +87,25 @@ TEST(FaultPlanTest, ProbabilityMustBeInRange) {
   EXPECT_FALSE(ParseFaultPlan(R"({"faults": [{"kind": "nvme.timeout",
                                               "probability": -0.1}]})")
                    .ok());
+}
+
+TEST(FaultPlanTest, UnrepresentableNumbersAreRejected) {
+  // Each would otherwise load as some other value: 2^32 + 1 hits as 1,
+  // 1e17 us as 2^63 ns, and 1e999 (parsed as infinity) as no defined time.
+  const std::pair<const char*, const char*> cases[] = {
+      {"after_hits",
+       R"({"kind": "crash", "site": "x", "after_hits": 4294967297})"},
+      {"at_us", R"({"kind": "nvme.timeout", "at_us": 1e17})"},
+      {"duration_us", R"({"kind": "nvme.timeout", "duration_us": 1e999})"},
+  };
+  for (const auto& [field, fault] : cases) {
+    Result<FaultPlan> plan =
+        ParseFaultPlan(std::string(R"({"faults": [)") + fault + "]}");
+    ASSERT_FALSE(plan.ok()) << fault;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << fault;
+    EXPECT_NE(plan.status().message().find(field), std::string::npos)
+        << plan.status().ToString();
+  }
 }
 
 TEST(FaultPlanTest, MalformedJsonIsError) {

@@ -7,6 +7,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "harness.h"
 
@@ -37,19 +38,16 @@ const PinnedRun kPinnedRuns[] = {
     {"ftl_gc_churn", 2027, "f8712c1874c0fe76"},
 };
 
-class PerfbenchGate : public ::testing::TestWithParam<PinnedRun> {};
-
-TEST_P(PerfbenchGate, CorrectWithPinnedDigest) {
-#ifndef __OPTIMIZE__
-  GTEST_SKIP() << "perfbench runs take minutes in an unoptimized build";
-#endif
-  const PinnedRun& pin = GetParam();
+// Runs `pin`'s workload and seed at `--trace trace`: it must pass its own
+// checks and print the pinned digest.
+void ExpectPinnedRun(const PinnedRun& pin, int trace) {
   // An empty scheduler leaves XSSD_SIM_SCHEDULER unset: perfbench refuses
   // it and always runs the wheel.
   BenchRun run = RunBench(
       {"run", "perfbench",
        Args(std::string("--workload ") + pin.workload + " --seed " +
-            std::to_string(pin.seed) + " --seconds 1 --trace 0"),
+            std::to_string(pin.seed) + " --seconds 1 --trace " +
+            std::to_string(trace)),
        /*scheduler=*/""});
   ASSERT_TRUE(Succeeded(run));
   const std::string out = run.Stdout();
@@ -68,12 +66,45 @@ TEST_P(PerfbenchGate, CorrectWithPinnedDigest) {
   EXPECT_EQ(NumberAt(result, {"failed"}), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, PerfbenchGate, ::testing::ValuesIn(kPinnedRuns),
-    [](const ::testing::TestParamInfo<PinnedRun>& info) {
-      return std::string(info.param.workload) + "_seed" +
-             std::to_string(info.param.seed);
-    });
+std::string RunName(const ::testing::TestParamInfo<PinnedRun>& info) {
+  return std::string(info.param.workload) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+class PerfbenchGate : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PerfbenchGate, CorrectWithPinnedDigest) {
+#ifndef __OPTIMIZE__
+  GTEST_SKIP() << "perfbench runs take minutes in an unoptimized build";
+#endif
+  ExpectPinnedRun(GetParam(), /*trace=*/0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, PerfbenchGate,
+                         ::testing::ValuesIn(kPinnedRuns), RunName);
+
+// Zero perturbation: a traced run also runs the untraced episodes, fails if
+// a traced episode's digest differs from theirs, and prints the same
+// pinned digest. One seed per workload keeps the gate short.
+class PerfbenchGateTraced : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PerfbenchGateTraced, KeepsPinnedDigest) {
+#ifndef __OPTIMIZE__
+  GTEST_SKIP() << "perfbench runs take minutes in an unoptimized build";
+#endif
+  ExpectPinnedRun(GetParam(), /*trace=*/1);
+}
+
+std::vector<PinnedRun> RunsAtSeed(int seed) {
+  std::vector<PinnedRun> runs;
+  for (const PinnedRun& pin : kPinnedRuns) {
+    if (pin.seed == seed) runs.push_back(pin);
+  }
+  return runs;
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, PerfbenchGateTraced,
+                         ::testing::ValuesIn(RunsAtSeed(1)), RunName);
 
 }  // namespace
 }  // namespace xssd::gate

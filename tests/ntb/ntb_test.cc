@@ -59,7 +59,7 @@ TEST_F(NtbTest, CrossLinkAddsLatency) {
   local_.HostWrite(0x1000, Bytes::Copy(&byte, 1), 64);
   sim_.Run();
   // Local link + NTB cable + hop latency + remote fabric: >= 1.3 us hop.
-  EXPECT_GE(sim_.Now(), NtbConfig{}.hop_latency);
+  EXPECT_GE(sim_.Now(), kHopLatency);
 }
 
 TEST_F(NtbTest, WireAccountingCountsOverheadPerChunk) {
@@ -77,6 +77,11 @@ TEST_F(NtbTest, OverlappingWindowsRejected) {
   ASSERT_TRUE(adapter_.AddWindow(0, 1024, &remote_, 0x9000).ok());
   EXPECT_FALSE(adapter_.AddWindow(512, 1024, &remote_, 0x9000).ok());
   EXPECT_TRUE(adapter_.AddWindow(1024, 1024, &remote_, 0x9000).ok());
+}
+
+TEST_F(NtbTest, WindowWhoseEndOverflowsRejected) {
+  EXPECT_FALSE(adapter_.AddWindow(UINT64_MAX - 8, 16, &remote_, 0x9000).ok());
+  EXPECT_TRUE(adapter_.AddWindow(UINT64_MAX - 16, 16, &remote_, 0x9000).ok());
 }
 
 TEST_F(NtbTest, ReadsServedFromRemoteFunctionally) {

@@ -53,6 +53,25 @@ TEST(ParseSloRule, RejectsTyposLoudly) {
   EXPECT_FALSE(ParseSloRules(R"({"metric": ""})").ok());
 }
 
+TEST(ParseSloRule, ForWindowsMustBeAPositive32BitInteger) {
+  // Each would otherwise load as some other count: 2.5 as 2, 2^32 + 1 as 1.
+  const char* const rejected[] = {
+      R"({"metric": "a.b", "for_windows": 2.5})",
+      R"({"metric": "a.b", "for_windows": 4294967297})",
+  };
+  for (const char* rule : rejected) {
+    Result<std::vector<SloRule>> rules = ParseSloRules(rule);
+    ASSERT_FALSE(rules.ok()) << rule;
+    EXPECT_EQ(rules.status().code(), StatusCode::kInvalidArgument) << rule;
+    EXPECT_NE(rules.status().message().find("for_windows"), std::string::npos)
+        << rules.status().ToString();
+  }
+  Result<std::vector<SloRule>> rules =
+      ParseSloRules(R"({"metric": "a.b", "for_windows": 4294967295})");
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  EXPECT_EQ((*rules)[0].for_windows, UINT32_MAX);
+}
+
 TEST(ParseSloRule, SanitizesRuleNamesForMetricUse) {
   Result<std::vector<SloRule>> rules = ParseSloRules(
       R"({"name": "p99 over bound!", "metric": "a.b"})");

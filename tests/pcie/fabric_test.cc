@@ -47,6 +47,12 @@ TEST_F(FabricTest, OverlappingRegionRejected) {
   EXPECT_TRUE(fabric_.AddMmioRegion(0x10000, 16, &other, "fine").ok());
 }
 
+TEST_F(FabricTest, RegionWhoseEndOverflowsRejected) {
+  RecordingDevice other(16);
+  EXPECT_FALSE(fabric_.AddMmioRegion(UINT64_MAX - 8, 16, &other, "wrap").ok());
+  EXPECT_TRUE(fabric_.AddMmioRegion(UINT64_MAX - 16, 16, &other, "top").ok());
+}
+
 TEST_F(FabricTest, NullDeviceRejected) {
   EXPECT_FALSE(fabric_.AddMmioRegion(0x20000, 16, nullptr, "null").ok());
 }
@@ -147,6 +153,26 @@ TEST(FabricDeathTest, DmaPastTheEndOfHostMemoryFailsAtOnce) {
                "CHECK failed");
   EXPECT_DEATH(fabric.DmaToHost(UINT64_MAX - 8, payload, 16, [] {}),
                "CHECK failed");
+}
+
+TEST(FabricDeathTest, HostReadWithWrappingLengthFailsAtOnce) {
+  // `addr + len` wraps to 0 and passes a naive `addr + len <= end` bound.
+  sim::Simulator sim;
+  PcieFabric fabric(&sim, FabricConfig{}, "t");
+  RecordingDevice device(4096);
+  ASSERT_TRUE(fabric.AddMmioRegion(0x1000, 4096, &device, "dev").ok());
+  const size_t wrapping = SIZE_MAX - 0x1000 + 1;
+  EXPECT_DEATH(fabric.HostRead(0x1000, wrapping, [](std::vector<uint8_t>) {}),
+               "CHECK failed");
+}
+
+TEST_F(FabricTest, FunctionalAccessWithWrappingLengthIsOutOfRange) {
+  // Without the check the device would get a ~2^64-byte access.
+  const size_t wrapping = SIZE_MAX - 0x1000 + 1;
+  uint8_t byte = 0;
+  EXPECT_TRUE(fabric_.FunctionalRead(0x1000, &byte, wrapping).IsOutOfRange());
+  EXPECT_TRUE(fabric_.FunctionalWrite(0x1000, &byte, wrapping).IsOutOfRange());
+  EXPECT_TRUE(device_.writes_.empty());
 }
 
 TEST_F(FabricTest, FunctionalAccessorsBypassTiming) {
