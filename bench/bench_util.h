@@ -2,6 +2,7 @@
 #define XSSD_BENCH_BENCH_UTIL_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -70,8 +71,9 @@ struct Flag {
 };
 
 /// \brief Strict argv parsing shared by every bench. An unknown flag, a
-/// missing value, an unparsable number or a stray argument prints usage
-/// and exits 2 before anything runs; --help prints usage and exits 0.
+/// missing value, an unparsable or non-finite number or a stray argument
+/// prints usage and exits 2 before anything runs; --help prints usage and
+/// exits 0.
 class FlagSet {
  public:
   explicit FlagSet(std::vector<Flag> flags) : flags_(std::move(flags)) {}
@@ -148,7 +150,9 @@ class FlagSet {
     if (auto* u = std::get_if<uint64_t*>(&flag.target)) {
       return ParseNumber(value, *u);
     }
-    return ParseNumber(value, std::get<double*>(flag.target));
+    // from_chars accepts "nan" and "inf", which no flag can use.
+    double* d = std::get<double*>(flag.target);
+    return ParseNumber(value, d) && std::isfinite(*d);
   }
 
   void PrintUsage(FILE* out) const {
@@ -264,7 +268,10 @@ class BenchReporter {
           "flight-recorder file: crash-site dumps, then the ring at exit"}});
     flags_ = FlagSet(std::move(flags));
     flags_.Parse(argc, argv);
-    if (ts_interval_us_ == 0) flags_.Fail("--ts-interval-us must be positive");
+    // The fault-plan loader's rule: a time must stay below 2^63 ns.
+    if (ts_interval_us_ == 0 || ts_interval_us_ > (uint64_t{1} << 63) / 1000) {
+      flags_.Fail("--ts-interval-us must be microseconds in (0, 2^63 ns)");
+    }
     if (!slo_path.empty()) {
       Status status = LoadSloFile(slo_path);
       if (!status.ok()) flags_.Fail("--slo " + status.ToString());

@@ -39,18 +39,12 @@ std::string RunLabel(double update_period_us) {
 RunResult RunOne(double update_period_us, sim::SimTime duration,
                  bench::BenchReporter* reporter) {
   sim::Simulator sim;
-  // Each fabric is its own scheduler domain; the simulator merges the two
-  // in one canonical order, and the NTB hop latency is the cross-domain
-  // lookahead.
-  sim.ConfigureDomains(2);
   reporter->AttachTrace(&sim, RunLabel(update_period_us));
   reporter->AttachTimeSeries(&sim, RunLabel(update_period_us));
   core::VillarsConfig config =
       bench::PaperVillarsConfig(core::BackingKind::kSram);
-  pcie::FabricConfig secondary_fabric = bench::PaperFabricConfig();
-  secondary_fabric.domain = 1;
   host::StorageNode primary(&sim, config, bench::PaperFabricConfig(), "pri");
-  host::StorageNode secondary(&sim, config, secondary_fabric, "sec");
+  host::StorageNode secondary(&sim, config, bench::PaperFabricConfig(), "sec");
   if (!primary.Init().ok() || !secondary.Init().ok()) std::exit(1);
   // Node prefixes keep the two devices' metric namespaces apart.
   primary.EnableMetrics(&reporter->registry(), "pri.");

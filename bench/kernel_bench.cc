@@ -9,6 +9,7 @@
 // The virtual-time workload is identical across backends (same seeds, same
 // event order), so only the wall-clock cost of the scheduler differs.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cinttypes>
@@ -159,113 +160,85 @@ void SeedFuzz(RunCtx* ctx) {
 }
 
 // ---- Mix 4: multi-fabric NTB mix -------------------------------------
-// Four scheduler domains, each a pool of independent near-future chains
-// (the per-fabric device traffic), with every 64th chain step forwarding a
-// terminal cross-domain event to the next domain one NTB hop latency out —
-// the fig13 replication shape at kernel scale, so it also measures the
-// merge of the domain queues.
+// Four fabrics, each a pool of independent near-future chains (the
+// per-fabric device traffic), with every 64th chain step forwarding a
+// terminal event to the next fabric one NTB hop latency out — the fig13
+// replication shape at kernel scale, on the one queue.
 
-constexpr uint32_t kFabricDomains = 4;
-constexpr SimTime kFabricLookahead = xssd::ntb::kHopLatency;
+constexpr uint32_t kFabrics = 4;
 
 struct FabricCtx {
   Simulator* sim;
-  struct PerDomain {
+  struct PerFabric {
     Rng rng{0};
     uint64_t budget = 0;
     uint64_t iter = 0;
-    size_t peak_pending = 0;
   };
-  std::array<PerDomain, kFabricDomains> dom;
+  std::array<PerFabric, kFabrics> fabric;
+  size_t peak_pending = 0;
 
-  bool Tick(uint32_t d) {
-    PerDomain& pd = dom[d];
-    size_t pending = sim->domain_pending_events(d);
-    if (pending > pd.peak_pending) pd.peak_pending = pending;
-    if (pd.budget == 0) return false;
-    --pd.budget;
+  bool Tick(uint32_t f) {
+    size_t pending = sim->pending_events();
+    if (pending > peak_pending) peak_pending = pending;
+    PerFabric& pf = fabric[f];
+    if (pf.budget == 0) return false;
+    --pf.budget;
     return true;
   }
 };
 
 struct FabricCross {
   FabricCtx* ctx;
-  uint32_t domain;
-  void operator()() const { ctx->Tick(domain); }  // terminal: NTB delivery
+  uint32_t fabric;
+  void operator()() const { ctx->Tick(fabric); }  // terminal: NTB delivery
 };
 
 struct FabricChain {
   FabricCtx* ctx;
-  uint32_t domain;
+  uint32_t fabric;
   void operator()() const {
-    if (!ctx->Tick(domain)) return;
-    FabricCtx::PerDomain& pd = ctx->dom[domain];
-    if (++pd.iter % 64 == 0) {
-      uint32_t peer = (domain + 1) % kFabricDomains;
-      ctx->sim->ScheduleIn(peer, kFabricLookahead + pd.rng.Uniform(700),
-                           FabricCross{ctx, peer});
+    if (!ctx->Tick(fabric)) return;
+    FabricCtx::PerFabric& pf = ctx->fabric[fabric];
+    if (++pf.iter % 64 == 0) {
+      uint32_t peer = (fabric + 1) % kFabrics;
+      ctx->sim->Schedule(xssd::ntb::kHopLatency + pf.rng.Uniform(700),
+                         FabricCross{ctx, peer});
     }
-    ctx->sim->Schedule(pd.rng.UniformRange(100, 16000),
-                       FabricChain{ctx, domain});
+    ctx->sim->Schedule(pf.rng.UniformRange(100, 16000),
+                       FabricChain{ctx, fabric});
   }
 };
 
-MixStats RunFabricMix(Simulator::SchedulerBackend backend, uint64_t seed,
-                      uint64_t events) {
-  Simulator sim(backend);
-  sim.ConfigureDomains(kFabricDomains);
-  sim.DeclareLookahead(kFabricLookahead);
-  FabricCtx ctx;
-  ctx.sim = &sim;
-  uint64_t fn_heap_before = EventFn::heap_fallbacks();
-  for (uint32_t d = 0; d < kFabricDomains; ++d) {
-    ctx.dom[d].rng = Rng(seed * kFabricDomains + d + 1);
-    ctx.dom[d].budget = events / kFabricDomains;
-    Simulator::DomainScope scope(&sim, d);
+void SeedFabric(FabricCtx* ctx, uint64_t seed, uint64_t events) {
+  for (uint32_t f = 0; f < kFabrics; ++f) {
+    FabricCtx::PerFabric& pf = ctx->fabric[f];
+    pf.rng = Rng(seed * kFabrics + f + 1);
+    pf.budget = events / kFabrics;
     for (int i = 0; i < 2048; ++i) {
-      sim.Schedule(ctx.dom[d].rng.UniformRange(100, 16000),
-                   FabricChain{&ctx, d});
+      ctx->sim->Schedule(pf.rng.UniformRange(100, 16000),
+                         FabricChain{ctx, f});
     }
   }
-
-  auto start = std::chrono::steady_clock::now();
-  sim.Run();
-  auto stop = std::chrono::steady_clock::now();
-
-  MixStats out;
-  out.events = sim.executed_events();
-  out.wall_sec = std::chrono::duration<double>(stop - start).count();
-  out.events_per_sec =
-      out.wall_sec > 0 ? static_cast<double>(out.events) / out.wall_sec : 0;
-  uint64_t chunks = 0;
-  for (uint32_t d = 0; d < kFabricDomains; ++d) {
-    out.peak_pending += ctx.dom[d].peak_pending;
-    chunks += sim.event_pool(d).chunks_allocated();
-  }
-  out.pool_chunk_allocs = chunks;
-  out.callback_heap_fallbacks = EventFn::heap_fallbacks() - fn_heap_before;
-  uint64_t allocs = out.pool_chunk_allocs + out.callback_heap_fallbacks;
-  out.allocs_per_event =
-      out.events > 0 ? static_cast<double>(allocs) / out.events : 0;
-  return out;
 }
 
 // ----------------------------------------------------------------------
 
 MixStats RunMix(const std::string& mix, Simulator::SchedulerBackend backend,
                 uint64_t seed, uint64_t events) {
-  if (mix == "fabric") return RunFabricMix(backend, seed, events);
   Simulator sim(backend);
   Rng rng(seed);
   RunCtx ctx{&sim, &rng, events};
+  FabricCtx fabric_ctx{&sim, {}, 0};
   uint64_t fn_heap_before = EventFn::heap_fallbacks();
 
   if (mix == "uniform") {
     SeedUniform(&ctx);
   } else if (mix == "pipeline") {
     SeedPipeline(&ctx);
-  } else {
+  } else if (mix == "fuzz") {
     SeedFuzz(&ctx);
+  } else {
+    SeedFabric(&fabric_ctx, seed, events);
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -277,7 +250,7 @@ MixStats RunMix(const std::string& mix, Simulator::SchedulerBackend backend,
   out.wall_sec = std::chrono::duration<double>(stop - start).count();
   out.events_per_sec =
       out.wall_sec > 0 ? static_cast<double>(out.events) / out.wall_sec : 0;
-  out.peak_pending = ctx.peak_pending;
+  out.peak_pending = std::max(ctx.peak_pending, fabric_ctx.peak_pending);
   out.pool_chunk_allocs = sim.event_pool().chunks_allocated();
   out.callback_heap_fallbacks = EventFn::heap_fallbacks() - fn_heap_before;
   uint64_t allocs = out.pool_chunk_allocs + out.callback_heap_fallbacks;
@@ -346,12 +319,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"xssd.kernel-bench.v3\",\n"
+               "  \"schema\": \"xssd.kernel-bench.v4\",\n"
                "  \"bench\": \"kernel_bench\",\n"
                "  \"config\": {\"seed\": %" PRIu64 ", \"events_per_mix\": %" PRIu64
-               ", \"fabric_domains\": %u},\n"
+               ", \"fabrics\": %u},\n"
                "  \"mixes\": {\n",
-               seed, events, kFabricDomains);
+               seed, events, kFabrics);
 
   double min_speedup = -1.0;
   double min_wheel_eps = -1.0;

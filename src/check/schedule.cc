@@ -1,9 +1,13 @@
 #include "check/schedule.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
+#include "core/registers.h"
+#include "ha/supervisor.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -44,6 +48,32 @@ const char* const kCrashSites[] = {
     "destage.emit_page",
     "destage.page_complete",
 };
+
+/// Largest microsecond field whose nanosecond value stays below 2^63, the
+/// fault-plan loader's rule.
+constexpr uint64_t kMaxUs = (uint64_t{1} << 63) / 1000;
+/// Secondaries the harness can wire: one NTB peer slot each, or, under the
+/// failover supervisor, the members its heartbeat windows leave room for.
+constexpr uint32_t kMaxSecondaries = core::kMaxPeers;
+constexpr uint32_t kMaxFailoverSecondaries = ha::kHeartbeatWindowBase - 1;
+
+/// Reads the next field as a plain decimal in [lo, hi]. A sign, a trailing
+/// character or an out-of-range value fails, where `istream >>` would wrap
+/// "-1" around.
+template <typename T>
+bool ReadNumber(std::istream& fields, T* out, T lo = 0,
+                T hi = std::numeric_limits<T>::max()) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  T value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 }  // namespace
 
@@ -218,6 +248,7 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
   std::istringstream in{std::string(text)};
   std::string line;
   size_t lineno = 0;
+  size_t secondaries_line = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
@@ -229,7 +260,9 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
                                      std::to_string(lineno) + ": " + what);
     };
     if (word == "seed") {
-      if (!(fields >> schedule.seed)) return bad("seed needs a number");
+      if (!ReadNumber(fields, &schedule.seed)) {
+        return bad("seed needs a number");
+      }
     } else if (word == "protocol") {
       std::string name;
       if (!(fields >> name)) return bad("protocol needs a name");
@@ -237,14 +270,16 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
       if (!protocol.ok()) return protocol.status();
       schedule.protocol = *protocol;
     } else if (word == "secondaries") {
-      if (!(fields >> schedule.secondaries)) {
-        return bad("secondaries needs a number");
+      if (!ReadNumber(fields, &schedule.secondaries, 0u, kMaxSecondaries)) {
+        return bad("secondaries must be an integer in [0, " +
+                   std::to_string(kMaxSecondaries) + "]");
       }
+      secondaries_line = lineno;
     } else if (word == "append" || word == "read") {
       Op op;
       op.kind = word == "append" ? Op::Kind::kAppend : Op::Kind::kRead;
-      if (!(fields >> op.len) || op.len == 0) {
-        return bad(word + " needs a positive length");
+      if (!ReadNumber(fields, &op.len, 1u)) {
+        return bad(word + " needs a length in [1, 2^32)");
       }
       schedule.ops.push_back(op);
     } else if (word == "fsync") {
@@ -265,18 +300,19 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
       op.fault = *kind;
       std::string key;
       while (fields >> key) {
-        if (key == "at_us") {
-          if (!(fields >> op.at_us)) return bad("at_us needs a number");
-        } else if (key == "duration_us") {
-          if (!(fields >> op.duration_us)) {
-            return bad("duration_us needs a number");
+        uint64_t* us = key == "at_us"         ? &op.at_us
+                       : key == "duration_us" ? &op.duration_us
+                       : key == "delay_us"    ? &op.delay_us
+                                              : nullptr;
+        if (us != nullptr) {
+          if (!ReadNumber(fields, us, uint64_t{0}, kMaxUs)) {
+            return bad(key + " must be microseconds in [0, 2^63 ns)");
           }
         } else if (key == "probability") {
-          if (!(fields >> op.probability)) {
-            return bad("probability needs a number");
+          if (!(fields >> op.probability) ||
+              !(op.probability >= 0 && op.probability <= 1)) {
+            return bad("probability must be in [0, 1]");
           }
-        } else if (key == "delay_us") {
-          if (!(fields >> op.delay_us)) return bad("delay_us needs a number");
         } else {
           return bad("unknown fault field '" + key + "'");
         }
@@ -289,12 +325,14 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
       std::string key;
       while (fields >> key) {
         if (key == "after_hits") {
-          if (!(fields >> op.after_hits)) {
-            return bad("after_hits needs a number");
+          if (!ReadNumber(fields, &op.after_hits, 1u)) {
+            return bad("after_hits must be an integer in [1, 2^32)");
           }
         } else if (key == "graceful") {
           int flag = 0;
-          if (!(fields >> flag)) return bad("graceful needs 0 or 1");
+          if (!ReadNumber(fields, &flag, 0, 1)) {
+            return bad("graceful needs 0 or 1");
+          }
           op.graceful = flag != 0;
         } else {
           return bad("unknown crash field '" + key + "'");
@@ -304,6 +342,13 @@ Result<Schedule> ScheduleFromText(std::string_view text) {
     } else {
       return bad("unknown directive '" + word + "'");
     }
+  }
+  if (schedule.HasFailover() &&
+      schedule.secondaries > kMaxFailoverSecondaries) {
+    return Status::InvalidArgument(
+        "schedule line " + std::to_string(secondaries_line) +
+        ": a failover schedule has at most " +
+        std::to_string(kMaxFailoverSecondaries) + " secondaries");
   }
   return schedule;
 }

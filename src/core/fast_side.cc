@@ -164,6 +164,10 @@ void FastSide::HandleAdmin(const nvme::Command& cmd, nvme::Completion* cpl) {
       break;
     }
     case nvme::AdminOpcode::kXssdSetUpdatePeriod:
+      if (cmd.cdw10 == 0) {
+        cpl->status = nvme::CmdStatus::kInvalidField;
+        break;
+      }
       transport_.set_update_period(sim::Ns(cmd.cdw10));
       break;
     case nvme::AdminOpcode::kXssdSetReplication: {
@@ -233,6 +237,15 @@ nvme::Command SetUpdatePeriodCmd(sim::SimTime period) {
   cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetUpdatePeriod);
   cmd.cdw10 = static_cast<uint32_t>(period);
   return cmd;
+}
+
+Status CheckUpdatePeriod(sim::SimTime period) {
+  if (period == 0 || period > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "update period " + std::to_string(period) +
+        " ns is not in [1, 2^32) ns");
+  }
+  return Status::OK();
 }
 
 nvme::Command SetReplicationCmd(ReplicationProtocol protocol) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
 #include "core/cmb_module.h"
 #include "core/config.h"
 #include "core/destage_module.h"
@@ -90,6 +91,9 @@ nvme::Command RemovePeerCmd(size_t slot);
 nvme::Command ClearPeersCmd();
 nvme::Command SetTermCmd(uint64_t term, size_t writer_slot);
 nvme::Command SetUpdatePeriodCmd(sim::SimTime period);
+/// OK when SetUpdatePeriodCmd can carry `period`: cdw10 holds it in ns, and
+/// the device refuses 0, a credit tick that never advances the clock.
+Status CheckUpdatePeriod(sim::SimTime period);
 nvme::Command SetReplicationCmd(ReplicationProtocol protocol);
 nvme::Command TruncateCmd(uint64_t offset);
 

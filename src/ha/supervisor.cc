@@ -88,6 +88,10 @@ Status ReplicaSupervisor::Setup() {
         "ha: data and heartbeat windows share the 8-slot NTB BAR; at most " +
         std::to_string(kHeartbeatWindowBase) + " members");
   }
+  XSSD_RETURN_IF_ERROR(core::CheckUpdatePeriod(config_.update_period));
+  if (config_.heartbeat_period == 0) {
+    return Status::InvalidArgument("ha: heartbeat_period must be positive");
+  }
   XSSD_RETURN_IF_ERROR(host::CheckRingsMatch(nodes_, "ha"));
   for (size_t i = 0; i < n; ++i) {
     const core::VillarsConfig& config = nodes_[i]->device().config();

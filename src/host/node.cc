@@ -31,9 +31,6 @@ StorageNode::StorageNode(sim::Simulator* sim,
                                            client_options)) {}
 
 Status StorageNode::Init() {
-  // Initialization timers and queue polls armed from here must land in this
-  // node's scheduler domain, not default domain 0.
-  sim::Simulator::DomainScope scope(sim_, fabric_.domain());
   XSSD_RETURN_IF_ERROR(core::ValidateConfig(device_.config()));
   XSSD_RETURN_IF_ERROR(
       device_.Attach(NodeLayout::kBar0Base, NodeLayout::kCmbBase));
@@ -111,10 +108,6 @@ Status CheckRingsMatch(const std::vector<StorageNode*>& nodes,
 }
 
 Status AdminSync(StorageNode& node, const nvme::Command& cmd) {
-  // The admin submission (and anything the device arms while handling it,
-  // e.g. the shadow-update timer) belongs to the target node's domain.
-  sim::Simulator::DomainScope scope(&node.simulator(),
-                                    node.fabric().domain());
   SyncRunner runner(&node.simulator());
   return runner.Await([&](std::function<void(Status)> done) {
     node.driver().Admin(cmd, [done = std::move(done)](
@@ -130,6 +123,7 @@ Status ReplicationGroup::Setup(core::ReplicationProtocol protocol,
   if (nodes_.size() < 2) {
     return Status::InvalidArgument("need a primary and >= 1 secondary");
   }
+  XSSD_RETURN_IF_ERROR(core::CheckUpdatePeriod(update_period));
   StorageNode& primary = *nodes_[0];
   XSSD_RETURN_IF_ERROR(CheckRingsMatch(nodes_, "replication group"));
 

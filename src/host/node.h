@@ -122,8 +122,8 @@ class ReplicationGroup {
   std::vector<StorageNode*> nodes_;
 };
 
-/// Issue one admin command to `node`'s device through its driver, inside
-/// the node's scheduler domain. Blocking (pumps the simulator).
+/// Issue one admin command to `node`'s device through its driver.
+/// Blocking (pumps the simulator).
 Status AdminSync(StorageNode& node, const nvme::Command& cmd);
 
 /// InvalidArgument naming the first member of `nodes` whose CMB ring size

@@ -15,10 +15,6 @@ NtbAdapter::NtbAdapter(sim::Simulator* sim, NtbConfig config, std::string name)
       name_(std::move(name)),
       link_(sim, kBytesPerSec) {
   scratchpad_.resize(config_.scratchpad_bytes, 0);
-  // The NTB hop is the only cross-fabric edge in the module graph, so its
-  // cut-through latency is the simulator's cross-domain lookahead: no
-  // forwarded write can land on the far fabric sooner than this.
-  sim_->DeclareLookahead(kHopLatency);
 }
 
 void NtbAdapter::SetMetrics(obs::MetricsRegistry* registry,
@@ -127,13 +123,9 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const Bytes& data) {
                                  spans_->current());
     spans_->EndSpanAt(link_ctx, delivered_at);
   }
-  // Deliver in the remote fabric's scheduler domain. When that differs from
-  // ours, delivered_at >= now + kHopLatency >= now + lookahead satisfies the
-  // cross-domain contract by construction.
-  sim_->ScheduleAtIn(
-      window->remote->domain(), delivered_at,
-      [this, link_ctx, remote = window->remote,
-       addr = window->remote_base + window_offset, data]() {
+  sim_->ScheduleAt(
+      delivered_at, [this, link_ctx, remote = window->remote,
+                     addr = window->remote_base + window_offset, data]() {
         obs::ScopedContext scope(spans_, link_ctx);
         // Address translation is the only transformation NTB performs
         // (§2.3); inject into the remote fabric as peer-to-peer traffic.

@@ -33,7 +33,6 @@ double LaneBytesPerSec(int generation) {
 PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
                        std::string name)
     : sim_(sim),
-      config_(config),
       name_(std::move(name)),
       link_bytes_per_sec_(LaneBytesPerSec(config.generation) * config.lanes),
       downstream_(sim, link_bytes_per_sec_),
@@ -83,7 +82,6 @@ const PcieFabric::Region* PcieFabric::FindRegion(uint64_t addr) const {
 void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
                              Bytes data, uint32_t chunk,
                              sim::Simulator::Callback posted, bool peer_path) {
-  CheckDomain();
   const size_t len = data.size();
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
@@ -137,7 +135,6 @@ void PcieFabric::PeerWrite(uint64_t addr, Bytes data, uint32_t chunk,
 
 void PcieFabric::HostRead(uint64_t addr, size_t len,
                           std::function<void(std::vector<uint8_t>)> done) {
-  CheckDomain();
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
   XSSD_CHECK(len <= region->base + region->size - addr);
@@ -166,7 +163,6 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
 
 void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                            sim::Simulator::Callback done) {
-  CheckDomain();
   XSSD_CHECK(host_addr <= kHostMemoryBytes &&
              len <= kHostMemoryBytes - host_addr);
   if (m_dma_to_host_bytes_) m_dma_to_host_bytes_->Add(len);
@@ -182,7 +178,6 @@ void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
 
 void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
                              std::function<void(Bytes)> done) {
-  CheckDomain();
   XSSD_CHECK(host_addr <= kHostMemoryBytes &&
              len <= kHostMemoryBytes - host_addr);
   if (m_dma_from_host_bytes_) m_dma_from_host_bytes_->Add(len);

@@ -47,12 +47,9 @@ inline constexpr uint64_t kHostMemoryBytes = 64ull << 20;
 struct FabricConfig {
   int generation = 2;          ///< Villars is constrained to Gen2 (paper §6)
   int lanes = 4;               ///< ×4 → 2 GB/s, as in the paper's setup
-  /// Scheduler domain this fabric (and every device on it) belongs to (see
-  /// sim::Simulator). All traffic must enter a fabric from an event of its
-  /// own domain; the only legal cross-domain edge is the NTB forward (which
-  /// re-schedules into the target domain under the lookahead contract).
-  /// Checked when the simulator is partitioned; single-domain simulations
-  /// ignore it.
+  /// Does nothing: every fabric runs on the simulator's one clock and
+  /// queue. It stays only because perfbench/replicated_appends.cc still
+  /// sets it, and goes with that assignment.
   uint32_t domain = 0;
 };
 
@@ -120,9 +117,6 @@ class PcieFabric {
   sim::Simulator* simulator() { return sim_; }
   const std::string& name() const { return name_; }
 
-  /// Scheduler domain of this fabric (FabricConfig::domain).
-  uint32_t domain() const { return config_.domain; }
-
   /// Aggregate link bandwidth in bytes/sec (lanes × per-lane rate).
   double link_bytes_per_sec() const { return link_bytes_per_sec_; }
 
@@ -159,15 +153,6 @@ class PcieFabric {
   /// Region containing `addr`, or nullptr.
   const Region* FindRegion(uint64_t addr) const;
 
-  /// Partitioning guard: timed traffic may only enter from an event of
-  /// this fabric's own domain (no-op for single-domain simulators and for
-  /// idle-context setup calls).
-  void CheckDomain() const {
-    if (sim_->domain_count() > 1 && sim_->in_event()) {
-      XSSD_CHECK(sim_->current_domain() == config_.domain);
-    }
-  }
-
   /// Common write path for HostWrite/PeerWrite.
   void RoutedWrite(sim::BandwidthServer& server, uint64_t addr, Bytes data,
                    uint32_t chunk, sim::Simulator::Callback posted,
@@ -180,7 +165,6 @@ class PcieFabric {
   sim::Simulator* sim_;
   fault::FaultInjector* injector_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
-  FabricConfig config_;
   std::string name_;
   double link_bytes_per_sec_;
 

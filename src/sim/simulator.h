@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -47,11 +46,12 @@ class TimeObserver {
 /// event queue.
 ///
 /// Every hardware component in the library (PCIe links, flash dies, PM
-/// controllers, NTB hops) is modeled as callbacks scheduled on one Simulator.
+/// controllers, NTB hops) is modeled as callbacks scheduled on one Simulator:
+/// one clock and one queue, however many fabrics a model wires together.
 /// Events at equal timestamps run in scheduling (FIFO) order, which makes
 /// runs fully deterministic.
 ///
-/// Two scheduler backends implement the same canonical event order:
+/// Two scheduler backends implement the same (when, seq) event order:
 ///  - kWheel (default): hierarchical timer wheel + pooled event nodes;
 ///    O(1) schedule/fire, allocation-free in steady state.
 ///  - kHeap: a binary heap of by-value events, kept as the reference
@@ -61,30 +61,7 @@ class TimeObserver {
 /// enumerator stays only because perfbench still names it.
 /// Select per-process with XSSD_SIM_SCHEDULER=wheel|heap (any other value
 /// stops the process) or per-instance via the constructor.
-///
-/// ## Domains
-///
-/// A model may partition itself into up to kMaxDomains *domains* — disjoint
-/// state islands (in X-SSD: one per PCIe fabric) that interact only through
-/// explicitly declared cross-domain edges (the NTB link). Events scheduled
-/// while an event runs stay in the executing domain; ScheduleAtIn/ScheduleIn
-/// target another domain and are *cross events*, which must respect the
-/// declared lookahead: a cross event may not land earlier than
-/// `Now() + lookahead()`, where the lookahead is the minimum latency of any
-/// cross-domain hop (DeclareLookahead(), min-accumulating — the NTB adapter
-/// declares its hop latency at construction).
-///
-/// The canonical order is total and backend-independent: events execute in
-/// ascending (when, domain id) order, and within one (when, domain) in
-/// ascending key order, where local events carry per-domain sequence numbers
-/// (assigned at schedule time, always below 1<<63) and cross events carry
-/// sender-stamped keys (bit 63 set, then source domain, then the source's
-/// issue counter) — so locals run before cross arrivals at equal timestamps,
-/// and cross arrivals run in sender order. A multi-domain run merges the
-/// per-domain queues in that order.
 class Simulator {
-  struct Domain;  // private; forward-declared for DomainScope below
-
  public:
   /// Move-only callable with a 48-byte inline capture buffer; converts
   /// implicitly from lambdas, function pointers and std::function.
@@ -92,21 +69,8 @@ class Simulator {
 
   enum class SchedulerBackend { kWheel, kHeap, kParallel };
 
-  /// Maximum number of domains (fabric partitions) per simulator.
-  static constexpr uint32_t kMaxDomains = 16;
-  /// Cross-event keys set bit 63 so they order after every local event of
-  /// the same (when, domain); bits [48,63) carry the source domain.
-  static constexpr uint64_t kCrossKeyBit = uint64_t{1} << 63;
-  static constexpr int kCrossDomainShift = 48;
-  /// lookahead() value before any DeclareLookahead() call.
-  static constexpr SimTime kNoLookahead = ~SimTime{0};
-
   Simulator() : Simulator(DefaultBackend()) {}
-  explicit Simulator(SchedulerBackend backend) : backend_(backend) {
-    domains_.push_back(std::make_unique<Domain>(0));
-    d0_ = domains_[0].get();
-    idle_domain_ = d0_;
-  }
+  explicit Simulator(SchedulerBackend backend) : backend_(backend) {}
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -117,90 +81,30 @@ class Simulator {
   /// naming both and exits the process with status 2.
   static SchedulerBackend DefaultBackend();
 
-  /// While alive, idle-context scheduling (calls made outside any event —
-  /// setup code, blocking admin pumps) targets `domain` instead of domain 0,
-  /// so a node's initialization timers land in its own partition. Nests;
-  /// does not affect scheduling from inside events (those stay in the
-  /// executing domain).
-  class DomainScope {
-   public:
-    DomainScope(Simulator* sim, uint32_t domain);
-    ~DomainScope();
-    DomainScope(const DomainScope&) = delete;
-    DomainScope& operator=(const DomainScope&) = delete;
-
-   private:
-    Simulator* sim_;
-    Domain* saved_;
-  };
-
   SchedulerBackend backend() const { return backend_; }
 
-  /// Current virtual time — of the executing domain while an event runs,
-  /// of the completed run otherwise.
-  SimTime Now() const { return executing_ != nullptr ? executing_->now : now_; }
+  /// Current virtual time.
+  SimTime Now() const { return now_; }
 
-  // ── Domain partitioning ───────────────────────────────────────────────
-
-  /// Partition the simulator into `count` domains (1..kMaxDomains). Must be
-  /// called on a fresh simulator, before anything is scheduled. A
-  /// single-domain simulator (the default) behaves exactly as the classic
-  /// serial core.
-  void ConfigureDomains(uint32_t count);
-
-  uint32_t domain_count() const {
-    return static_cast<uint32_t>(domains_.size());
-  }
-
-  /// Domain of the currently executing event (outside execution: the active
-  /// DomainScope's domain, or 0).
-  uint32_t current_domain() const {
-    return executing_ != nullptr ? executing_->id : idle_domain_->id;
-  }
-
-  /// True while an event of a multi-domain simulator runs (the single-domain
-  /// fast path does not track the executing domain).
-  bool in_event() const { return executing_ != nullptr; }
-
-  /// Declare that cross-domain events are always scheduled at least `t` ns
-  /// into the future (min-accumulates: the effective lookahead is the
-  /// smallest declared bound). Cross-domain modules (the NTB adapter)
-  /// declare their hop latency here. Cross-domain scheduling aborts without
-  /// a declaration, and aborts for an event closer than the lookahead: a
-  /// cross event then always lands strictly after every event its target
-  /// may already have run, which keeps the (when, domain id) order total,
-  /// and a model cannot silently undercut the hop latency it declared.
-  void DeclareLookahead(SimTime t);
-
-  SimTime lookahead() const { return lookahead_; }
+  /// Does nothing: every model runs on the one clock and queue. It stays
+  /// only because perfbench/replicated_appends.cc still calls it, and goes
+  /// with that call.
+  void ConfigureDomains(uint32_t) {}
 
   // ── Scheduling ────────────────────────────────────────────────────────
 
-  /// Schedule `fn` to run `delay` nanoseconds from now, in the executing
-  /// domain (domain 0 outside execution).
+  /// Schedule `fn` to run `delay` nanoseconds from now.
   void Schedule(SimTime delay, Callback fn) {
-    ScheduleAt(Now() + delay, std::move(fn));
+    ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  /// Schedule `fn` at an absolute virtual time in the executing domain.
+  /// Schedule `fn` at an absolute virtual time.
   /// A `when` in the past is clamped to Now() — the event fires next, after
   /// already-queued events at the current timestamp — and counted in
   /// past_schedule_clamps() so fault-plan and workload authors can see the
   /// latent ordering bug. In debug builds the clamp aborts unless
   /// set_allow_past_schedules(true).
   void ScheduleAt(SimTime when, Callback fn);
-
-  /// Schedule into an explicit domain. From inside an event of another
-  /// domain this is a *cross-domain* event: `when` must be at least
-  /// Now() + lookahead() (checked), and the event is stamped with the
-  /// sender's issue counter so merged order is deterministic. Outside
-  /// execution it simply seeds the target domain (workload setup).
-  void ScheduleAtIn(uint32_t domain, SimTime when, Callback fn);
-
-  /// Convenience: ScheduleAtIn(domain, Now() + delay, fn).
-  void ScheduleIn(uint32_t domain, SimTime delay, Callback fn) {
-    ScheduleAtIn(domain, Now() + delay, std::move(fn));
-  }
 
   // ── Running ───────────────────────────────────────────────────────────
 
@@ -212,11 +116,10 @@ class Simulator {
   uint64_t RunUntil(SimTime deadline);
 
   /// Convenience: RunUntil(Now() + duration).
-  uint64_t RunFor(SimTime duration) { return RunUntil(Now() + duration); }
+  uint64_t RunFor(SimTime duration) { return RunUntil(now_ + duration); }
 
   /// Drain events until `done` returns true (checked after each event) or
   /// the queue empties. Returns true if the predicate was satisfied.
-  /// Always serial (the predicate is inherently sequential).
   bool RunWhile(const std::function<bool()>& done);
 
   /// Abort Run/RunUntil/RunWhile after the current event returns.
@@ -226,58 +129,23 @@ class Simulator {
 
   bool empty() const { return pending_events() == 0; }
 
-  /// Total pending events across domains.
   size_t pending_events() const {
-    size_t total = 0;
-    for (const auto& d : domains_) {
-      total += (backend_ == SchedulerBackend::kHeap ? d->heap.size()
-                                                    : d->wheel.size()) +
-               d->inbox.size();
-    }
-    return total;
+    return UsesWheel() ? wheel_.size() : heap_.size();
   }
 
-  size_t domain_pending_events(uint32_t domain) const {
-    const Domain& d = *domains_[domain];
-    return (backend_ == SchedulerBackend::kHeap ? d.heap.size()
-                                                : d.wheel.size()) +
-           d.inbox.size();
-  }
-
-  uint64_t executed_events() const {
-    uint64_t total = 0;
-    for (const auto& d : domains_) total += d->executed;
-    return total;
-  }
+  uint64_t executed_events() const { return executed_; }
 
   /// Number of ScheduleAt() calls whose `when` was in the past and got
   /// clamped to Now(). Campaign benches export this as a gauge.
-  uint64_t past_schedule_clamps() const {
-    uint64_t total = 0;
-    for (const auto& d : domains_) total += d->past_clamps;
-    return total;
-  }
-
-  /// Cross-domain events issued (all source domains).
-  uint64_t cross_scheduled_events() const {
-    uint64_t total = 0;
-    for (const auto& d : domains_) total += d->cross_issued;
-    return total;
-  }
+  uint64_t past_schedule_clamps() const { return past_clamps_; }
 
   /// Permit past-timestamp scheduling (still clamped and counted) without
   /// the debug-build abort. Intended for tests that exercise the clamp.
   void set_allow_past_schedules(bool allow) { allow_past_schedules_ = allow; }
 
-  /// Event-pool allocation stats for one domain (wheel backend; the heap
-  /// backend does not pool). kernel_bench reports these as the
-  /// allocs/event trajectory.
-  const EventPool& event_pool(uint32_t domain = 0) const {
-    return domains_[domain]->pool;
-  }
-  const TimerWheel& timer_wheel(uint32_t domain = 0) const {
-    return domains_[domain]->wheel;
-  }
+  /// Event-pool allocation stats (wheel backend; the heap backend does not
+  /// pool). kernel_bench reports these as the allocs/event trajectory.
+  const EventPool& event_pool() const { return pool_; }
 
   /// Attach an observability sink (nullptr detaches). The simulator calls
   /// it on every schedule/fire with virtual timestamps; see obs/trace.h.
@@ -295,60 +163,24 @@ class Simulator {
   }
 
  private:
-  /// Heap-backend event: by-value storage, no pooling. `key` is the
-  /// canonical intra-domain order (local seq or cross stamp).
+  /// Heap-backend event: by-value storage, no pooling.
   struct HeapEvent {
     SimTime when;
-    uint64_t key;
+    uint64_t seq;
     EventFn fn;
   };
   struct Later {
     bool operator()(const HeapEvent& a, const HeapEvent& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.key > b.key;
+      return a.seq > b.seq;
     }
-  };
-  struct NodeLater {
-    bool operator()(const EventPool::Node* a, const EventPool::Node* b) const {
-      if (a->when != b->when) return a->when > b->when;
-      return a->seq > b->seq;
-    }
-  };
-
-  /// One fabric partition: private clock, queues and pool. Single-domain
-  /// simulators run entirely on domain 0.
-  struct Domain {
-    explicit Domain(uint32_t id_in) : id(id_in) {}
-    const uint32_t id;
-    SimTime now = 0;
-    uint64_t next_seq = 0;      // local event keys (bit 63 always clear)
-    uint64_t cross_issued = 0;  // outgoing cross-event stamp counter
-    uint64_t executed = 0;
-    uint64_t past_clamps = 0;
-    EventPool pool;
-    TimerWheel wheel;
-    std::priority_queue<HeapEvent, std::vector<HeapEvent>, Later> heap;
-    /// Cross arrivals (wheel backend): kept out of the wheel because bucket
-    /// FIFO order must equal key order for locals; merged key-ordered at
-    /// execution. The heap backend instead pushes cross events straight
-    /// into `heap` (its comparator orders fully).
-    std::priority_queue<EventPool::Node*, std::vector<EventPool::Node*>,
-                        NodeLater>
-        inbox;
   };
 
   bool UsesWheel() const { return backend_ != SchedulerBackend::kHeap; }
 
-  void ScheduleAtDomain(Domain* dst, SimTime when, Callback fn);
-
   /// Pops and runs the earliest event if its timestamp is <= `bound`.
   /// Returns false (running nothing) otherwise.
-  bool StepBounded(SimTime bound) {
-    return domains_.size() == 1 ? StepBoundedSingle(bound)
-                                : StepBoundedMerge(bound);
-  }
-  bool StepBoundedSingle(SimTime bound);  // classic single-domain hot path
-  bool StepBoundedMerge(SimTime bound);   // serial merge of domain queues
+  bool StepBounded(SimTime bound);
 
   /// Out-of-line slow path of the per-event observer check: `when` has
   /// reached the observer's due time.
@@ -359,14 +191,11 @@ class Simulator {
     obs_due_ = time_obs_->OnTimeAdvance(when);
   }
 
-  /// Earliest pending timestamp of `d` that is <= `deadline`, or
-  /// TimerWheel::kNoEvent. May advance d's wheel clock (never past the
-  /// inbox head or `deadline`).
-  SimTime DomainNextTime(Domain* d, SimTime deadline);
-
   SchedulerBackend backend_;
   SimTime now_ = 0;
-  SimTime lookahead_ = kNoLookahead;
+  uint64_t next_seq_ = 0;
+  uint64_t executed_ = 0;
+  uint64_t past_clamps_ = 0;
   bool stopped_ = false;
   bool allow_past_schedules_ = false;
   obs::TraceSink* trace_ = nullptr;
@@ -376,10 +205,9 @@ class Simulator {
   /// single always-false branch in the common case.
   SimTime obs_due_ = ~SimTime{0};
 
-  std::vector<std::unique_ptr<Domain>> domains_;
-  Domain* d0_ = nullptr;           // domains_[0], cached for the hot path
-  Domain* executing_ = nullptr;    // merge's executing domain, else null
-  Domain* idle_domain_ = nullptr;  // DomainScope target; defaults to d0_
+  EventPool pool_;
+  TimerWheel wheel_;
+  std::priority_queue<HeapEvent, std::vector<HeapEvent>, Later> heap_;
 };
 
 }  // namespace xssd::sim

@@ -71,8 +71,7 @@ class TimerWheel {
   /// kNoEvent otherwise (or when empty). Resolving the minimum may advance
   /// the wheel clock — cascading slots, migrating overflow — but never past
   /// `limit`, so a caller that must stay insertable below some horizon (a
-  /// RunUntil deadline, a cross-domain inbox head that will execute before
-  /// the wheel's own minimum) passes that horizon as the limit.
+  /// RunUntil deadline) passes that horizon as the limit.
   SimTime PeekNextTime(SimTime limit) {
     while (size_ != 0) {
       // Level-0 candidate: exact, since a level-0 bucket holds exactly one

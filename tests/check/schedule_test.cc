@@ -113,6 +113,44 @@ TEST(Schedule, ParseRejectsUnknownDirectives) {
   EXPECT_FALSE(ScheduleFromText("protocol carrier-pigeon\n").ok());
 }
 
+// Numbers the runner cannot use fail the parse with the line they are on;
+// these schedules are parsed only, never run.
+TEST(Schedule, ParseRejectsNumbersTheRunnerCannotUse) {
+  for (const char* text : {
+           // Wrapped to 4294967295 by `istream >>`, then wired until killed.
+           "seed 1\nsecondaries -1\n",
+           // One more than the harness has NTB peer slots for.
+           "seed 1\nsecondaries 9\n",
+           // The failover supervisor has heartbeat windows for 3.
+           "seed 1\nsecondaries 4\nfailover\n",
+           "seed 1\nappend -1\n",
+           "# the seed wraps too\nseed -1\n",
+           "seed 1\ncrash cmb.persist after_hits 0 graceful 1\n",
+           "seed 1\ncrash cmb.persist after_hits 4294967296 graceful 1\n",
+           "seed 1\ncrash cmb.persist after_hits 1 graceful 2\n",
+           "seed 1\nfault flash.program_fail at_us -5 duration_us 1 "
+           "probability 1 delay_us 0\n",
+           "seed 1\nfault flash.program_fail at_us 0 duration_us "
+           "9223372036854776 probability 1 delay_us 0\n",
+           "seed 1\nfault flash.program_fail at_us 0 duration_us 1 "
+           "probability 1.5 delay_us 0\n",
+       }) {
+    Result<Schedule> parsed = ScheduleFromText(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The largest values the runner can use still parse.
+  EXPECT_TRUE(ScheduleFromText("secondaries 8\n").ok());
+  EXPECT_TRUE(ScheduleFromText("secondaries 3\nfailover\n").ok());
+  EXPECT_TRUE(ScheduleFromText("crash cmb.persist after_hits 4294967295\n")
+                  .ok());
+  EXPECT_TRUE(ScheduleFromText("fault flash.program_fail at_us "
+                               "9223372036854775\n")
+                  .ok());
+}
+
 TEST(Schedule, ParseAcceptsHandWrittenTrace) {
   Result<Schedule> parsed = ScheduleFromText(
       "# comment\n"

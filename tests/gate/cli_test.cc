@@ -57,6 +57,19 @@ TEST(BenchCli, UnknownFlagIsRejected) {
 TEST(BenchCli, MissingOrUnparsableValueIsRejected) {
   ExpectUsageError("fig09_local_logging", {"20", "--metrics"}, "Figure 9");
   ExpectUsageError("ftl_campaign", {"--seed", "7x"}, "FTL steady-state");
+  // from_chars reads these, but no flag can use them.
+  for (const char* bound : {"inf", "nan", "-inf"}) {
+    ExpectUsageError("ftl_campaign", {"--seed", "1", "--p99-bound-us", bound},
+                     "FTL steady-state");
+  }
+  // Microsecond intervals that reach 2^63 ns wrap when converted.
+  for (const char* interval :
+       {"2305843009213693952", "18446744073709552", "9223372036854776"}) {
+    ExpectUsageError("fig09_local_logging",
+                     {"20", "--timeseries", "t.json", "--ts-interval-us",
+                      interval},
+                     "Figure 9");
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(CheckCampaignGate, DeterministicAndBackendEquivalent) {
   }
 }
 
-// fig13 runs its two fabrics as separate scheduler domains.
+// fig13 runs two fabrics joined by NTB on one clock.
 TEST(Fig13Gate, BackendsAgreeOnMetricsAndRows) {
   const std::vector<std::string> args = {"--metrics", "metrics.json"};
   std::vector<BenchRun> runs = RunBenches({

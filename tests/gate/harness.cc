@@ -277,8 +277,8 @@ std::string StringAt(const JsonValue& doc,
 
 std::vector<std::string> KernelBenchViolations(const JsonValue& doc) {
   std::vector<std::string> bad;
-  if (StringAt(doc, {"schema"}) != "xssd.kernel-bench.v3") {
-    bad.push_back("schema is not xssd.kernel-bench.v3");
+  if (StringAt(doc, {"schema"}) != "xssd.kernel-bench.v4") {
+    bad.push_back("schema is not xssd.kernel-bench.v4");
   }
   for (std::string_view mix : {"uniform", "pipeline", "fuzz", "fabric"}) {
     for (std::string_view backend : {"wheel", "heap"}) {

@@ -278,6 +278,24 @@ TEST(ReplicaSupervisor, SetupRejectsUnpreparedDeviceConfigs) {
       << status.ToString();
 }
 
+// An update period past cdw10's 32 bits would be truncated; zero periods
+// would make a credit or heartbeat tick reschedule itself at the same
+// nanosecond forever.
+TEST(ReplicaSupervisor, SetupRejectsUnusablePeriods) {
+  ha::HaConfig long_update;
+  long_update.update_period = sim::Sec(5);
+  ha::HaConfig no_update;
+  no_update.update_period = 0;
+  ha::HaConfig no_heartbeat;
+  no_heartbeat.heartbeat_period = 0;
+  for (const ha::HaConfig& config : {long_update, no_update, no_heartbeat}) {
+    Cluster cluster(2, config);
+    Status status = cluster.supervisor->Setup();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+}
+
 TEST(ReplicaSupervisor, SetupRejectsMismatchedRings) {
   // A primary places mirrored bytes by its own ring size and a receiver
   // infers their stream offsets by its own: the sizes must agree.
@@ -310,6 +328,40 @@ TEST(ReplicationGroupErrors, SetupRejectsMismatchedRings) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   EXPECT_NE(status.message().find("member 1"), std::string::npos)
       << status.ToString();
+}
+
+// SetUpdatePeriodCmd carries the period in cdw10's 32 bits of ns: a 5 s
+// period used to reach the secondary as 705,032,704 ns. A zero period would
+// make the secondary's credit tick reschedule itself at the same
+// nanosecond forever.
+TEST(ReplicationGroupErrors, SetupRejectsUnusableUpdatePeriods) {
+  for (sim::SimTime period : {sim::Sec(5), sim::SimTime{0}}) {
+    sim::Simulator sim;
+    host::StorageNode primary(&sim, HaDeviceConfig(), pcie::FabricConfig{},
+                              "p");
+    host::StorageNode secondary(&sim, HaDeviceConfig(), pcie::FabricConfig{},
+                                "s");
+    ASSERT_TRUE(primary.Init().ok());
+    ASSERT_TRUE(secondary.Init().ok());
+    const sim::SimTime before =
+        secondary.device().transport().update_period();
+    host::ReplicationGroup group({&primary, &secondary});
+    Status status = group.Setup(core::ReplicationProtocol::kEager, period);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << period << " ns: " << status.ToString();
+    EXPECT_EQ(secondary.device().transport().update_period(), before);
+  }
+}
+
+TEST(ReplicationGroupErrors, DeviceRefusesAZeroUpdatePeriod) {
+  sim::Simulator sim;
+  host::StorageNode node(&sim, HaDeviceConfig(), pcie::FabricConfig{}, "n");
+  ASSERT_TRUE(node.Init().ok());
+  const sim::SimTime before = node.device().transport().update_period();
+  EXPECT_FALSE(host::AdminSync(node, core::SetUpdatePeriodCmd(0)).ok());
+  EXPECT_EQ(node.device().transport().update_period(), before);
+  EXPECT_TRUE(host::AdminSync(node, core::SetUpdatePeriodCmd(UINT32_MAX)).ok());
+  EXPECT_EQ(node.device().transport().update_period(), sim::Ns(UINT32_MAX));
 }
 
 TEST(ReplicationGroupErrors, SetupRejectsBadProtocol) {

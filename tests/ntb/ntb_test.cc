@@ -17,12 +17,14 @@ class SinkDevice : public pcie::MmioDevice {
   void OnMmioWrite(uint64_t offset, const Bytes& data) override {
     std::memcpy(memory.data() + offset, data.data(), data.size());
     ++writes;
+    offsets.push_back(offset);
   }
   void OnMmioRead(uint64_t offset, uint8_t* out, size_t len) override {
     std::memcpy(out, memory.data() + offset, len);
   }
   std::vector<uint8_t> memory;
   int writes = 0;
+  std::vector<uint64_t> offsets;  // in arrival order
 };
 
 class NtbTest : public ::testing::Test {
@@ -93,6 +95,43 @@ TEST_F(NtbTest, ReadsServedFromRemoteFunctionally) {
   sim_.Run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 0xEE);
+}
+
+// Both fabrics run on the simulator's one clock and queue: a write the
+// adapter forwards to land on the remote fabric at T, and remote-fabric
+// events scheduled for the same T just before and just after it, run in
+// the order they were scheduled on both backends. Each one enters the
+// remote fabric's peer link, so the sink sees them in execution order.
+TEST(NtbOneQueueTest, ForwardAndRemoteEventsAtOneTimeRunInScheduledOrder) {
+  for (auto backend : {sim::Simulator::SchedulerBackend::kWheel,
+                       sim::Simulator::SchedulerBackend::kHeap}) {
+    sim::Simulator sim(backend);
+    pcie::PcieFabric local(&sim, pcie::FabricConfig{}, "local");
+    pcie::PcieFabric remote(&sim, pcie::FabricConfig{}, "remote");
+    NtbAdapter adapter(&sim, NtbConfig{}, "ntb");
+    SinkDevice sink(8192);
+    ASSERT_TRUE(local.AddMmioRegion(0x1000, 4096, &adapter, "win").ok());
+    ASSERT_TRUE(remote.AddMmioRegion(0x9000, 8192, &sink, "sink").ok());
+    ASSERT_TRUE(adapter.AddWindow(0, 4096, &remote, 0x9000).ok());
+    const uint8_t byte = 0x5A;
+    auto remote_write = [&](uint64_t offset) {
+      return [&remote, &byte, offset]() {
+        remote.PeerWrite(0x9000 + offset, Bytes::Copy(&byte, 1), 64);
+      };
+    };
+    sim::SimTime landed = 0;
+    sim.ScheduleAt(100, [&]() {
+      // The forward lands after the cable serialises it, plus the hop.
+      landed = adapter.link().Probe(pcie::WireBytesFor(1, 64)) + kHopLatency;
+      sim.ScheduleAt(landed, remote_write(1));
+      ASSERT_TRUE(local.FunctionalWrite(0x1000 + 2, &byte, 1).ok());
+      sim.ScheduleAt(landed, remote_write(3));
+    });
+    sim.Run();
+    EXPECT_EQ(adapter.link().busy_until() + kHopLatency, landed);
+    EXPECT_EQ(sink.offsets, (std::vector<uint64_t>{1, 2, 3}))
+        << "backend " << static_cast<int>(backend);
+  }
 }
 
 }  // namespace

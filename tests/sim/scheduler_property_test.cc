@@ -1,9 +1,9 @@
 // Adversarial scheduler properties, parameterized over both backends. The
 // timer wheel must be indistinguishable from the reference binary heap:
 // same (when, seq) total order, same clock semantics at bucket edges, same
-// Stop()/resume behavior — plus wheel-only guarantees (allocation-free
-// steady state) and the past-schedule clamp contract. Multi-domain runs
-// are covered by parallel_scheduler_test.cc.
+// Stop()/resume behavior, unmoved by an attached trace sink — plus
+// wheel-only guarantees (allocation-free steady state) and the
+// past-schedule clamp contract.
 
 #include <cstdint>
 #include <functional>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "sim/event_pool.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -171,13 +172,27 @@ TEST_P(SchedulerPropertyTest, PastScheduleClampsToNowWithCounter) {
   EXPECT_EQ(sim.Now(), 200u);
 }
 
+// Counts what the simulator reports to an attached sink.
+class CountingSink : public obs::TraceSink {
+ public:
+  void OnEventScheduled(SimTime, SimTime, uint64_t) override { ++scheduled; }
+  void OnEventBegin(SimTime, uint64_t) override { ++begun; }
+  void OnEventEnd(SimTime, uint64_t) override {}
+  void OnInstant(const char*, SimTime) override {}
+  void OnCounterSample(const char*, SimTime, double) override {}
+  uint64_t scheduled = 0;
+  uint64_t begun = 0;
+};
+
 // Differential property: a randomized schedule — bursts of equal
 // timestamps, nested scheduling from callbacks, occasional far-future and
 // beyond-horizon targets, interleaved RunUntil segments — must produce an
-// identical execution sequence on both backends.
-std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Backend backend,
-                                                            uint64_t seed) {
+// identical execution sequence on both backends, with or without a trace
+// sink attached.
+std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(
+    Backend backend, uint64_t seed, CountingSink* sink = nullptr) {
   Simulator sim(backend);
+  sim.set_trace_sink(sink);
   Rng rng(seed);
   std::vector<std::pair<SimTime, uint64_t>> fired;
   uint64_t next_id = 0;
@@ -234,6 +249,12 @@ TEST(SchedulerDifferentialTest, AllBackendsMatchOnRandomSchedules) {
     for (size_t i = 0; i < wheel.size(); ++i) {
       ASSERT_EQ(wheel[i], heap[i]) << "seed " << seed << " event " << i;
     }
+    // A sink sees every event and moves none of them.
+    CountingSink sink;
+    EXPECT_EQ(RunRandomSchedule(Backend::kWheel, seed, &sink), wheel)
+        << "traced seed " << seed;
+    EXPECT_EQ(sink.begun, wheel.size());
+    EXPECT_EQ(sink.scheduled, wheel.size());
   }
 }
 
