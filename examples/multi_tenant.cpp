@@ -2,28 +2,25 @@
 // databases onto one device. The CMB is segmented into independent
 // partitions — each tenant gets its own PM ring, credit counter, and
 // destage ring on the shared conventional side. The device is an ordinary
-// VillarsDevice: tenant A is partition 0 (the config's cmb/destage), tenant
-// B its one extra partition, and an unmodified client simply points at its
-// partition's base address.
+// VillarsDevice in an ordinary node: tenant A is partition 0 (the config's
+// cmb/destage) and uses the node's client, tenant B is its one extra
+// partition, and an unmodified client simply points at its partition's base
+// address.
 //
 // Build & run:   ./build/examples/multi_tenant
 
 #include <cstdio>
 
-#include "core/validate.h"
-#include "core/villars_device.h"
 #include "db/log_backend.h"
 #include "db/log_manager.h"
 #include "db/tpcc.h"
 #include "db/workload.h"
-#include "host/xlog_client.h"
-#include "nvme/driver.h"
+#include "host/node.h"
 
 using namespace xssd;
 
 int main() {
   sim::Simulator sim;
-  pcie::PcieFabric fabric(&sim, pcie::FabricConfig{}, "host");
 
   // Two tenants: a big one with a roomy ring, a small one.
   core::VillarsConfig config;
@@ -36,16 +33,14 @@ int main() {
   small.destage.ring_start_lba = 1024;
   small.destage.ring_lba_count = 512;
   config.extra_partitions = {small};
-  if (!core::ValidateConfig(config).ok()) return 1;
 
-  core::VillarsDevice device(&sim, &fabric, config, "mt-xssd");
-  if (!device.Attach(0xF000'0000, 0xE000'0000).ok()) return 1;
-  nvme::Driver driver(&sim, &fabric, &device.controller(), 0xF000'0000);
-  if (!driver.Initialize().ok()) return 1;
+  host::StorageNode node(&sim, config, pcie::FabricConfig{}, "mt-xssd");
+  if (!node.Init().ok()) return 1;
+  core::VillarsDevice& device = node.device();
 
-  host::XLogClient tenant_a(&sim, &fabric, device.partition_base(0));
-  host::XLogClient tenant_b(&sim, &fabric, device.partition_base(1));
-  if (!tenant_a.Setup().ok() || !tenant_b.Setup().ok()) return 1;
+  host::XLogClient& tenant_a = node.client();
+  host::XLogClient tenant_b(&sim, &node.fabric(), device.partition_base(1));
+  if (!tenant_b.Setup().ok()) return 1;
 
   std::printf("one device, %zu tenants: rings %lu KiB and %lu KiB\n",
               device.partition_count(), tenant_a.ring_bytes() / 1024,

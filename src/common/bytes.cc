@@ -1,5 +1,9 @@
 #include "common/bytes.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <limits>
 #include <new>
 
@@ -9,6 +13,20 @@ namespace xssd {
 
 namespace {
 uint64_t g_live_slabs = 0;
+
+#if defined(__GLIBC__)
+// Slabs, page images above all, are most of a model's memory, and a
+// process that builds one model after another (a bench's runs, perfbench's
+// episodes, a test binary) frees hundreds of MiB of them at each teardown
+// and allocates them again in the next model's run. glibc hands the free
+// top of the heap back to the kernel once it passes a trim threshold that
+// starts at 128 KiB and rises only when a large mmapped block is freed, so
+// the next model faults every page back in: ~31 k minor faults in each
+// destage_mixed_io episode's timed phase, against ~700 with the heap kept.
+// Keep freed heap in the process; the peak stays what one model needs.
+[[maybe_unused]] const bool g_heap_kept =
+    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max()) == 1;
+#endif
 }  // namespace
 
 Bytes::Slab* Bytes::NewSlab(size_t inline_len) {

@@ -117,8 +117,8 @@ class Bytes {
   uint32_t size_ = 0;
 };
 
-// The flash page table holds one Bytes per page (1 M pages per device in
-// the default geometry).
+// Every flash page-table entry holds one Bytes beside the page's spare
+// bytes.
 static_assert(sizeof(Bytes) <= 16, "Bytes must stay a 16-byte handle");
 
 }  // namespace xssd

@@ -25,7 +25,7 @@ CmbModule::CmbModule(sim::Simulator* sim, const CmbConfig& config)
       config_(config),
       backing_bytes_per_sec_(BackingRate(config)),
       backing_(sim, backing_bytes_per_sec_),
-      ring_(config.ring_bytes, 0) {
+      ring_(config.ring_bytes) {
   XSSD_CHECK(config_.queue_bytes > 0);
   XSSD_CHECK(config_.ring_bytes >= config_.queue_bytes);
 }
@@ -227,7 +227,7 @@ void CmbModule::TruncateTo(uint64_t offset) {
 
 void CmbModule::ResetForReboot() {
   ++drain_epoch_;
-  std::fill(ring_.begin(), ring_.end(), 0);
+  ring_ = ZeroedTable<uint8_t>(config_.ring_bytes);
   received_.Clear();
   staging_.clear();
   staging_bytes_ = 0;

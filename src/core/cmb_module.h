@@ -5,9 +5,9 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/bytes.h"
+#include "common/zeroed_table.h"
 #include "core/config.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -172,7 +172,7 @@ class CmbModule {
   double backing_bytes_per_sec_;
   sim::BandwidthServer backing_;
 
-  std::vector<uint8_t> ring_;
+  ZeroedTable<uint8_t> ring_;
   sim::IntervalSet received_;       ///< persisted stream intervals
   uint64_t credit_ = 0;             ///< contiguous persisted prefix
   uint64_t highest_received_ = 0;

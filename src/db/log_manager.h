@@ -5,6 +5,8 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "common/status.h"
@@ -97,7 +99,23 @@ class LogManager {
   LogBackend* backend_;
   LogManagerConfig config_;
 
-  std::vector<uint8_t> buffer_;   ///< bytes appended, not yet flushed
+  /// std::allocator, except that the value-less construct resize() calls
+  /// leaves the new element uninitialised: Reserve grows the buffer without
+  /// zero-filling bytes that AppendInPlace's `fill` must write anyway.
+  template <typename T>
+  struct UninitializedAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitializedAllocator<U>;
+    };
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+
+  /// Bytes appended, not yet flushed.
+  std::vector<uint8_t, UninitializedAllocator<uint8_t>> buffer_;
   size_t head_ = 0;               ///< consumed prefix of buffer_
   uint64_t next_lsn_ = 0;         ///< byte-offset LSN of the next append
   uint64_t durable_lsn_ = 0;

@@ -8,10 +8,11 @@
 
 namespace xssd::flash {
 
-/// Out-of-band (spare) bytes per page, programmed atomically with the
-/// page's data area. The FTL stores its mapping metadata (lpn + write seq)
-/// here; recovery rebuilds the page map from an OOB scan.
-constexpr size_t kOobBytes = 64;
+Oob::Oob(const uint8_t* data, size_t size) {
+  XSSD_CHECK(size <= kOobBytes);
+  if (size > 0) std::memcpy(bytes_.data(), data, size);
+  size_ = static_cast<uint8_t>(size);
+}
 
 Array::Array(sim::Simulator* sim, Geometry geometry, Timing timing,
              Reliability reliability, uint64_t seed)
@@ -26,8 +27,6 @@ Array::Array(sim::Simulator* sim, Geometry geometry, Timing timing,
   for (Die& die : dies_) {
     die.blocks.resize(blocks_per_die);
     for (Block& block : die.blocks) {
-      block.pages.resize(geometry_.pages_per_block);
-      block.oob.resize(geometry_.pages_per_block);
       if (reliability_.factory_bad_block_rate > 0 &&
           rng_.Bernoulli(reliability_.factory_bad_block_rate)) {
         block.bad = true;
@@ -68,6 +67,16 @@ Array::Block& Array::BlockAt(const Address& addr) {
 const Array::Block& Array::BlockAt(const Address& addr) const {
   const Die& die = DieAt(addr.channel, addr.die);
   return die.blocks[addr.plane * geometry_.blocks_per_plane + addr.block];
+}
+
+Array::Page* Array::PageAt(const Address& addr) {
+  Block& block = BlockAt(addr);
+  return block.pages != nullptr ? &block.pages[addr.page] : nullptr;
+}
+
+const Array::Page* Array::PageAt(const Address& addr) const {
+  const Block& block = BlockAt(addr);
+  return block.pages != nullptr ? &block.pages[addr.page] : nullptr;
 }
 
 sim::SimTime Array::OccupyDie(Die& die, sim::SimTime earliest,
@@ -119,11 +128,10 @@ uint64_t Array::SampleBitErrors(const Block& block, double ber_scale) {
   return errors;
 }
 
-void Array::Program(const Address& addr, Bytes data,
-                    std::vector<uint8_t> oob, ProgramCallback done,
+void Array::Program(const Address& addr, Bytes data, const Oob& oob,
+                    ProgramCallback done,
                     sim::Simulator::Callback bus_released) {
   XSSD_CHECK(Contains(geometry_, addr));
-  XSSD_CHECK(oob.size() <= kOobBytes);
   Block& block = BlockAt(addr);
   if (block.bad) {
     ++stats_.bad_block_rejects;
@@ -172,9 +180,11 @@ void Array::Program(const Address& addr, Bytes data,
     });
     return;
   }
-  if (block.next_page == 0) block.programmed_at = sim_->Now();
-  block.pages[addr.page] = std::move(data);
-  block.oob[addr.page] = std::move(oob);
+  if (block.next_page == 0) {
+    block.programmed_at = sim_->Now();
+    block.pages = std::make_unique<Page[]>(geometry_.pages_per_block);
+  }
+  block.pages[addr.page] = Page{std::move(data), oob};
   block.next_page = addr.page + 1;
   sim_->ScheduleAt(prog_done,
                    [done = std::move(done)]() { done(Status::OK()); });
@@ -221,7 +231,8 @@ void Array::Read(const Address& addr, ReadCallback done) {
   sim::SimTime bus_done = std::max(
       channel_bus_[addr.channel]->Acquire(geometry_.page_bytes), start_bus);
 
-  Bytes data = block.pages[addr.page];
+  const Page* page = PageAt(addr);
+  Bytes data = page != nullptr ? page->data : Bytes();
   if (data.empty()) {  // erased page
     data = Bytes::Build(geometry_.page_bytes, [&](uint8_t* out) {
       std::memset(out, 0xFF, geometry_.page_bytes);
@@ -281,8 +292,7 @@ void Array::Erase(const Address& addr, EraseCallback done) {
     return;
   }
   ++block.erase_count;
-  for (auto& page : block.pages) page = Bytes();
-  for (auto& spare : block.oob) spare.clear();
+  block.pages.reset();
   block.next_page = 0;
   block.programmed_at = sim_->Now();  // dwell epoch restarts at the erase
   block.reads_since_erase = 0;
@@ -319,23 +329,22 @@ double Array::PredictedBer(const Address& addr) const {
 }
 
 const Bytes* Array::PeekPage(const Address& addr) const {
-  const Block& block = BlockAt(addr);
-  if (block.pages[addr.page].empty()) return nullptr;
-  return &block.pages[addr.page];
+  const Page* page = PageAt(addr);
+  if (page == nullptr || page->data.empty()) return nullptr;
+  return &page->data;
 }
 
-const std::vector<uint8_t>* Array::PeekOob(const Address& addr) const {
-  const Block& block = BlockAt(addr);
-  if (block.oob[addr.page].empty()) return nullptr;
-  return &block.oob[addr.page];
+const Oob* Array::PeekOob(const Address& addr) const {
+  const Page* page = PageAt(addr);
+  if (page == nullptr || page->oob.empty()) return nullptr;
+  return &page->oob;
 }
 
 bool Array::CorruptOob(const Address& addr, size_t byte_index,
                        uint8_t xor_mask) {
-  Block& block = BlockAt(addr);
-  std::vector<uint8_t>& spare = block.oob[addr.page];
-  if (spare.empty() || xor_mask == 0) return false;
-  spare[byte_index % spare.size()] ^= xor_mask;
+  Page* page = PageAt(addr);
+  if (page == nullptr || page->oob.empty() || xor_mask == 0) return false;
+  page->oob[byte_index % page->oob.size()] ^= xor_mask;
   return true;
 }
 

@@ -1,6 +1,8 @@
 #ifndef XSSD_FLASH_ARRAY_H_
 #define XSSD_FLASH_ARRAY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,6 +22,31 @@ class FaultInjector;
 }  // namespace xssd::fault
 
 namespace xssd::flash {
+
+/// Out-of-band (spare) bytes per page, programmed atomically with the
+/// page's data area. The FTL stores its mapping metadata (lpn + write seq)
+/// here; recovery rebuilds the page map from an OOB scan.
+inline constexpr size_t kOobBytes = 64;
+
+/// \brief A page's spare-area image: up to kOobBytes with their length,
+/// held by value, so programming a page allocates nothing for it.
+class Oob {
+ public:
+  /// No spare bytes (what an erased page reads as).
+  Oob() = default;
+  /// A copy of [data, data + size); `size` is at most kOobBytes.
+  Oob(const uint8_t* data, size_t size);
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const uint8_t* data() const { return bytes_.data(); }
+  uint8_t operator[](size_t i) const { return bytes_[i]; }
+  uint8_t& operator[](size_t i) { return bytes_[i]; }
+
+ private:
+  std::array<uint8_t, kOobBytes> bytes_{};
+  uint8_t size_ = 0;
+};
 
 /// Per-array operation statistics.
 struct ArrayStats {
@@ -65,14 +92,14 @@ class Array {
   /// Fails with kIoError on (injected) program failure — the caller must
   /// treat the block as bad — or kFailedPrecondition on NAND rule
   /// violations (page not erased / out-of-order program).
-  /// `oob` (at most 64 bytes) lands in the page's spare area in the same
-  /// program pulse — data and OOB are atomic, which is what makes an OOB
-  /// mapping scan a sound recovery source.
+  /// `oob` lands in the page's spare area in the same program pulse — data
+  /// and OOB are atomic, which is what makes an OOB mapping scan a sound
+  /// recovery source.
   /// `bus_released` (optional) fires when the channel-bus transfer into the
   /// die's page register finishes — the point the scheduler may start the
   /// next transfer on this channel while tPROG runs.
-  void Program(const Address& addr, Bytes data,
-               std::vector<uint8_t> oob, ProgramCallback done,
+  void Program(const Address& addr, Bytes data, const Oob& oob,
+               ProgramCallback done,
                sim::Simulator::Callback bus_released = nullptr);
 
   /// Read a full page. A correctable read returns the stored handle.
@@ -110,7 +137,7 @@ class Array {
   /// Synchronous peek at a page's OOB (spare) bytes, or nullptr when the
   /// page is erased or carries no OOB. Recovery's boot-time mapping scan
   /// reads through this probe (timing is charged by the caller).
-  const std::vector<uint8_t>* PeekOob(const Address& addr) const;
+  const Oob* PeekOob(const Address& addr) const;
 
   /// Test hook: XOR `xor_mask` into one stored OOB byte (index taken modulo
   /// the record length). No-op on erased pages; returns whether it landed.
@@ -136,10 +163,15 @@ class Array {
   }
 
  private:
+  struct Page {
+    Bytes data;  // empty handle == erased
+    Oob oob;     // spare area, same lifecycle
+  };
   struct Block {
-    std::vector<Bytes> pages;                 // empty handle == erased
-    std::vector<std::vector<uint8_t>> oob;    // spare area, same lifecycle
-    uint32_t next_page = 0;                   // NAND in-order program cursor
+    // One entry per page, made at the block's first program and freed by
+    // its erase: a block that holds no data holds no table.
+    std::unique_ptr<Page[]> pages;
+    uint32_t next_page = 0;  // NAND in-order program cursor
     uint32_t erase_count = 0;
     sim::SimTime programmed_at = 0;   // retention-dwell epoch (see header)
     uint64_t reads_since_erase = 0;   // read-disturb counter
@@ -152,6 +184,10 @@ class Array {
 
   Block& BlockAt(const Address& addr);
   const Block& BlockAt(const Address& addr) const;
+  /// The page's entry, or nullptr when its block holds no table (every
+  /// page of it erased).
+  Page* PageAt(const Address& addr);
+  const Page* PageAt(const Address& addr) const;
   Die& DieAt(uint32_t channel, uint32_t die) {
     return dies_[channel * geometry_.dies_per_channel + die];
   }

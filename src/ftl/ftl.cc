@@ -252,12 +252,12 @@ void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
   // the recovery record. The stamp is fresh per attempt so a relocated
   // copy always outranks its source under equal seq.
   uint64_t stamp = ++next_stamp_;
-  std::vector<uint8_t> oob = EncodeOob(OobMeta{lpn, seq, stamp});
+  flash::Oob oob = EncodeOob(OobMeta{lpn, seq, stamp});
   ++inflight_programs_[flash::BlockIndex(array_->geometry(), target)];
   // The array keeps one handle on the page; this one stays for a retry.
   Bytes page = data;
   scheduler_.Program(
-      io_class, target, std::move(page), std::move(oob),
+      io_class, target, std::move(page), oob,
       [this, io_class, stream, lpn, seq, stamp, src_ppn, ppn, target,
        data = std::move(data), attempts,
        done = std::move(done)](Status status) mutable {
@@ -717,8 +717,7 @@ PageMap Ftl::RebuildFromOob(RebuildReport* report) const {
   std::vector<uint64_t> best_stamp(lpn_count, 0);
   RebuildReport local;
   for (uint64_t ppn = 0; ppn < geom.pages(); ++ppn) {
-    const std::vector<uint8_t>* raw =
-        array_->PeekOob(flash::AddressOfPage(geom, ppn));
+    const flash::Oob* raw = array_->PeekOob(flash::AddressOfPage(geom, ppn));
     if (raw == nullptr) continue;
     ++local.pages_scanned;
     OobMeta meta;

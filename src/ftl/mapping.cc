@@ -8,11 +8,11 @@ namespace xssd::ftl {
 
 PageMap::PageMap(const flash::Geometry& geometry, uint64_t lpn_count)
     : geometry_(geometry),
-      l2p_(lpn_count, kUnmapped),
-      p2l_(geometry.pages(), kUnmapped),
+      l2p_(lpn_count),
+      p2l_(geometry.pages()),
       valid_count_(geometry.blocks(), 0),
-      seq_(lpn_count, 0),
-      stamp_(lpn_count, 0) {}
+      seq_(lpn_count),
+      stamp_(lpn_count) {}
 
 bool PageMap::Map(uint64_t lpn, uint64_t ppn, uint64_t seq, uint64_t stamp) {
   XSSD_CHECK(lpn < l2p_.size());
@@ -23,14 +23,14 @@ bool PageMap::Map(uint64_t lpn, uint64_t ppn, uint64_t seq, uint64_t stamp) {
   // stamp-less legacy behaviour (stamp 0).
   if (seq < seq_[lpn]) return false;  // stale version lost the program race
   if (seq == seq_[lpn] && stamp < stamp_[lpn]) return false;
-  uint64_t old_ppn = l2p_[lpn];
+  uint64_t old_ppn = Lookup(lpn);
   if (old_ppn != kUnmapped) {
-    p2l_[old_ppn] = kUnmapped;
+    p2l_[old_ppn] = 0;
     --valid_count_[old_ppn / geometry_.pages_per_block];
     --mapped_;
   }
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_[lpn] = ppn + 1;
+  p2l_[ppn] = lpn + 1;
   seq_[lpn] = seq;
   stamp_[lpn] = stamp;
   ++valid_count_[ppn / geometry_.pages_per_block];
@@ -42,7 +42,7 @@ bool PageMap::MapRelocated(uint64_t lpn, uint64_t src_ppn, uint64_t dst_ppn,
                            uint64_t seq, uint64_t stamp) {
   XSSD_CHECK(lpn < l2p_.size());
   XSSD_CHECK(dst_ppn < p2l_.size());
-  uint64_t old_ppn = l2p_[lpn];
+  uint64_t old_ppn = Lookup(lpn);
   if (old_ppn == kUnmapped) return false;  // trimmed mid-relocation
   if (old_ppn != src_ppn) {
     // Source superseded mid-flight. When the supersession was another
@@ -56,10 +56,10 @@ bool PageMap::MapRelocated(uint64_t lpn, uint64_t src_ppn, uint64_t dst_ppn,
       return false;
     }
   }
-  p2l_[old_ppn] = kUnmapped;
+  p2l_[old_ppn] = 0;
   --valid_count_[old_ppn / geometry_.pages_per_block];
-  l2p_[lpn] = dst_ppn;
-  p2l_[dst_ppn] = lpn;
+  l2p_[lpn] = dst_ppn + 1;
+  p2l_[dst_ppn] = lpn + 1;
   stamp_[lpn] = std::max(stamp_[lpn], stamp);
   ++valid_count_[dst_ppn / geometry_.pages_per_block];
   return true;
@@ -67,10 +67,10 @@ bool PageMap::MapRelocated(uint64_t lpn, uint64_t src_ppn, uint64_t dst_ppn,
 
 void PageMap::Unmap(uint64_t lpn) {
   XSSD_CHECK(lpn < l2p_.size());
-  uint64_t ppn = l2p_[lpn];
+  uint64_t ppn = Lookup(lpn);
   if (ppn == kUnmapped) return;
-  l2p_[lpn] = kUnmapped;
-  p2l_[ppn] = kUnmapped;
+  l2p_[lpn] = 0;
+  p2l_[ppn] = 0;
   --valid_count_[ppn / geometry_.pages_per_block];
   --mapped_;
 }
@@ -78,12 +78,12 @@ void PageMap::Unmap(uint64_t lpn) {
 void PageMap::OnBlockErased(uint64_t block_index) {
   uint64_t first = block_index * geometry_.pages_per_block;
   for (uint64_t p = first; p < first + geometry_.pages_per_block; ++p) {
-    uint64_t lpn = p2l_[p];
+    uint64_t lpn = ReverseLookup(p);
     if (lpn != kUnmapped) {
       // Erasing a block with valid data would lose it; the GC must have
       // relocated everything first.
-      XSSD_CHECK(l2p_[lpn] != p);
-      p2l_[p] = kUnmapped;
+      XSSD_CHECK(Lookup(lpn) != p);
+      p2l_[p] = 0;
     }
   }
   XSSD_CHECK(valid_count_[block_index] == 0);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/zeroed_table.h"
 #include "flash/geometry.h"
 
 namespace xssd::ftl {
@@ -18,6 +19,10 @@ inline constexpr uint64_t kUnmapped = ~0ull;
 /// program (an older version whose NAND completion lost the race, or a GC
 /// copy of data the host re-wrote mid-relocation) is rejected at map time
 /// and its physical page is garbage on arrival.
+///
+/// The per-lpn and per-page tables start all zero and take memory only
+/// where written (ZeroedTable), so l2p and p2l store ppn + 1 and lpn + 1:
+/// a zero entry is unmapped, and `entry - 1` wraps it to kUnmapped.
 class PageMap {
  public:
   PageMap(const flash::Geometry& geometry, uint64_t lpn_count);
@@ -27,7 +32,7 @@ class PageMap {
   const flash::Geometry& geometry() const { return geometry_; }
 
   /// Physical page currently backing `lpn`, or kUnmapped.
-  uint64_t Lookup(uint64_t lpn) const { return l2p_[lpn]; }
+  uint64_t Lookup(uint64_t lpn) const { return l2p_[lpn] - 1; }
 
   /// Point `lpn` at physical page `ppn` carrying logical version `seq`
   /// and physical program stamp `stamp`. Applies under the same
@@ -56,7 +61,7 @@ class PageMap {
   void Unmap(uint64_t lpn);
 
   /// Logical page stored at physical page `ppn`, or kUnmapped if invalid.
-  uint64_t ReverseLookup(uint64_t ppn) const { return p2l_[ppn]; }
+  uint64_t ReverseLookup(uint64_t ppn) const { return p2l_[ppn] - 1; }
 
   /// Logical version currently mapped (or last mapped) for `lpn`.
   uint64_t SeqOf(uint64_t lpn) const { return seq_[lpn]; }
@@ -85,11 +90,11 @@ class PageMap {
 
  private:
   flash::Geometry geometry_;
-  std::vector<uint64_t> l2p_;
-  std::vector<uint64_t> p2l_;
+  ZeroedTable<uint64_t> l2p_;  // ppn + 1, 0 == unmapped
+  ZeroedTable<uint64_t> p2l_;  // lpn + 1, 0 == invalid
   std::vector<uint32_t> valid_count_;
-  std::vector<uint64_t> seq_;
-  std::vector<uint64_t> stamp_;
+  ZeroedTable<uint64_t> seq_;
+  ZeroedTable<uint64_t> stamp_;
   uint64_t mapped_ = 0;
 };
 

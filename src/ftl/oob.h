@@ -2,7 +2,8 @@
 #define XSSD_FTL_OOB_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "flash/array.h"
 
 namespace xssd::ftl {
 
@@ -28,13 +29,14 @@ struct OobMeta {
 
 /// Encoded OOB record size: three little-endian u64 fields plus a CRC-32C.
 inline constexpr uint32_t kOobRecordBytes = 3 * 8 + 4;
+static_assert(kOobRecordBytes <= flash::kOobBytes);
 
 /// Serialize `meta` into the wire form stored in a page's spare area.
-std::vector<uint8_t> EncodeOob(const OobMeta& meta);
+flash::Oob EncodeOob(const OobMeta& meta);
 
 /// Parse an OOB record; false on short buffers or CRC mismatch (a torn or
 /// garbage spare area — recovery skips the page).
-bool DecodeOob(const std::vector<uint8_t>& raw, OobMeta* out);
+bool DecodeOob(const flash::Oob& raw, OobMeta* out);
 
 }  // namespace xssd::ftl
 

@@ -125,17 +125,17 @@ void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
 }
 
 void Scheduler::Program(IoClass io_class, const flash::Address& addr,
-                        Bytes data, std::vector<uint8_t> oob,
+                        Bytes data, const flash::Oob& oob,
                         flash::Array::ProgramCallback done) {
   Op op;
   op.io_class = io_class;
   op.die = addr.die;
   op.bytes = array_->geometry().page_bytes;
   op.uses_bus = true;
-  op.run = [this, addr, data = std::move(data), oob = std::move(oob),
+  op.run = [this, addr, data = std::move(data), oob,
             done = std::move(done)](std::function<void()> bus_released,
                                     std::function<void()> completed) mutable {
-    array_->Program(addr, std::move(data), std::move(oob),
+    array_->Program(addr, std::move(data), oob,
                     [completed = std::move(completed),
                      done = std::move(done)](Status status) mutable {
                       completed();

@@ -55,8 +55,7 @@ class Scheduler {
   /// Enqueue operations; completion callbacks fire when the array finishes.
   /// `oob` rides along with the page data and is stored in the spare area.
   void Program(IoClass io_class, const flash::Address& addr, Bytes data,
-               std::vector<uint8_t> oob,
-               flash::Array::ProgramCallback done);
+               const flash::Oob& oob, flash::Array::ProgramCallback done);
   void Read(IoClass io_class, const flash::Address& addr,
             flash::Array::ReadCallback done);
   void Erase(IoClass io_class, const flash::Address& addr,

@@ -22,48 +22,54 @@ StorageNode::StorageNode(sim::Simulator* sim,
                          std::string name, XLogClientOptions client_options)
     : sim_(sim),
       name_(std::move(name)),
+      config_status_(core::ValidateConfig(device_config)),
       fabric_(sim, fabric_config, name_ + "/fabric"),
-      device_(sim, &fabric_, device_config, name_ + "/villars"),
-      driver_(sim, &fabric_, &device_.controller(), NodeLayout::kBar0Base),
       ntb_(sim, NodeNtbConfig(), name_ + "/ntb"),
       client_(std::make_unique<XLogClient>(sim, &fabric_,
                                            NodeLayout::kCmbBase,
-                                           client_options)) {}
+                                           client_options)) {
+  // The device's modules check their config as they are built, so a
+  // config ValidateConfig refuses builds nothing and Init reports it.
+  if (!config_status_.ok()) return;
+  device_.emplace(sim, &fabric_, device_config, name_ + "/villars");
+  driver_.emplace(sim, &fabric_, &device_->controller(),
+                  NodeLayout::kBar0Base);
+}
 
 Status StorageNode::Init() {
-  XSSD_RETURN_IF_ERROR(core::ValidateConfig(device_.config()));
+  XSSD_RETURN_IF_ERROR(config_status_);
   XSSD_RETURN_IF_ERROR(
-      device_.Attach(NodeLayout::kBar0Base, NodeLayout::kCmbBase));
+      device_->Attach(NodeLayout::kBar0Base, NodeLayout::kCmbBase));
   XSSD_RETURN_IF_ERROR(fabric_.AddMmioRegion(
       NodeLayout::kNtbBase,
       NodeLayout::kNtbWindowBytes * core::kMaxPeers +
           NodeLayout::kScratchpadBytes,
       &ntb_, name_ + "/ntb-bar"));
   ntb_attached_ = true;
-  XSSD_RETURN_IF_ERROR(driver_.Initialize());
+  XSSD_RETURN_IF_ERROR(driver_->Initialize());
   XSSD_RETURN_IF_ERROR(client_->Setup());
   return Status::OK();
 }
 
 void StorageNode::EnableMetrics(obs::MetricsRegistry* registry,
                                 const std::string& prefix) {
-  device_.EnableMetrics(registry, prefix);
+  device().EnableMetrics(registry, prefix);
   fabric_.SetMetrics(registry, prefix);
   ntb_.SetMetrics(registry, prefix);
 }
 
 void StorageNode::EnableSpans(obs::SpanRecorder* spans,
                               const std::string& node_tag) {
-  device_.EnableSpans(spans, node_tag);
+  device().EnableSpans(spans, node_tag);
   fabric_.SetSpans(spans);
   ntb_.SetSpans(spans, node_tag);
-  driver_.SetSpans(spans, node_tag);
+  driver().SetSpans(spans, node_tag);
   if (client_) client_->SetSpans(spans, node_tag);
 }
 
 void StorageNode::ArmFaults(fault::FaultInjector* injector,
                             bool install_crash_handler) {
-  device_.ArmFaults(injector, install_crash_handler);
+  device().ArmFaults(injector, install_crash_handler);
   fabric_.set_fault_injector(injector);
   ntb_.set_fault_injector(injector);
 }

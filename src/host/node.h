@@ -2,9 +2,11 @@
 #define XSSD_HOST_NODE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/villars_device.h"
 #include "host/xlog_client.h"
 #include "ntb/ntb.h"
@@ -45,6 +47,9 @@ class StorageNode {
   StorageNode& operator=(const StorageNode&) = delete;
 
   /// Attach device + NTB BARs, initialize the driver, set up the client.
+  /// A device config that core::ValidateConfig refuses gets no device or
+  /// driver at construction; Init then returns ValidateConfig's status, and
+  /// only the destructor may follow.
   Status Init();
 
   /// Map NTB window `slot` onto `peer`'s CMB BAR. Returns the local bus
@@ -80,8 +85,14 @@ class StorageNode {
                  bool install_crash_handler = true);
 
   pcie::PcieFabric& fabric() { return fabric_; }
-  core::VillarsDevice& device() { return device_; }
-  nvme::Driver& driver() { return driver_; }
+  core::VillarsDevice& device() {
+    XSSD_CHECK(device_.has_value());
+    return *device_;
+  }
+  nvme::Driver& driver() {
+    XSSD_CHECK(driver_.has_value());
+    return *driver_;
+  }
   ntb::NtbAdapter& ntb() { return ntb_; }
   XLogClient& client() { return *client_; }
   sim::Simulator& simulator() { return *sim_; }
@@ -90,9 +101,10 @@ class StorageNode {
  private:
   sim::Simulator* sim_;
   std::string name_;
+  Status config_status_;
   pcie::PcieFabric fabric_;
-  core::VillarsDevice device_;
-  nvme::Driver driver_;
+  std::optional<core::VillarsDevice> device_;  // empty for a refused config
+  std::optional<nvme::Driver> driver_;
   ntb::NtbAdapter ntb_;
   std::unique_ptr<XLogClient> client_;
   bool ntb_attached_ = false;

@@ -39,9 +39,7 @@ PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
       upstream_(sim, link_bytes_per_sec_),
       peer_(sim, link_bytes_per_sec_),
       host_memory_port_(sim, kHostMemoryBytesPerSec),
-      host_memory_(static_cast<uint8_t*>(std::calloc(kHostMemoryBytes, 1))) {
-  XSSD_CHECK(host_memory_ != nullptr);
-}
+      host_memory_(kHostMemoryBytes) {}
 
 void PcieFabric::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {

@@ -2,14 +2,13 @@
 #define XSSD_PCIE_FABRIC_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/zeroed_table.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "pcie/tlp.h"
@@ -112,7 +111,7 @@ class PcieFabric {
 
   // -- Host memory image ----------------------------------------------------
 
-  uint8_t* host_memory() { return host_memory_.get(); }
+  uint8_t* host_memory() { return host_memory_.data(); }
 
   sim::Simulator* simulator() { return sim_; }
   const std::string& name() const { return name_; }
@@ -158,10 +157,6 @@ class PcieFabric {
                    uint32_t chunk, sim::Simulator::Callback posted,
                    bool peer_path);
 
-  struct FreeDeleter {
-    void operator()(uint8_t* p) const { std::free(p); }
-  };
-
   sim::Simulator* sim_;
   fault::FaultInjector* injector_ = nullptr;
   obs::SpanRecorder* spans_ = nullptr;
@@ -174,9 +169,9 @@ class PcieFabric {
   sim::BandwidthServer host_memory_port_;
 
   std::vector<Region> regions_;
-  /// From calloc: the image reads as zeros (the CQ phase-bit protocol
-  /// depends on that) without every page being touched up front.
-  std::unique_ptr<uint8_t, FreeDeleter> host_memory_;
+  /// Reads as zeros (the CQ phase-bit protocol depends on that) without
+  /// every page being touched up front.
+  ZeroedTable<uint8_t> host_memory_;
 
   // Observability (null until SetMetrics).
   obs::Counter* m_host_write_bytes_ = nullptr;

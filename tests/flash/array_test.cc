@@ -24,10 +24,10 @@ class ArrayTest : public ::testing::Test {
     return std::vector<uint8_t>(array_.geometry().page_bytes, fill);
   }
 
-  Status ProgramSync(const Address& addr, Bytes data) {
+  Status ProgramSync(const Address& addr, Bytes data, const Oob& oob = {}) {
     Status result = Status::Internal("no callback");
-    array_.Program(addr, std::move(data),
-                   {}, [&](Status status) { result = status; });
+    array_.Program(addr, std::move(data), oob,
+                   [&](Status status) { result = status; });
     sim_.Run();
     return result;
   }
@@ -87,6 +87,43 @@ TEST_F(ArrayTest, EraseResetsBlockForReprogram) {
   auto data = ReadSync(addr);
   EXPECT_EQ((*data)[0], 0xFF);  // erased again
   EXPECT_TRUE(ProgramSync(addr, Page(9)).ok());
+}
+
+// A block's page table lives from its first program to its erase: the
+// erase lets go of every page it held, and the block then reads, peeks and
+// takes OOB corruption exactly like one that was never programmed.
+TEST_F(ArrayTest, EraseFreesPagesAndLeavesANeverProgrammedBlock) {
+  const uint64_t slabs_before = Bytes::live_slabs();
+  const uint8_t spare[] = {1, 2, 3, 4};
+  Address used{0, 0, 0, 2, 0};
+  for (uint32_t page = 0; page < array_.geometry().pages_per_block; ++page) {
+    used.page = page;
+    ASSERT_TRUE(ProgramSync(used, Page(0x5A), Oob(spare, sizeof spare)).ok());
+  }
+  EXPECT_EQ(Bytes::live_slabs(),
+            slabs_before + array_.geometry().pages_per_block);
+  Status erased = Status::Internal("x");
+  array_.Erase(used, [&](Status s) { erased = s; });
+  sim_.Run();
+  ASSERT_TRUE(erased.ok());
+  EXPECT_EQ(Bytes::live_slabs(), slabs_before);
+
+  Address fresh{0, 1, 0, 2, 0};
+  for (uint32_t page : {0u, 7u, array_.geometry().pages_per_block - 1}) {
+    used.page = fresh.page = page;
+    for (const Address& addr : {used, fresh}) {
+      EXPECT_EQ(array_.PeekPage(addr), nullptr);
+      EXPECT_EQ(array_.PeekOob(addr), nullptr);
+      EXPECT_FALSE(array_.CorruptOob(addr, 0, 0xFF));
+    }
+    auto erased_page = ReadSync(used);
+    auto fresh_page = ReadSync(fresh);
+    ASSERT_TRUE(erased_page.ok());
+    ASSERT_TRUE(fresh_page.ok());
+    EXPECT_EQ(*erased_page, *fresh_page);
+    EXPECT_EQ(*erased_page,
+              std::vector<uint8_t>(array_.geometry().page_bytes, 0xFF));
+  }
 }
 
 TEST_F(ArrayTest, ProgramTimingIncludesBusAndDieLatency) {

@@ -31,11 +31,10 @@ class ReliabilityTest : public ::testing::Test {
     return std::vector<uint8_t>(array_.geometry().page_bytes, fill);
   }
 
-  Status ProgramSync(const Address& addr, uint8_t fill,
-                     std::vector<uint8_t> oob = {}) {
+  Status ProgramSync(const Address& addr, uint8_t fill, const Oob& oob = {}) {
     bool fired = false;
     Status result = Status::Internal("no callback");
-    array_.Program(addr, Page(fill), std::move(oob), [&](Status status) {
+    array_.Program(addr, Page(fill), oob, [&](Status status) {
       result = status;
       fired = true;
     });
@@ -193,8 +192,8 @@ TEST_F(RetryExhaustTest, LadderExhaustsOnSevereDecay) {
 
 TEST_F(ReliabilityTest, CorruptOobFlipsStoredByteAndSkipsErasedPages) {
   Address addr{0, 0, 0, 0, 0};
-  std::vector<uint8_t> oob(16, 0xA0);
-  ASSERT_TRUE(ProgramSync(addr, 0x10, oob).ok());
+  std::vector<uint8_t> spare(16, 0xA0);
+  ASSERT_TRUE(ProgramSync(addr, 0x10, Oob(spare.data(), spare.size())).ok());
   ASSERT_NE(array_.PeekOob(addr), nullptr);
   EXPECT_TRUE(array_.CorruptOob(addr, 3, 0x40));
   EXPECT_EQ((*array_.PeekOob(addr))[3], 0xA0 ^ 0x40);

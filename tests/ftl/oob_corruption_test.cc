@@ -110,7 +110,7 @@ TEST_F(OobCorruptionTest, EveryByteOfTheRecordIsCovered) {
   uint64_t ppn = ftl_.page_map().Lookup(lpn);
   ASSERT_NE(ppn, kUnmapped);
   flash::Address addr = flash::AddressOfPage(array_.geometry(), ppn);
-  const std::vector<uint8_t>* oob = array_.PeekOob(addr);
+  const flash::Oob* oob = array_.PeekOob(addr);
   ASSERT_NE(oob, nullptr);
   const size_t record_len = oob->size();
   for (size_t index = 0; index < record_len; ++index) {

@@ -33,6 +33,13 @@ void ExpectUsageError(const std::string& bench,
 TEST(BenchCli, ZeroMeasureWindowIsRejected) {
   ExpectUsageError("fig09_local_logging", {"0"}, "Figure 9");
   ExpectUsageError("fig09_local_logging", {"abc"}, "Figure 9");
+  // Windows whose ns value, with the 100 ms warm-up, reaches 2^63.
+  // Unchecked, the first wraps to a 448 us window, the second's end wraps
+  // past zero, and the third runs forever.
+  for (const char* window :
+       {"18446744073710", "18446744073709", "9223372036855"}) {
+    ExpectUsageError("fig09_local_logging", {window}, "Figure 9");
+  }
   ExpectUsageError("check_campaign", {"--runs", "0"}, "conformance campaign");
   ExpectUsageError("kernel_bench", {"--events", "0"}, "ev/s");
   ExpectUsageError("obs_bench", {"--events", "0"}, "sampler off");
