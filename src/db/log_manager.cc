@@ -46,6 +46,10 @@ void LogManager::WaitDurable(uint64_t lsn,
     committed(Status::OK());
     return;
   }
+  if (!failure_.ok()) {
+    committed(failure_);
+    return;
+  }
   // Appends are monotone, so waiters arrive in (non-strict) LSN order.
   XSSD_CHECK(waiters_.empty() || waiters_.back().lsn <= lsn);
   waiters_.push_back(Waiter{lsn, std::move(committed)});
@@ -94,9 +98,12 @@ void LogManager::FlushGroup(size_t len) {
         flushing_ = false;
         if (!status.ok()) {
           XSSD_LOG(kError) << "log flush failed: " << status.ToString();
-          // Fail every waiter at or below the attempted LSN.
+          if (failure_.ok()) failure_ = status;
         }
-        durable_lsn_ += len;
+        // After a failed flush the log has a hole that recovery stops at:
+        // nothing past it becomes durable, but later groups still drain so
+        // that stalled appenders run on.
+        if (failure_.ok()) durable_lsn_ += len;
         buffered_bytes_ -= len;
         ResolveWaiters();
         // Release stalled appenders, oldest first.
@@ -111,10 +118,13 @@ void LogManager::FlushGroup(size_t len) {
 }
 
 void LogManager::ResolveWaiters() {
-  while (!waiters_.empty() && waiters_.front().lsn <= durable_lsn_) {
+  // Until a flush fails this resolves the durable waiters with OK; after
+  // that no queued waiter can become durable, and each gets the error.
+  while (!waiters_.empty() &&
+         (waiters_.front().lsn <= durable_lsn_ || !failure_.ok())) {
     auto committed = std::move(waiters_.front().committed);
     waiters_.pop_front();
-    committed(Status::OK());
+    committed(failure_);
   }
 }
 

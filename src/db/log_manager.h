@@ -74,7 +74,10 @@ class LogManager {
     return Publish(len);
   }
 
-  /// Call `committed` once durable_lsn >= lsn.
+  /// Call `committed` with OK once durable_lsn >= lsn. Once a group flush
+  /// has failed, every waiter past the durable LSN (those the failed group
+  /// covers and all later ones) gets that flush's error instead, and
+  /// durable_lsn stays at the end of the last good flush.
   void WaitDurable(uint64_t lsn, std::function<void(Status)> committed);
 
   uint64_t next_lsn() const { return next_lsn_; }
@@ -119,7 +122,8 @@ class LogManager {
   size_t head_ = 0;               ///< consumed prefix of buffer_
   uint64_t next_lsn_ = 0;         ///< byte-offset LSN of the next append
   uint64_t durable_lsn_ = 0;
-  uint64_t buffered_bytes_ = 0;   ///< bytes appended, not yet durable
+  Status failure_;                ///< the first failed flush's error
+  uint64_t buffered_bytes_ = 0;   ///< bytes appended, flush not complete
   bool flushing_ = false;
   bool timer_armed_ = false;
   sim::SimTime oldest_pending_since_ = 0;

@@ -1,11 +1,11 @@
 #include "db/tpcc.h"
 
 #include <cstring>
+#include <vector>
+
 #include "common/logging.h"
 
 namespace xssd::db {
-
-constexpr uint32_t kDistrictsPerWarehouse = 10;
 
 // Transaction mix (percent; spec-standard).
 constexpr uint32_t kNewOrderPct = 45;
@@ -42,26 +42,20 @@ const char* TpccTxnName(TpccTxnType type) {
 TpccWorkload::TpccWorkload(Database* db, TpccConfig config, uint64_t seed)
     : db_(db), config_(config), rng_(seed) {}
 
-void TpccWorkload::MakeRow(uint8_t* row, size_t len) {
-  // Draw from a local copy: stores through `row` may alias any object, so
-  // drawing from rng_ itself would reload its state for every byte.
-  sim::Rng rng = rng_;
-  for (size_t i = 0; i < len; ++i) row[i] = static_cast<uint8_t>(rng.Next());
-  rng_ = rng;
-}
-
-void TpccWorkload::PopulateRow(Table* table, uint64_t key) {
-  MakeRow(table->Emplace(key), table->row_bytes());
+void TpccWorkload::PopulateRow(Table* table, uint64_t key,
+                               const uint8_t** run) {
+  std::memcpy(table->Emplace(key), *run, table->row_bytes());
+  *run += table->row_bytes();
 }
 
 void TpccWorkload::InsertRandomRow(Transaction* txn, Table* table,
                                    uint64_t key) {
-  MakeRow(txn->InsertInPlace(table, key), table->row_bytes());
+  rng_.FillLowBytes(txn->InsertInPlace(table, key), table->row_bytes());
 }
 
 void TpccWorkload::UpdateRandomBytes(Transaction* txn, Table* table,
                                      uint64_t key, size_t offset, size_t len) {
-  MakeRow(txn->UpdateDeltaInPlace(table, key, offset, len), len);
+  rng_.FillLowBytes(txn->UpdateDeltaInPlace(table, key, offset, len), len);
 }
 
 void TpccWorkload::Populate() {
@@ -75,22 +69,34 @@ void TpccWorkload::Populate() {
   new_order_ = db_->CreateTable("new_order", kNewOrderRow);
   history_ = db_->CreateTable("history", kHistoryRow);
 
+  // Every row is one RNG draw per byte, in this order, so a warehouse's
+  // rows are one run of the stream and so are the items'. Fill each run
+  // at once and copy its rows out: one warehouse at a time, since staging
+  // all of them would add their ~17 MiB to the peak RSS.
+  const uint32_t customers = config_.populated_customers_per_district;
+  const uint32_t items = config_.populated_items;
+  std::vector<uint8_t> run(
+      kWarehouseRow +
+      kDistrictsPerWarehouse * (kDistrictRow + customers * kCustomerRow) +
+      items * kStockRow);
   for (uint32_t w = 0; w < config_.warehouses; ++w) {
-    PopulateRow(warehouse_, WarehouseKey(w));
+    rng_.FillLowBytes(run.data(), run.size());
+    const uint8_t* row = run.data();
+    PopulateRow(warehouse_, WarehouseKey(w), &row);
     for (uint32_t d = 0; d < kDistrictsPerWarehouse; ++d) {
-      PopulateRow(district_, DistrictKey(w, d));
-      for (uint32_t c = 0; c < config_.populated_customers_per_district;
-           ++c) {
-        PopulateRow(customer_, CustomerKey(w, d, c));
+      PopulateRow(district_, DistrictKey(w, d), &row);
+      for (uint32_t c = 0; c < customers; ++c) {
+        PopulateRow(customer_, CustomerKey(w, d, c), &row);
       }
     }
-    for (uint32_t i = 0; i < config_.populated_items; ++i) {
-      PopulateRow(stock_, StockKey(w, i));
+    for (uint32_t i = 0; i < items; ++i) {
+      PopulateRow(stock_, StockKey(w, i), &row);
     }
   }
-  for (uint32_t i = 0; i < config_.populated_items; ++i) {
-    PopulateRow(item_, i);
-  }
+  run.resize(items * kItemRow);
+  rng_.FillLowBytes(run.data(), run.size());
+  const uint8_t* row = run.data();
+  for (uint32_t i = 0; i < items; ++i) PopulateRow(item_, i, &row);
 }
 
 TpccTxnType TpccWorkload::NextType() {

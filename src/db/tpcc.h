@@ -64,6 +64,20 @@ class TpccWorkload {
 
   uint64_t next_order_id() const { return next_order_id_; }
 
+  static constexpr uint32_t kDistrictsPerWarehouse = 10;
+
+  /// Row keys of the populated tables; an item's key is its number.
+  static uint64_t WarehouseKey(uint32_t w) { return w; }
+  static uint64_t DistrictKey(uint32_t w, uint32_t d) {
+    return static_cast<uint64_t>(w) * 100 + d;
+  }
+  static uint64_t CustomerKey(uint32_t w, uint32_t d, uint32_t c) {
+    return (static_cast<uint64_t>(w) * 100 + d) * 100000 + c;
+  }
+  static uint64_t StockKey(uint32_t w, uint32_t i) {
+    return static_cast<uint64_t>(w) * 1000000 + i;
+  }
+
  private:
   // Row sizes (spec-minimum bytes).
   static constexpr size_t kWarehouseRow = 89;
@@ -76,21 +90,9 @@ class TpccWorkload {
   static constexpr size_t kNewOrderRow = 8;
   static constexpr size_t kHistoryRow = 46;
 
-  uint64_t WarehouseKey(uint32_t w) const { return w; }
-  uint64_t DistrictKey(uint32_t w, uint32_t d) const {
-    return static_cast<uint64_t>(w) * 100 + d;
-  }
-  uint64_t CustomerKey(uint32_t w, uint32_t d, uint32_t c) const {
-    return (static_cast<uint64_t>(w) * 100 + d) * 100000 + c;
-  }
-  uint64_t StockKey(uint32_t w, uint32_t i) const {
-    return static_cast<uint64_t>(w) * 1000000 + i;
-  }
-
-  /// Fill `len` bytes in place, one RNG draw per byte.
-  void MakeRow(uint8_t* row, size_t len);
-  /// Insert (or refill) `key`'s row of `table` in place.
-  void PopulateRow(Table* table, uint64_t key);
+  /// Insert (or refill) `key`'s row of `table` from `*run`, and step
+  /// `*run` past the row.
+  void PopulateRow(Table* table, uint64_t key, const uint8_t** run);
   /// Buffer an insert of a random row, filled in place.
   void InsertRandomRow(Transaction* txn, Table* table, uint64_t key);
   /// Buffer a delta of `len` random bytes at `offset`, filled in place.

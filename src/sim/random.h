@@ -2,6 +2,7 @@
 #define XSSD_SIM_RANDOM_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace xssd::sim {
@@ -23,6 +24,15 @@ namespace xssd::sim {
 /// 53-bit scaling) is a silent break of all of them. The golden-values
 /// test (tests/sim/random_golden_test.cc) exists to make that break loud;
 /// do not "fix" the constants there to match a modified engine.
+///
+/// FillLowBytes is part of the pinned engine: it must write the bytes that
+/// one Next() per byte would. On an x86-64 CPU with AVX2 its long spans run
+/// in lanes started kFillLaneBytes draws apart, each lane reached by
+/// xoshiro's jump routine with the constant x^kFillLaneBytes mod P(x), P
+/// the characteristic polynomial of the engine's linear state update
+/// (random.cc says how the constant was derived).
+/// tests/sim/random_fill_test.cc checks every lane path against one draw
+/// per byte and the jump against single steps.
 class Rng {
  public:
   explicit Rng(uint64_t seed) {
@@ -77,8 +87,37 @@ class Rng {
     return (((UniformRange(0, a) | UniformRange(x, y)) + c) % (y - x + 1)) + x;
   }
 
+  /// Write the low bytes of the next `n` draws: exactly what `n` calls of
+  /// static_cast<uint8_t>(Next()) would write, leaving the state where
+  /// they would. Spans of a block (kFillLanes lanes of kFillLaneBytes) or
+  /// more go to the lane loop when the CPU has one; the rest stay inline.
+  void FillLowBytes(uint8_t* out, size_t n) {
+    if (n >= kFillLanes * kFillLaneBytes) {
+      FillLowBytesLong(out, n);
+      return;
+    }
+    DrawLowBytes(out, n);
+  }
+
  private:
+  friend struct RngPaths;
+
+  static constexpr size_t kFillLanes = 8;
+  static constexpr size_t kFillLaneBytes = 4096;
+
   static uint64_t Rotl(uint64_t v, int k) { return (v << k) | (v >> (64 - k)); }
+
+  /// One Next() per byte, from a local copy: stores through `out` may
+  /// alias any object, so drawing from *this would reload the state for
+  /// every byte.
+  void DrawLowBytes(uint8_t* out, size_t n) {
+    Rng rng = *this;
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint8_t>(rng.Next());
+    *this = rng;
+  }
+
+  /// FillLowBytes of a block or more, on the fastest path this CPU runs.
+  void FillLowBytesLong(uint8_t* out, size_t n);
 
   uint64_t state_[4];
 };

@@ -175,6 +175,63 @@ TEST_F(LogManagerTest, BackpressureStallsUntilSpace) {
   EXPECT_TRUE(log.HasSpace(128));
 }
 
+TEST_F(LogManagerTest, FailedFlushFailsItsWaiters) {
+  // Completes every flush at once; the second one with an I/O error.
+  class SecondFlushFails : public LogBackend {
+   public:
+    explicit SecondFlushFails(sim::Simulator* sim) : sim_(sim) {}
+    void AppendDurable(const uint8_t*, size_t len,
+                       std::function<void(Status)> done) override {
+      Account(len);
+      Status status =
+          flushes() == 2 ? Status::IoError("media gone") : Status::OK();
+      sim_->Schedule(0, [done = std::move(done), status]() { done(status); });
+    }
+    std::string name() const override { return "second-fails"; }
+    int data_movements_per_byte() const override { return 0; }
+    sim::Simulator* sim_;
+  };
+
+  SecondFlushFails backend(&sim_);
+  LogManagerConfig config;
+  config.group_bytes = 100;
+  config.max_buffer_bytes = 200;
+  config.flush_timeout = sim::Sec(10);
+  LogManager log(&sim_, &backend, config);
+  std::vector<Status> resolved;
+  auto wait = [&](uint64_t lsn) {
+    log.WaitDurable(lsn, [&](Status status) { resolved.push_back(status); });
+  };
+  std::vector<uint8_t> data(100, 1);
+
+  wait(log.Append(data.data(), data.size()));  // flush 1: OK
+  sim_.Run();
+  wait(log.Append(data.data(), data.size()));  // flush 2: fails
+  data.resize(60);
+  wait(log.Append(data.data(), data.size()));  // behind the failed group
+  bool released = false;
+  log.WaitForSpace(100, [&]() { released = true; });
+  EXPECT_FALSE(released);
+  sim_.Run();
+
+  ASSERT_EQ(resolved.size(), 3u);
+  EXPECT_TRUE(resolved[0].ok());
+  EXPECT_TRUE(resolved[1].IsIoError()) << resolved[1].ToString();
+  EXPECT_TRUE(resolved[2].IsIoError()) << resolved[2].ToString();
+  EXPECT_EQ(log.durable_lsn(), 100u);
+  EXPECT_TRUE(released);  // the failed group still left the buffer
+
+  // The log has a hole: nothing after it becomes durable, even when later
+  // flushes succeed.
+  wait(log.Append(data.data(), data.size()));
+  sim_.Run();
+  ASSERT_EQ(resolved.size(), 4u);
+  EXPECT_TRUE(resolved[3].IsIoError()) << resolved[3].ToString();
+  EXPECT_EQ(log.durable_lsn(), 100u);
+  EXPECT_EQ(backend.bytes_logged(), log.next_lsn());
+  EXPECT_EQ(backend.flushes(), 4u);
+}
+
 TEST_F(LogManagerTest, BytesFlowThroughBackendIntact) {
   // Use a capturing backend to check byte-exact flush contents.
   class CapturingBackend : public LogBackend {

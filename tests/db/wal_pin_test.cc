@@ -13,6 +13,7 @@
 #include "db/log_manager.h"
 #include "db/tpcc.h"
 #include "db/workload.h"
+#include "fnv1a.h"
 
 namespace xssd::db {
 namespace {
@@ -26,9 +27,7 @@ class HashingBackend : public LogBackend {
   void AppendDurable(const uint8_t* data, size_t len,
                      std::function<void(Status)> done) override {
     Account(len);
-    for (size_t i = 0; i < len; ++i) {
-      fnv_ = (fnv_ ^ data[i]) * 0x100000001B3ull;
-    }
+    fnv_ = Fnv1a(fnv_, data, len);
     sim_->Schedule(0, [done = std::move(done)]() { done(Status::OK()); });
   }
   std::string name() const override { return "hashing"; }
@@ -38,7 +37,7 @@ class HashingBackend : public LogBackend {
 
  private:
   sim::Simulator* sim_;
-  uint64_t fnv_ = 0xCBF29CE484222325ull;
+  uint64_t fnv_ = kFnv1aBasis;
 };
 
 struct WalPin {

@@ -1,6 +1,6 @@
 // Seeded determinism, scheduler-backend equivalence and zero perturbation
 // from sampling and tracing, on fig09, fig13, the conformance campaign and
-// the DES kernel bench.
+// the DES kernel bench; fig09's outputs are also pinned.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,12 @@ TEST(Fig09Gate, DeterministicBackendEquivalentAndUnperturbed) {
   const BenchRun& wheel = runs[0];
   const std::string metrics = wheel.Read("metrics.json");
   const std::string breakdown = wheel.Read("breakdown.json");
+
+  // The wheel run's outputs are pinned (FNV-1a). A mismatch means fig09's
+  // simulated numbers moved: fix the code, or re-pin by hand and say why.
+  EXPECT_TRUE(HashIs("metrics.json", metrics, 0x196A0F3CF61711ABull));
+  EXPECT_TRUE(HashIs("breakdown.json", breakdown, 0xF16271972E0E4E1Cull));
+  EXPECT_TRUE(HashIs("stdout", wheel.Stdout(), 0x67A73A246AE32382ull));
 
   // A rerun and the heap backend reproduce every byte.
   for (size_t i : {1, 2}) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -218,6 +219,21 @@ std::string SourcePath(const std::string& relative) {
          << "sizes " << a.size() << " vs " << b.size()
          << ", first difference at byte " << at << ", in the line\n"
          << a.substr(line, a.find('\n', at) - line);
+}
+
+::testing::AssertionResult HashIs(std::string_view name, std::string_view bytes,
+                                  uint64_t want) {
+  uint64_t fnv = 0xCBF29CE484222325ull;
+  for (unsigned char byte : bytes) fnv = (fnv ^ byte) * 0x100000001B3ull;
+  if (fnv == want) return ::testing::AssertionSuccess();
+  char hex[2][19];
+  std::snprintf(hex[0], sizeof hex[0], "0x%016llX",
+                static_cast<unsigned long long>(fnv));
+  std::snprintf(hex[1], sizeof hex[1], "0x%016llX",
+                static_cast<unsigned long long>(want));
+  return ::testing::AssertionFailure()
+         << name << " (" << bytes.size() << " bytes) hashes to " << hex[0]
+         << ", pinned " << hex[1];
 }
 
 ::testing::AssertionResult JsonEqualIgnoringObs(std::string_view a,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -51,6 +52,11 @@ std::string ReadFile(const std::string& path);
 std::string SourcePath(const std::string& relative);
 
 ::testing::AssertionResult BytesEqual(std::string_view a, std::string_view b);
+/// `bytes` (the output file `name`) hash to `want` under 64-bit FNV-1a. A
+/// failure prints the hash the bytes have now: a change that means to move
+/// a pinned output edits the pin by hand and says why.
+::testing::AssertionResult HashIs(std::string_view name, std::string_view bytes,
+                                  uint64_t want);
 /// Equal as JSON once every object key starting with "obs." is dropped:
 /// the observability self-metrics are the only thing sampling may move.
 ::testing::AssertionResult JsonEqualIgnoringObs(std::string_view a,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "db/log_backend.h"
 #include "db/log_manager.h"
@@ -57,15 +58,18 @@ void ApplyRecord(db::Database* db, const db::LogRecord& record) {
   }
 }
 
-bool TablesEqual(db::Table* a, db::Table* b, uint64_t key_limit) {
+// `key` has a row in both tables or in neither, and the rows are equal.
+bool RowEqual(db::Table* a, db::Table* b, uint64_t key) {
   if (a->row_bytes() != b->row_bytes()) return false;
+  const uint8_t* ra = a->Get(key);
+  const uint8_t* rb = b->Get(key);
+  if ((ra == nullptr) != (rb == nullptr)) return false;
+  return ra == nullptr || std::memcmp(ra, rb, a->row_bytes()) == 0;
+}
+
+bool TablesEqual(db::Table* a, db::Table* b, uint64_t key_limit) {
   for (uint64_t key = 0; key < key_limit; ++key) {
-    const uint8_t* ra = a->Get(key);
-    const uint8_t* rb = b->Get(key);
-    if ((ra == nullptr) != (rb == nullptr)) return false;
-    if (ra != nullptr && std::memcmp(ra, rb, a->row_bytes()) != 0) {
-      return false;
-    }
+    if (!RowEqual(a, b, key)) return false;
   }
   return true;
 }
@@ -106,6 +110,9 @@ TEST(EndToEnd, TpccWalThroughVillarsReplaysToIdenticalState) {
   db::Database replica(&null_log);
   db::TpccWorkload replica_schema(&replica, SmallTpcc(), 99);
   replica_schema.Populate();  // same seed => same initial rows
+  const uint8_t* warehouse0 = replica_schema.warehouse()->Get(0);
+  const std::vector<uint8_t> populated_warehouse0(
+      warehouse0, warehouse0 + replica_schema.warehouse()->row_bytes());
   for (const auto& record : records) ApplyRecord(&replica, record);
 
   // Compare the mutable tables row-by-row over their key spaces.
@@ -120,6 +127,36 @@ TEST(EndToEnd, TpccWalThroughVillarsReplaysToIdenticalState) {
                           workload.next_order_id() * 16));
   EXPECT_EQ(workload.history()->row_count(),
             replica_schema.history()->row_count());
+
+  // Payment, new-order and delivery also update populated warehouse,
+  // customer and stock rows by delta. Compare those over their populated
+  // keys: customer keys reach ~10^7, too many to scan.
+  using db::TpccWorkload;
+  const db::TpccConfig config = SmallTpcc();
+  for (uint32_t w = 0; w < config.warehouses; ++w) {
+    const uint64_t warehouse = TpccWorkload::WarehouseKey(w);
+    EXPECT_TRUE(RowEqual(workload.warehouse(), replica_schema.warehouse(),
+                         warehouse))
+        << "warehouse " << warehouse;
+    for (uint32_t d = 0; d < TpccWorkload::kDistrictsPerWarehouse; ++d) {
+      for (uint32_t c = 0; c < config.populated_customers_per_district; ++c) {
+        const uint64_t key = TpccWorkload::CustomerKey(w, d, c);
+        EXPECT_TRUE(
+            RowEqual(workload.customer(), replica_schema.customer(), key))
+            << "customer " << key;
+      }
+    }
+    for (uint32_t i = 0; i < config.populated_items; ++i) {
+      const uint64_t key = TpccWorkload::StockKey(w, i);
+      EXPECT_TRUE(RowEqual(workload.stock(), replica_schema.stock(), key))
+          << "stock " << key;
+    }
+  }
+  // The replay did reach them.
+  EXPECT_NE(std::memcmp(populated_warehouse0.data(),
+                        replica_schema.warehouse()->Get(0),
+                        populated_warehouse0.size()),
+            0);
 }
 
 TEST(EndToEnd, DualWorkloadSharesOneDevice) {
