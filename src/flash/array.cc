@@ -239,7 +239,6 @@ void Array::Read(const Address& addr, ReadCallback done) {
     });
   }
 
-  Status status = Status::OK();
   if (errors > reliability_.ecc_correctable_bits) {
     ++stats_.uncorrectable_reads;
     if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
@@ -252,15 +251,18 @@ void Array::Read(const Address& addr, ReadCallback done) {
       uint64_t bit = rng_.Uniform(image.size() * 8);
       image[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     }
-    data = Bytes(std::move(image));
-    status = Status::Corruption("uncorrectable bit errors");
-  } else {
-    stats_.corrected_bit_errors += errors;
-    if (m_corrected_bit_errors_) m_corrected_bit_errors_->Add(errors);
+    sim_->ScheduleAt(bus_done, [data = Bytes(std::move(image)),
+                                done = std::move(done)]() mutable {
+      done(Status::Corruption("uncorrectable bit errors"), std::move(data));
+    });
+    return;
   }
-  sim_->ScheduleAt(bus_done, [status, data = std::move(data),
+  stats_.corrected_bit_errors += errors;
+  if (m_corrected_bit_errors_) m_corrected_bit_errors_->Add(errors);
+  // The page handle and the callback fill EventFn's inline buffer.
+  sim_->ScheduleAt(bus_done, [data = std::move(data),
                               done = std::move(done)]() mutable {
-    done(status, std::move(data));
+    done(Status::OK(), std::move(data));
   });
 }
 

@@ -211,97 +211,114 @@ void Ftl::WriteDirect(IoClass io_class, uint64_t lpn, Bytes data,
     buffer_.erase(it);
     UpdateGauges();
   }
+  obs::SpanContext span;
   if (spans_) {
     // Issue → programmed, including scheduler queueing and bad-block
     // retries. GC's internal WriteDirect calls have no ambient request
     // context and record never-joined orphans.
-    obs::SpanContext span = spans_->StartSpan(obs::Stage::kFlashProgram,
-                                              span_node_, spans_->current());
-    obs::SpanRecorder* spans = spans_;
-    done = [spans, span, done = std::move(done)](Status status) {
-      spans->EndSpan(span);
-      done(status);
-    };
+    span = spans_->StartSpan(obs::Stage::kFlashProgram, span_node_,
+                             spans_->current());
   }
   ProgramPage(io_class, StreamFor(io_class), lpn, seq, kUnmapped,
-              std::move(data), std::move(done));
+              std::move(data), std::move(done), span);
 }
 
 void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
                       uint64_t lpn, uint64_t seq, uint64_t src_ppn,
-                      Bytes data, WriteCallback done, uint32_t attempts) {
-  Result<flash::Address> addr = allocator_.AllocatePage(stream);
+                      Bytes data, WriteCallback done, obs::SpanContext span) {
+  PageProgram program;
+  program.io_class = io_class;
+  program.stream = stream;
+  program.lpn = lpn;
+  program.seq = seq;
+  program.src_ppn = src_ppn;
+  program.data = std::move(data);
+  program.done = std::move(done);
+  if (span.valid()) {
+    program.spans = spans_;
+    program.span = span;
+  }
+  StartProgram(programs_.Add(std::move(program)));
+}
+
+void Ftl::StartProgram(uint32_t id) {
+  Result<flash::Address> addr = allocator_.AllocatePage(programs_[id].stream);
   if (!addr.ok()) {
     // Out of erased blocks: force a GC pass, then retry.
     MaybeStartGc();
     if (!gc_running_) {
-      done(Status::ResourceExhausted("device full: no erased blocks"));
+      Status full = Status::ResourceExhausted("device full: no erased blocks");
+      FinishProgram(id, full);
       return;
     }
-    sim_->Schedule(sim::Us(100), [this, io_class, stream, lpn, seq, src_ppn,
-                                  data = std::move(data),
-                                  done = std::move(done), attempts]() mutable {
-      ProgramPage(io_class, stream, lpn, seq, src_ppn, std::move(data),
-                  std::move(done), attempts);
-    });
+    sim_->Schedule(sim::Us(100), [this, id]() { StartProgram(id); });
     return;
   }
-  flash::Address target = *addr;
-  uint64_t ppn = flash::PageIndex(array_->geometry(), target);
+  PageProgram& program = programs_[id];
+  program.target = *addr;
   // Every physical program carries {lpn, seq, stamp} in the spare area —
   // the recovery record. The stamp is fresh per attempt so a relocated
   // copy always outranks its source under equal seq.
-  uint64_t stamp = ++next_stamp_;
-  flash::Oob oob = EncodeOob(OobMeta{lpn, seq, stamp});
-  ++inflight_programs_[flash::BlockIndex(array_->geometry(), target)];
-  // The array keeps one handle on the page; this one stays for a retry.
-  Bytes page = data;
-  scheduler_.Program(
-      io_class, target, std::move(page), oob,
-      [this, io_class, stream, lpn, seq, stamp, src_ppn, ppn, target,
-       data = std::move(data), attempts,
-       done = std::move(done)](Status status) mutable {
-        --inflight_programs_[flash::BlockIndex(array_->geometry(), target)];
-        if (status.IsIoError()) {
-          // Grown bad block: retire it and retry elsewhere (paper §7.1:
-          // "handled internally by picking a new block to write").
-          uint64_t block = flash::BlockIndex(array_->geometry(), target);
-          allocator_.MarkBad(block);
-          wear_.Retire(block);
-          UpdateWearGauges();
-          ++stats_.bad_block_retires;
-          if (m_bad_block_retires_) m_bad_block_retires_->Add();
-          if (attempts + 1 >= kMaxProgramRetries) {
-            // A fault window is failing every program; stop burning blocks
-            // and let the caller apply its own retry/backoff policy.
-            done(status);
-            return;
-          }
-          ProgramPage(io_class, stream, lpn, seq, src_ppn, std::move(data),
-                      std::move(done), attempts + 1);
-          return;
-        }
-        if (!status.ok()) {
-          done(status);
-          return;
-        }
-        ++stats_.flash_programs;
-        if (m_flash_programs_) m_flash_programs_->Add();
-        if (src_ppn == kUnmapped) {
-          // Host/destage write: applies unless a copy outranking it under
-          // the (seq, stamp) recovery order completed first (out-of-order
-          // die completions, duplicate writebacks of one version).
-          map_.Map(lpn, ppn, seq, stamp);
-        } else {
-          // GC/scrub relocation: applies while the source (or a same-seq,
-          // older-stamp duplicate of it) is the live copy; a host rewrite
-          // to a newer version mid-flight makes this a dead page.
-          map_.MapRelocated(lpn, src_ppn, ppn, seq, stamp);
-        }
-        UpdateGauges();
-        MaybeStartGc();
-        done(Status::OK());
-      });
+  program.stamp = ++next_stamp_;
+  flash::Oob oob = EncodeOob(OobMeta{program.lpn, program.seq, program.stamp});
+  ++inflight_programs_[flash::BlockIndex(array_->geometry(), program.target)];
+  // The array keeps one handle on the page; the record keeps another for
+  // a retry. The scheduler adds no program record, so `program` stays
+  // valid through the call.
+  scheduler_.Program(program.io_class, program.target, program.data, oob,
+                     [this, id](Status status) { OnProgramDone(id, status); });
+}
+
+void Ftl::OnProgramDone(uint32_t id, const Status& status) {
+  const flash::Geometry& geom = array_->geometry();
+  const uint64_t block = flash::BlockIndex(geom, programs_[id].target);
+  --inflight_programs_[block];
+  if (status.IsIoError()) {
+    // Grown bad block: retire it and retry elsewhere (paper §7.1:
+    // "handled internally by picking a new block to write").
+    allocator_.MarkBad(block);
+    wear_.Retire(block);
+    UpdateWearGauges();
+    ++stats_.bad_block_retires;
+    if (m_bad_block_retires_) m_bad_block_retires_->Add();
+    if (++programs_[id].attempts >= kMaxProgramRetries) {
+      // A fault window is failing every program; stop burning blocks
+      // and let the caller apply its own retry/backoff policy.
+      FinishProgram(id, status);
+      return;
+    }
+    StartProgram(id);
+    return;
+  }
+  if (!status.ok()) {
+    FinishProgram(id, status);
+    return;
+  }
+  ++stats_.flash_programs;
+  if (m_flash_programs_) m_flash_programs_->Add();
+  const PageProgram& program = programs_[id];
+  const uint64_t ppn = flash::PageIndex(geom, program.target);
+  if (program.src_ppn == kUnmapped) {
+    // Host/destage write: applies unless a copy outranking it under
+    // the (seq, stamp) recovery order completed first (out-of-order
+    // die completions, duplicate writebacks of one version).
+    map_.Map(program.lpn, ppn, program.seq, program.stamp);
+  } else {
+    // GC/scrub relocation: applies while the source (or a same-seq,
+    // older-stamp duplicate of it) is the live copy; a host rewrite
+    // to a newer version mid-flight makes this a dead page.
+    map_.MapRelocated(program.lpn, program.src_ppn, ppn, program.seq,
+                      program.stamp);
+  }
+  UpdateGauges();
+  MaybeStartGc();
+  FinishProgram(id, Status::OK());
+}
+
+void Ftl::FinishProgram(uint32_t id, const Status& status) {
+  PageProgram program = programs_.Take(id);
+  if (program.spans != nullptr) program.spans->EndSpan(program.span);
+  program.done(status);
 }
 
 void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
@@ -311,13 +328,13 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
     ++stats_.buffer_hits;
     if (m_buffer_hits_) m_buffer_hits_->Add();
     TouchLru(lpn);
-    std::vector<uint8_t> copy = it->second.data.ToVector();
+    // The event holds the page handle (buffered pages are immutable) and
+    // makes the caller's copy when it fires.
     sim::SimTime at = buffer_port_.Acquire(page_bytes());
-    sim_->ScheduleAt(
-        at + kFirmwareLatency,
-        [copy = std::move(copy), done = std::move(done)]() mutable {
-          done(Status::OK(), std::move(copy));
-        });
+    sim_->ScheduleAt(at + kFirmwareLatency,
+                     [data = it->second.data, done = std::move(done)]() {
+                       done(Status::OK(), data.ToVector());
+                     });
     return;
   }
   uint64_t ppn = map_.Lookup(lpn);
@@ -329,34 +346,38 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
                    });
     return;
   }
-  flash::Address addr = flash::AddressOfPage(array_->geometry(), ppn);
-  scheduler_.Read(
-      io_class, addr,
-      [this, ppn, done = std::move(done)](Status status, Bytes data) mutable {
-        if (status.IsCorruption()) {
-          // Retry-ladder exhaustion reached the host path. Start the
-          // escalation chain in the background — relocate what still reads,
-          // retire the block — while the Corruption propagates so the
-          // caller can re-fetch the lost range from a replica.
-          ++stats_.uncorrectable_reads;
-          if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
-          uint64_t block = ppn / array_->geometry().pages_per_block;
-          if (flightrec_ != nullptr) {
-            flightrec_->Record(sim_->Now(), "reliability",
-                               fr_tag_ + "uncorrectable host read ppn=" +
-                                   std::to_string(ppn) + ", escalating block " +
-                                   std::to_string(block));
-          }
-          if (EscalateBlock(block, [](Status) {})) {
-            ++stats_.escalations;
-            if (m_escalations_) m_escalations_->Add();
-          }
-          if (flightrec_ != nullptr) {
-            flightrec_->AutoDump("Corruption escalation on host read");
-          }
-        }
-        done(status, data.ToVector());
-      });
+  const uint32_t id = page_reads_.Add(PageRead{ppn, std::move(done)});
+  scheduler_.Read(io_class, flash::AddressOfPage(array_->geometry(), ppn),
+                  [this, id](Status status, Bytes data) {
+                    OnPageRead(id, status, data);
+                  });
+}
+
+void Ftl::OnPageRead(uint32_t id, const Status& status, const Bytes& data) {
+  PageRead read = page_reads_.Take(id);
+  if (status.IsCorruption()) {
+    // Retry-ladder exhaustion reached the host path. Start the
+    // escalation chain in the background — relocate what still reads,
+    // retire the block — while the Corruption propagates so the
+    // caller can re-fetch the lost range from a replica.
+    ++stats_.uncorrectable_reads;
+    if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
+    uint64_t block = read.ppn / array_->geometry().pages_per_block;
+    if (flightrec_ != nullptr) {
+      flightrec_->Record(sim_->Now(), "reliability",
+                         fr_tag_ + "uncorrectable host read ppn=" +
+                             std::to_string(read.ppn) +
+                             ", escalating block " + std::to_string(block));
+    }
+    if (EscalateBlock(block, [](Status) {})) {
+      ++stats_.escalations;
+      if (m_escalations_) m_escalations_->Add();
+    }
+    if (flightrec_ != nullptr) {
+      flightrec_->AutoDump("Corruption escalation on host read");
+    }
+  }
+  read.done(status, data.ToVector());
 }
 
 void Ftl::MaybeScheduleFlush() {
@@ -536,7 +557,7 @@ void Ftl::GcStep() {
     }
   }
   allocator_.Unseal(victim);
-  CollectBlock(victim, CollectMode::kGc, [this](Status) { GcStep(); });
+  CollectBlock(victim, CollectMode::kGc, nullptr);
 }
 
 bool Ftl::RefreshBlock(uint64_t block, WriteCallback done) {
@@ -558,11 +579,7 @@ bool Ftl::StartReclaim(uint64_t block, CollectMode mode, WriteCallback done) {
   }
   allocator_.Unseal(block);
   reclaim_busy_ = true;
-  CollectBlock(block, mode,
-               [this, done = std::move(done)](Status status) {
-                 reclaim_busy_ = false;
-                 done(status);
-               });
+  CollectBlock(block, mode, std::move(done));
   return true;
 }
 
@@ -577,89 +594,103 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
                            ", valid=" +
                            std::to_string(map_.ValidCount(victim)));
   }
-  auto collect =
-      std::make_shared<Collect>(Collect{victim, mode, 0, std::move(done)});
-  CollectStep(std::move(collect), 0);
+  Collect collect;
+  collect.victim = victim;
+  collect.mode = mode;
+  collect.done = std::move(done);
+  CollectStep(collects_.Add(std::move(collect)));
 }
 
-void Ftl::CollectStep(std::shared_ptr<Collect> collect, uint32_t page) {
+void Ftl::CollectStep(uint32_t id) {
   const flash::Geometry& geom = array_->geometry();
-  const bool for_gc = collect->mode == CollectMode::kGc;
   if (Halted()) {
     // Power was cut at some crash site; freeze the mid-collect state.
     // The victim stays unsealed and un-erased — exactly what recovery
     // sees. (GC's continuation is dropped; explicit collects abort.)
-    if (for_gc) {
-      gc_running_ = false;
+    if (collects_[id].mode == CollectMode::kGc) {
+      AbandonGc(id);
       return;
     }
-    collect->done(Status::Aborted("ftl halted mid-collect"));
+    FinishCollect(id, Status::Aborted("ftl halted mid-collect"));
     return;
   }
   // Skip the pages that hold no live lpn.
+  Collect& collect = collects_[id];
+  const uint64_t first_ppn = collect.victim * geom.pages_per_block;
   uint64_t lpn = kUnmapped;
-  for (; page < geom.pages_per_block; ++page) {
-    lpn = map_.ReverseLookup(collect->victim * geom.pages_per_block + page);
+  for (; collect.page < geom.pages_per_block; ++collect.page) {
+    lpn = map_.ReverseLookup(first_ppn + collect.page);
     if (lpn != kUnmapped) break;
   }
-  if (page == geom.pages_per_block) {
+  if (collect.page == geom.pages_per_block) {
     // All valid pages moved; dispose of the victim.
-    CollectDispose(std::move(collect));
+    CollectDispose(id);
     return;
   }
-  uint64_t ppn = collect->victim * geom.pages_per_block + page;
-  scheduler_.Read(
-      IoClass::kConventional, flash::AddressOfPage(geom, ppn),
-      [this, collect, lpn, ppn, page](Status status, Bytes data) {
-        const bool for_gc = collect->mode == CollectMode::kGc;
-        if (!status.ok()) {
-          if (for_gc) {
-            XSSD_LOG(kWarning) << "GC read failed: " << status.ToString();
-          } else {
-            ++collect->lost;
-            ++stats_.pages_lost;
-            if (m_pages_lost_) m_pages_lost_->Add();
-          }
-          CollectStep(collect, page + 1);
-          return;
-        }
-        if (map_.Lookup(lpn) != ppn) {
-          // Overwritten while the relocation read was in flight; the
-          // page is stale now — skip it.
-          CollectStep(collect, page + 1);
-          return;
-        }
-        if (for_gc && injector_ != nullptr &&
-            injector_->CrashPoint(site_prefix_ + "ftl.gc.relocate")) {
-          gc_running_ = false;
-          return;
-        }
-        if (for_gc) {
-          ++stats_.gc_relocations;
-          if (m_gc_pages_moved_) m_gc_pages_moved_->Add();
-        } else {
-          ++stats_.refresh_relocations;
-          if (m_refresh_pages_moved_) m_refresh_pages_moved_->Add();
-        }
-        // The copy keeps the victim page's logical version; only the
-        // physical stamp (inside ProgramPage) is fresh.
-        uint64_t seq = map_.SeqOf(lpn);
-        ProgramPage(IoClass::kConventional, BlockAllocator::kGcStream, lpn,
-                    seq, /*src_ppn=*/ppn, std::move(data),
-                    [this, collect, page](Status) {
-                      CollectStep(collect, page + 1);
-                    });
-      });
+  collect.lpn = lpn;
+  scheduler_.Read(IoClass::kConventional,
+                  flash::AddressOfPage(geom, first_ppn + collect.page),
+                  [this, id](Status status, Bytes data) {
+                    OnCollectRead(id, status, std::move(data));
+                  });
 }
 
-void Ftl::CollectDispose(std::shared_ptr<Collect> collect) {
-  const uint64_t victim = collect->victim;
-  if (collect->mode == CollectMode::kGc && injector_ != nullptr &&
-      injector_->CrashPoint(site_prefix_ + "ftl.gc.erase")) {
-    gc_running_ = false;
+void Ftl::OnCollectRead(uint32_t id, const Status& status, Bytes data) {
+  Collect& collect = collects_[id];
+  const bool for_gc = collect.mode == CollectMode::kGc;
+  const uint64_t ppn =
+      collect.victim * array_->geometry().pages_per_block + collect.page;
+  if (!status.ok()) {
+    if (for_gc) {
+      XSSD_LOG(kWarning) << "GC read failed: " << status.ToString();
+    } else {
+      ++collect.lost;
+      ++stats_.pages_lost;
+      if (m_pages_lost_) m_pages_lost_->Add();
+    }
+    ++collect.page;
+    CollectStep(id);
     return;
   }
-  if (collect->mode == CollectMode::kRetire || collect->lost > 0) {
+  if (map_.Lookup(collect.lpn) != ppn) {
+    // Overwritten while the relocation read was in flight; the
+    // page is stale now — skip it.
+    ++collect.page;
+    CollectStep(id);
+    return;
+  }
+  if (for_gc && injector_ != nullptr &&
+      injector_->CrashPoint(site_prefix_ + "ftl.gc.relocate")) {
+    AbandonGc(id);
+    return;
+  }
+  if (for_gc) {
+    ++stats_.gc_relocations;
+    if (m_gc_pages_moved_) m_gc_pages_moved_->Add();
+  } else {
+    ++stats_.refresh_relocations;
+    if (m_refresh_pages_moved_) m_refresh_pages_moved_->Add();
+  }
+  // The copy keeps the victim page's logical version; only the
+  // physical stamp (inside ProgramPage) is fresh.
+  const uint64_t lpn = collect.lpn;
+  ProgramPage(IoClass::kConventional, BlockAllocator::kGcStream, lpn,
+              map_.SeqOf(lpn), /*src_ppn=*/ppn, std::move(data),
+              [this, id](Status) {
+                ++collects_[id].page;
+                CollectStep(id);
+              });
+}
+
+void Ftl::CollectDispose(uint32_t id) {
+  const Collect& collect = collects_[id];
+  const uint64_t victim = collect.victim;
+  if (collect.mode == CollectMode::kGc && injector_ != nullptr &&
+      injector_->CrashPoint(site_prefix_ + "ftl.gc.erase")) {
+    AbandonGc(id);
+    return;
+  }
+  if (collect.mode == CollectMode::kRetire || collect.lost > 0) {
     // Relocated what still reads; retire the husk through the bad-block
     // path. Unreadable lpns stay mapped into it so reads keep failing
     // loudly and the host can escalate to a replica.
@@ -669,7 +700,7 @@ void Ftl::CollectDispose(std::shared_ptr<Collect> collect) {
       flightrec_->Record(sim_->Now(), "reliability",
                          fr_tag_ + "block " + std::to_string(victim) +
                              " retired unerased, " +
-                             std::to_string(collect->lost) + " lpns lost");
+                             std::to_string(collect.lost) + " lpns lost");
     }
     ++stats_.bad_block_retires;
     if (m_bad_block_retires_) m_bad_block_retires_->Add();
@@ -677,34 +708,51 @@ void Ftl::CollectDispose(std::shared_ptr<Collect> collect) {
     if (m_reliability_retires_) m_reliability_retires_->Add();
     UpdateGauges();
     UpdateWearGauges();
-    collect->done(Status::OK());
+    FinishCollect(id, Status::OK());
     return;
   }
-  scheduler_.Erase(
-      IoClass::kConventional, flash::AddressOfBlock(array_->geometry(), victim),
-      [this, collect](Status status) {
-        const uint64_t victim = collect->victim;
-        if (status.ok()) {
-          wear_.OnErase(victim);
-          map_.OnBlockErased(victim);
-          allocator_.Release(victim);
-          if (collect->mode == CollectMode::kGc) {
-            ++stats_.gc_erases;
-            if (m_gc_erases_) m_gc_erases_->Add();
-          } else {
-            ++stats_.refresh_erases;
-            if (m_refresh_erases_) m_refresh_erases_->Add();
-          }
-        } else {
-          allocator_.MarkBad(victim);
-          wear_.Retire(victim);
-          ++stats_.bad_block_retires;
-          if (m_bad_block_retires_) m_bad_block_retires_->Add();
-        }
-        UpdateGauges();
-        UpdateWearGauges();
-        collect->done(status);
-      });
+  scheduler_.Erase(IoClass::kConventional,
+                   flash::AddressOfBlock(array_->geometry(), victim),
+                   [this, id](Status status) { OnCollectErased(id, status); });
+}
+
+void Ftl::OnCollectErased(uint32_t id, const Status& status) {
+  const uint64_t victim = collects_[id].victim;
+  if (status.ok()) {
+    wear_.OnErase(victim);
+    map_.OnBlockErased(victim);
+    allocator_.Release(victim);
+    if (collects_[id].mode == CollectMode::kGc) {
+      ++stats_.gc_erases;
+      if (m_gc_erases_) m_gc_erases_->Add();
+    } else {
+      ++stats_.refresh_erases;
+      if (m_refresh_erases_) m_refresh_erases_->Add();
+    }
+  } else {
+    allocator_.MarkBad(victim);
+    wear_.Retire(victim);
+    ++stats_.bad_block_retires;
+    if (m_bad_block_retires_) m_bad_block_retires_->Add();
+  }
+  UpdateGauges();
+  UpdateWearGauges();
+  FinishCollect(id, status);
+}
+
+void Ftl::FinishCollect(uint32_t id, const Status& status) {
+  Collect collect = collects_.Take(id);
+  if (collect.mode == CollectMode::kGc) {
+    GcStep();
+    return;
+  }
+  reclaim_busy_ = false;
+  collect.done(status);
+}
+
+void Ftl::AbandonGc(uint32_t id) {
+  collects_.Take(id);
+  gc_running_ = false;
 }
 
 PageMap Ftl::RebuildFromOob(RebuildReport* report) const {

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "flash/array.h"
 #include "ftl/mapping.h"
 #include "ftl/scheduler.h"
+#include "ftl/slot_table.h"
 #include "ftl/wear.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -216,15 +216,47 @@ class Ftl {
     std::list<uint64_t>::iterator lru_pos;
   };
 
+  /// One page program from ProgramPage until its caller hears back: what
+  /// a bad-block retry or an out-of-space re-poll needs to start the next
+  /// attempt from the record.
+  struct PageProgram {
+    IoClass io_class = IoClass::kConventional;
+    BlockAllocator::Stream stream = BlockAllocator::kConventionalStream;
+    uint64_t lpn = 0;
+    uint64_t seq = 0;      ///< logical write version carried in the OOB
+    uint64_t src_ppn = 0;  ///< kUnmapped, or the page a relocation moves
+    Bytes data;            ///< the page; the record keeps it for a retry
+    WriteCallback done;
+    /// Ended when the caller hears back (null recorder: no span).
+    obs::SpanRecorder* spans = nullptr;
+    obs::SpanContext span;
+    uint32_t attempts = 0;  ///< grown-bad blocks hit so far
+    uint64_t stamp = 0;     ///< the current attempt's program counter
+    flash::Address target;  ///< the current attempt's page
+  };
+
   /// Program `data` for `lpn` via `stream`, retrying on grown-bad blocks
   /// up to kMaxProgramRetries times. `seq` is the logical write version
   /// carried in the OOB; each physical attempt gets a fresh stamp.
   /// `src_ppn == kUnmapped` maps through PageMap::Map (host/destage write);
   /// otherwise the program is a GC relocation applied via MapRelocated.
+  /// A valid `span` on `spans_` ends when `done` is called.
   void ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
                    uint64_t lpn, uint64_t seq, uint64_t src_ppn, Bytes data,
-                   WriteCallback done,
-                   uint32_t attempts = 0);
+                   WriteCallback done, obs::SpanContext span = {});
+  /// Allocate a page for program `id` and queue it on the scheduler, or
+  /// re-poll (GC running) or fail (device full) when none is erased.
+  void StartProgram(uint32_t id);
+  void OnProgramDone(uint32_t id, const Status& status);
+  /// Free program `id`'s record, end its span and call its `done`.
+  void FinishProgram(uint32_t id, const Status& status);
+
+  /// A flash read of a host ReadPage.
+  struct PageRead {
+    uint64_t ppn;
+    ReadCallback done;
+  };
+  void OnPageRead(uint32_t id, const Status& status, const Bytes& data);
 
   /// True after a crash clause fired: stop initiating background work.
   bool Halted() const;
@@ -255,26 +287,36 @@ class Ftl {
   bool StartReclaim(uint64_t block, CollectMode mode, WriteCallback done);
   /// Relocate `victim`'s valid pages then dispose of it per `mode`. The
   /// victim must already be unsealed and quiesced. In kGc mode crash sites
-  /// fire and a crash freezes the walk without calling `done`; the other
-  /// modes abort with Status::Aborted instead.
+  /// fire and a crash freezes the walk; a finished GC walk goes on with
+  /// GcStep() and never calls `done`. The other modes call `done`, with
+  /// Status::Aborted if the FTL halts mid-walk.
   void CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done);
 
-  /// One CollectBlock walk. Each pending read, program or erase of the
-  /// walk holds it, so it is freed once the walk stops.
+  /// One CollectBlock walk. It has at most one read, program or erase in
+  /// flight, which names the walk by its record.
   struct Collect {
-    uint64_t victim;
-    CollectMode mode;
+    uint64_t victim = 0;
+    CollectMode mode = CollectMode::kGc;
+    uint32_t page = 0;         ///< the page the walk is at
+    uint64_t lpn = kUnmapped;  ///< that page's lpn when its read was issued
     /// Pages whose relocation read failed. A refresh that hit one must not
     /// erase the victim: erasing would unmap the lost lpns and turn a loud
     /// Corruption into silent zeros. It degrades to a retire instead.
-    uint64_t lost;
+    uint64_t lost = 0;
     WriteCallback done;
   };
-  /// Relocate the walk's valid pages from `page` on, then dispose of the
-  /// victim.
-  void CollectStep(std::shared_ptr<Collect> collect, uint32_t page);
+  /// Relocate walk `id`'s valid pages from its page on, then dispose of
+  /// the victim.
+  void CollectStep(uint32_t id);
+  void OnCollectRead(uint32_t id, const Status& status, Bytes data);
   /// Erase (or retire) the emptied victim and complete the walk.
-  void CollectDispose(std::shared_ptr<Collect> collect);
+  void CollectDispose(uint32_t id);
+  void OnCollectErased(uint32_t id, const Status& status);
+  /// Free walk `id`'s record: a GC walk goes on with GcStep(), a refresh or
+  /// retire clears reclaim_busy_ and reports `status`.
+  void FinishCollect(uint32_t id, const Status& status);
+  /// A crash froze GC walk `id`: free its record and stop GC.
+  void AbandonGc(uint32_t id);
 
   void TouchLru(uint64_t lpn);
   void EvictIfNeeded();
@@ -315,6 +357,10 @@ class Ftl {
     WriteCallback done;
   };
   std::deque<AdmissionWaiter> admission_queue_;
+
+  SlotTable<PageProgram> programs_;
+  SlotTable<PageRead> page_reads_;
+  SlotTable<Collect> collects_;
 
   bool gc_running_ = false;
   /// One refresh/escalation collect at a time (determinism + bounded churn).

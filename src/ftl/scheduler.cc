@@ -19,7 +19,13 @@ const char* SchedulingPolicyName(SchedulingPolicy policy) {
 Scheduler::Scheduler(sim::Simulator* sim, flash::Array* array,
                      SchedulingPolicy policy)
     : sim_(sim), array_(array), policy_(policy) {
-  channels_.resize(array_->geometry().channels);
+  const flash::Geometry& geom = array_->geometry();
+  channels_.resize(geom.channels);
+  for (ChannelState& state : channels_) {
+    for (std::vector<Fifo>& fifos : state.fifos) {
+      fifos.resize(geom.dies_per_channel);
+    }
+  }
 }
 
 void Scheduler::SetMetrics(obs::MetricsRegistry* registry,
@@ -37,62 +43,77 @@ void Scheduler::SetMetrics(obs::MetricsRegistry* registry,
   m_inflight_ = registry->GetGauge(prefix + "ftl.sched.inflight");
 }
 
-void Scheduler::Enqueue(uint32_t channel, Op op) {
+void Scheduler::Enqueue(Op&& op) {
   op.seq = next_seq_++;
   op.enqueued = sim_->Now();
-  int k = static_cast<int>(op.io_class);
+  const int k = static_cast<int>(op.io_class);
+  const uint32_t channel = op.addr.channel;
+  const uint32_t die = op.addr.die;
   queued_[k]++;
   if (m_queued_[k]) m_queued_[k]->Set(static_cast<double>(queued_[k]));
-  channels_[channel].queue[k].push_back(std::move(op));
+  const uint32_t slot = ops_.Add(std::move(op));
+  Fifo& fifo = channels_[channel].fifos[k][die];
+  if (fifo.tail == kNoSlot) {
+    fifo.head = slot;
+  } else {
+    ops_[fifo.tail].next = slot;
+  }
+  fifo.tail = slot;
   Dispatch(channel);
 }
 
-int Scheduler::FindEligible(uint32_t channel,
-                            const std::deque<Op>& queue) const {
-  for (size_t i = 0; i < queue.size(); ++i) {
-    if (array_->DieIdle(channel, queue[i].die)) {
-      return static_cast<int>(i);
+int Scheduler::EarliestIdleHead(uint32_t channel, int io_class) const {
+  const std::vector<Fifo>& fifos = channels_[channel].fifos[io_class];
+  int best = -1;
+  uint64_t best_seq = 0;
+  for (uint32_t die = 0; die < fifos.size(); ++die) {
+    const uint32_t head = fifos[die].head;
+    if (head == kNoSlot || !array_->DieIdle(channel, die)) continue;
+    if (best < 0 || ops_[head].seq < best_seq) {
+      best = static_cast<int>(die);
+      best_seq = ops_[head].seq;
     }
   }
-  return -1;
+  return best;
 }
 
 void Scheduler::Dispatch(uint32_t channel) {
-  ChannelState& state = channels_[channel];
-  while (!state.bus_busy) {
-    const std::deque<Op>& conv = state.queue[0];
-    const std::deque<Op>& dest = state.queue[1];
-    int conv_idx = FindEligible(channel, conv);
-    int dest_idx = FindEligible(channel, dest);
-    if (conv_idx < 0 && dest_idx < 0) return;
+  while (!channels_[channel].bus_busy) {
+    const int conv_die = EarliestIdleHead(channel, 0);
+    const int dest_die = EarliestIdleHead(channel, 1);
+    if (conv_die < 0 && dest_die < 0) return;
 
     int pick_class = 0;
     switch (policy_) {
       case SchedulingPolicy::kNeutral:
         // A traditional device: arrival order, no class awareness. Under
         // overload each class degrades in proportion to its demand.
-        if (conv_idx >= 0 && dest_idx >= 0) {
-          pick_class = conv[conv_idx].seq < dest[dest_idx].seq ? 0 : 1;
+        if (conv_die >= 0 && dest_die >= 0) {
+          const bool conv_first =
+              HeadSeq(channel, 0, conv_die) < HeadSeq(channel, 1, dest_die);
+          pick_class = conv_first ? 0 : 1;
         } else {
-          pick_class = conv_idx >= 0 ? 0 : 1;
+          pick_class = conv_die >= 0 ? 0 : 1;
         }
         break;
       case SchedulingPolicy::kDestagePriority:
         // Conventional ops ride only in the gaps (Opportunistic Destaging).
-        pick_class = dest_idx >= 0 ? 1 : 0;
+        pick_class = dest_die >= 0 ? 1 : 0;
         break;
       case SchedulingPolicy::kConventionalPriority:
-        pick_class = conv_idx >= 0 ? 0 : 1;
+        pick_class = conv_die >= 0 ? 0 : 1;
         break;
     }
-    Issue(channel, pick_class, pick_class == 0 ? conv_idx : dest_idx);
+    Issue(channel, pick_class, pick_class == 0 ? conv_die : dest_die);
   }
 }
 
-void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
-  ChannelState& state = channels_[channel];
-  Op op = std::move(state.queue[io_class][index]);
-  state.queue[io_class].erase(state.queue[io_class].begin() + index);
+void Scheduler::Issue(uint32_t channel, int io_class, int die) {
+  Fifo& fifo = channels_[channel].fifos[io_class][die];
+  const uint32_t slot = fifo.head;
+  Op& op = ops_[slot];
+  fifo.head = op.next;
+  if (fifo.head == kNoSlot) fifo.tail = kNoSlot;
   queued_[io_class]--;
   ++inflight_;
   ++issued_[io_class];
@@ -104,89 +125,83 @@ void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
   if (m_wait_ns_[io_class]) m_wait_ns_[io_class]->Add(waited);
   if (m_issued_[io_class]) m_issued_[io_class]->Add();
   if (m_inflight_) m_inflight_->Set(static_cast<double>(inflight_));
-  if (op.uses_bus) state.bus_busy = true;
 
-  auto bus_released = [this, channel, uses_bus = op.uses_bus]() {
-    if (uses_bus) {
-      channels_[channel].bus_busy = false;
-      Dispatch(channel);
-    }
-  };
-  auto completed = [this, channel, io_class, bytes = op.bytes]() {
-    --inflight_;
-    completed_bytes_[io_class] += bytes;
-    if (m_inflight_) m_inflight_->Set(static_cast<double>(inflight_));
-    if (m_completed_bytes_[io_class]) {
-      m_completed_bytes_[io_class]->Add(bytes);
-    }
-    Dispatch(channel);
-  };
-  op.run(std::move(bus_released), std::move(completed));
+  // The array calls back only from scheduled events, so `op` stays valid
+  // through each call below.
+  switch (op.kind) {
+    case OpKind::kProgram:
+      channels_[channel].bus_busy = true;
+      array_->Program(
+          op.addr, std::move(op.data), op.oob,
+          [this, slot](Status status) { Complete(slot, status, Bytes()); },
+          [this, channel]() {
+            channels_[channel].bus_busy = false;
+            Dispatch(channel);
+          });
+      break;
+    case OpKind::kRead:
+      // Reads sense first and stream out afterwards; the array serializes
+      // the outbound transfer on the bus internally. Gate on the die only.
+      array_->Read(op.addr, [this, slot](Status status, Bytes data) {
+        Complete(slot, status, std::move(data));
+      });
+      break;
+    case OpKind::kErase:
+      array_->Erase(op.addr, [this, slot](Status status) {
+        Complete(slot, status, Bytes());
+      });
+      break;
+  }
+}
+
+void Scheduler::Complete(uint32_t slot, const Status& status, Bytes data) {
+  Op op = ops_.Take(slot);
+  const int k = static_cast<int>(op.io_class);
+  const uint64_t bytes =
+      op.kind == OpKind::kErase ? 0 : array_->geometry().page_bytes;
+  --inflight_;
+  completed_bytes_[k] += bytes;
+  if (m_inflight_) m_inflight_->Set(static_cast<double>(inflight_));
+  if (m_completed_bytes_[k]) m_completed_bytes_[k]->Add(bytes);
+  Dispatch(op.addr.channel);
+  if (op.kind == OpKind::kRead) {
+    op.read_done(status, std::move(data));
+  } else {
+    op.done(status);
+  }
 }
 
 void Scheduler::Program(IoClass io_class, const flash::Address& addr,
                         Bytes data, const flash::Oob& oob,
                         flash::Array::ProgramCallback done) {
   Op op;
+  op.kind = OpKind::kProgram;
   op.io_class = io_class;
-  op.die = addr.die;
-  op.bytes = array_->geometry().page_bytes;
-  op.uses_bus = true;
-  op.run = [this, addr, data = std::move(data), oob,
-            done = std::move(done)](std::function<void()> bus_released,
-                                    std::function<void()> completed) mutable {
-    array_->Program(addr, std::move(data), oob,
-                    [completed = std::move(completed),
-                     done = std::move(done)](Status status) mutable {
-                      completed();
-                      done(status);
-                    },
-                    std::move(bus_released));
-  };
-  Enqueue(addr.channel, std::move(op));
+  op.addr = addr;
+  op.data = std::move(data);
+  op.oob = oob;
+  op.done = std::move(done);
+  Enqueue(std::move(op));
 }
 
 void Scheduler::Read(IoClass io_class, const flash::Address& addr,
                      flash::Array::ReadCallback done) {
   Op op;
+  op.kind = OpKind::kRead;
   op.io_class = io_class;
-  op.die = addr.die;
-  op.bytes = array_->geometry().page_bytes;
-  // Reads sense first and stream out afterwards; the array serializes the
-  // outbound transfer on the bus internally. Gate on the die only.
-  op.uses_bus = false;
-  op.run = [this, addr, done = std::move(done)](
-               std::function<void()> bus_released,
-               std::function<void()> completed) mutable {
-    bus_released();
-    array_->Read(addr, [completed = std::move(completed),
-                        done = std::move(done)](Status status,
-                                                Bytes data) mutable {
-      completed();
-      done(status, std::move(data));
-    });
-  };
-  Enqueue(addr.channel, std::move(op));
+  op.addr = addr;
+  op.read_done = std::move(done);
+  Enqueue(std::move(op));
 }
 
 void Scheduler::Erase(IoClass io_class, const flash::Address& addr,
                       flash::Array::EraseCallback done) {
   Op op;
+  op.kind = OpKind::kErase;
   op.io_class = io_class;
-  op.die = addr.die;
-  op.bytes = 0;
-  op.uses_bus = false;
-  op.run = [this, addr, done = std::move(done)](
-               std::function<void()> bus_released,
-               std::function<void()> completed) mutable {
-    bus_released();
-    array_->Erase(addr, [completed = std::move(completed),
-                         done = std::move(done)](Status status) mutable {
-      completed();
-      done(status);
-    });
-  };
-  Enqueue(addr.channel, std::move(op));
+  op.addr = addr;
+  op.done = std::move(done);
+  Enqueue(std::move(op));
 }
 
 }  // namespace xssd::ftl

@@ -2,11 +2,10 @@
 #define XSSD_FTL_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "flash/array.h"
+#include "ftl/slot_table.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
@@ -94,39 +93,60 @@ class Scheduler {
                   const std::string& prefix = "");
 
  private:
+  enum class OpKind : uint8_t { kProgram, kRead, kErase };
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// One flash operation from Enqueue until its completion returns. A
+  /// queued op waits in its (class, die) FIFO, linked through `next`; an
+  /// issued one keeps only its completion here.
   struct Op {
-    IoClass io_class;
-    uint32_t die;        ///< die index within the channel
-    uint64_t seq;        ///< global arrival order (Neutral policy)
-    uint64_t bytes;
+    OpKind kind = OpKind::kProgram;
+    IoClass io_class = IoClass::kConventional;
+    flash::Address addr;
+    uint64_t seq = 0;           ///< global arrival order (Neutral policy)
     sim::SimTime enqueued = 0;  ///< arrival time, for wait accounting
-    bool uses_bus;       ///< programs hold the bus for their transfer
-    /// run(bus_released, completed)
-    std::function<void(std::function<void()>, std::function<void()>)> run;
+    uint32_t next = kNoSlot;    ///< later op of the same (class, die) FIFO
+    Bytes data;                 ///< the page a program writes
+    flash::Oob oob;
+    flash::Array::ProgramCallback done;  ///< a program's or erase's
+    flash::Array::ReadCallback read_done;
+  };
+  /// Slot ids of one (class, die) pair's queued ops, oldest first.
+  struct Fifo {
+    uint32_t head = kNoSlot;
+    uint32_t tail = kNoSlot;
   };
   struct ChannelState {
-    std::deque<Op> queue[2];  // indexed by IoClass
+    std::vector<Fifo> fifos[2];  // [IoClass][die within the channel]
     bool bus_busy = false;
-    bool neutral_toggle = false;
   };
 
-  void Enqueue(uint32_t channel, Op op);
+  void Enqueue(Op&& op);
 
   /// Issue as much as the channel allows right now.
   void Dispatch(uint32_t channel);
 
-  /// Index into the class queue of the first op whose die can start now,
-  /// or -1.
-  int FindEligible(uint32_t channel, const std::deque<Op>& queue) const;
+  /// The die whose `io_class` FIFO head arrived first among the dies that
+  /// can start now, or -1. Each FIFO is in arrival order, so that head is
+  /// the first op of the class, in arrival order, whose die is idle.
+  int EarliestIdleHead(uint32_t channel, int io_class) const;
+  uint64_t HeadSeq(uint32_t channel, int io_class, int die) const {
+    return ops_[channels_[channel].fifos[io_class][die].head].seq;
+  }
 
-  /// Pop queue[io_class][index] and start it on the array; an op that uses
-  /// the bus holds the channel bus until its transfer ends.
-  void Issue(uint32_t channel, int io_class, size_t index);
+  /// Pop the head of (io_class, die)'s FIFO and start it on the array; a
+  /// program holds the channel bus until its transfer ends.
+  void Issue(uint32_t channel, int io_class, int die);
+
+  /// The array finished the op in `slot`: account for it, refill the
+  /// channel, then hand `status` (and a read's page) to the caller.
+  void Complete(uint32_t slot, const Status& status, Bytes data);
 
   sim::Simulator* sim_;
   flash::Array* array_;
   SchedulingPolicy policy_;
   std::vector<ChannelState> channels_;
+  SlotTable<Op> ops_;
   uint64_t next_seq_ = 0;
   uint64_t inflight_ = 0;
   uint64_t queued_[2] = {0, 0};

@@ -71,16 +71,16 @@ SpanContext SpanRecorder::StartTrace(const char* kind, uint16_t node,
   span.offset_end = offset_end;
   span.name = kind;
   spans_.push_back(span);
-  return SpanContext{span.trace_id, span.id};
+  return SpanContext{span.id};
 }
 
 SpanContext SpanRecorder::StartSpan(Stage stage, uint16_t node,
                                     SpanContext parent) {
   Span span;
   span.id = spans_.size() + 1;
-  if (parent.valid()) {
+  if (const Span* up = Find(parent.span_id)) {
     span.parent = parent.span_id;
-    span.trace_id = parent.trace_id;
+    span.trace_id = up->trace_id;
   } else {
     // Orphan: timer- or completion-driven work with no ambient request.
     // Recorded under its own trace; joined by offset range at analysis.
@@ -91,7 +91,7 @@ SpanContext SpanRecorder::StartSpan(Stage stage, uint16_t node,
   span.start = sim_->Now();
   span.name = StageName(stage);
   spans_.push_back(span);
-  return SpanContext{span.trace_id, span.id};
+  return SpanContext{span.id};
 }
 
 void SpanRecorder::SetRange(SpanContext ctx, uint64_t begin, uint64_t end) {
@@ -107,12 +107,6 @@ void SpanRecorder::EndSpanAt(SpanContext ctx, sim::SimTime when) {
   if (span.closed) return;
   span.end = when < span.start ? span.start : when;
   span.closed = true;
-}
-
-void SpanRecorder::Clear() {
-  spans_.clear();
-  next_trace_ = 1;
-  current_ = SpanContext{};
 }
 
 }  // namespace xssd::obs

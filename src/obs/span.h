@@ -60,10 +60,9 @@ const char* StageName(Stage stage);
 /// the remaining wait time to replication.
 int StageDepth(Stage stage);
 
-/// The propagated identity: which trace this work belongs to and which
-/// span is the parent of anything opened downstream.
+/// The propagated identity: the span that is the parent of anything
+/// opened downstream. Its trace is read from the recorder's store.
 struct SpanContext {
-  TraceId trace_id = 0;
   SpanId span_id = 0;
   bool valid() const { return span_id != 0; }
 };
@@ -128,8 +127,6 @@ class SpanRecorder {
     return (id == 0 || id > spans_.size()) ? nullptr : &spans_[id - 1];
   }
   size_t span_count() const { return spans_.size(); }
-
-  void Clear();
 
  private:
   sim::Simulator* sim_;

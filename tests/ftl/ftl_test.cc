@@ -249,6 +249,59 @@ TEST_F(FtlTest, GcRelocatesPagesWithoutCopying) {
   EXPECT_GT(moved, 0);
 }
 
+TEST_F(FtlTest, SteadyChurnSpillsNoEventCallback) {
+  // Every flash op's completion captures {owner, slot}, so the events of
+  // steady churn fit sim::EventFn's inline buffer: buffered and direct
+  // writes, flash reads and buffer hits, writeback and GC relocations.
+  const uint64_t lpns = ftl_.lpn_count() * 3 / 4;
+  for (uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    ftl_.WriteBuffered(lpn, Page(1), [](Status) {});
+  }
+  sim_.Run();
+  ASSERT_TRUE(FlushSync().ok());
+  sim::Rng rng(11);
+  uint64_t failures = 0;
+  auto count = [&failures](Status status) {
+    if (!status.ok()) ++failures;
+  };
+  auto churn = [&](int ops) {
+    uint64_t buffered = 0;
+    for (int i = 0; i < ops; ++i) {
+      const uint64_t lpn = rng.Uniform(lpns);
+      switch (i % 4) {
+        case 0:
+          ftl_.WriteDirect(IoClass::kDestage, lpn, Page(2), count);
+          break;
+        case 1:
+          buffered = lpn;
+          ftl_.WriteBuffered(lpn, Page(3), count);
+          break;
+        default:  // a flash read, then a buffer hit on the write above
+          ftl_.ReadPage(IoClass::kConventional, i % 4 == 2 ? lpn : buffered,
+                        [&count](Status status, std::vector<uint8_t>) {
+                          count(status);
+                        });
+          break;
+      }
+      if (i % 16 == 15) sim_.Run();
+    }
+    sim_.Run();
+  };
+  churn(2000);  // warm-up: GC reaches steady state
+  ASSERT_GT(ftl_.stats().gc_erases, 0u);
+  const FtlStats before = ftl_.stats();
+  const uint64_t flash_reads = array_.stats().reads;
+  const uint64_t spills = sim::EventFn::heap_fallbacks();
+  churn(2000);
+  EXPECT_EQ(sim::EventFn::heap_fallbacks() - spills, 0u);
+  EXPECT_EQ(failures, 0u);  // the device never filled
+  EXPECT_GT(ftl_.stats().gc_erases, before.gc_erases);
+  EXPECT_GT(ftl_.stats().gc_relocations, before.gc_relocations);
+  EXPECT_GT(ftl_.stats().buffer_hits, before.buffer_hits);
+  EXPECT_GT(array_.stats().reads - flash_reads,
+            ftl_.stats().gc_relocations - before.gc_relocations);
+}
+
 TEST(FtlBadBlocks, ProgramFailuresAreRetriedTransparently) {
   sim::Simulator sim;
   flash::Reliability reliability;

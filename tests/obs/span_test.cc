@@ -53,7 +53,7 @@ TEST(SpanRecorder, BuildsATreeWithStampedVirtualTimes) {
   EXPECT_EQ(r->end, sim::Us(7));
   EXPECT_TRUE(r->closed);
   EXPECT_EQ(c->parent, root.span_id);
-  EXPECT_EQ(c->trace_id, root.trace_id);
+  EXPECT_EQ(c->trace_id, r->trace_id);
   EXPECT_EQ(c->stage, Stage::kCmbStage);
   EXPECT_EQ(c->start, sim::Us(2));
   EXPECT_EQ(c->end, sim::Us(5));
@@ -69,7 +69,8 @@ TEST(SpanRecorder, OrphanChildGetsItsOwnTraceId) {
   // No ambient context (timer-driven work): the child cannot name a parent
   // and must not be silently glued onto an unrelated trace.
   SpanContext orphan = spans.StartSpan(Stage::kDestagePage, node, {});
-  EXPECT_NE(spans.Find(orphan.span_id)->trace_id, root.trace_id);
+  EXPECT_NE(spans.Find(orphan.span_id)->trace_id,
+            spans.Find(root.span_id)->trace_id);
   EXPECT_EQ(spans.Find(orphan.span_id)->parent, 0u);
 }
 
