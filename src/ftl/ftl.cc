@@ -512,11 +512,10 @@ void Ftl::GcStep() {
   GcTuning tuning{config_.gc_wear_alpha, config_.gc_max_erase_spread};
   // Only quiesced blocks are candidates: a sealed block with programs
   // still in flight could gain a valid page after GC's walk passed it.
-  std::deque<uint64_t> candidates;
+  const std::deque<uint64_t>& sealed = allocator_.sealed_blocks();
   uint32_t min_candidate_erase = std::numeric_limits<uint32_t>::max();
-  for (uint64_t b : allocator_.sealed_blocks()) {
+  for (uint64_t b : sealed) {
     if (inflight_programs_[b] != 0) continue;
-    candidates.push_back(b);
     min_candidate_erase = std::min(min_candidate_erase, wear_.count(b));
   }
   // Emergency cold-migration helps only while the least-worn candidate IS
@@ -529,7 +528,8 @@ void Ftl::GcStep() {
       min_candidate_erase > wear_.MinCount()) {
     tuning.max_erase_spread = 0;  // fall back to blended-greedy selection
   }
-  uint64_t victim = SelectGcVictim(candidates, map_, wear_, tuning);
+  uint64_t victim =
+      SelectGcVictim(sealed, map_, wear_, tuning, &inflight_programs_);
   if (victim == kUnmapped) {
     // Every sealed block is still quiescing; the pending completions call
     // MaybeStartGc and re-trigger a pass once their blocks settle.
@@ -545,9 +545,10 @@ void Ftl::GcStep() {
     // wear-blind: near 100% utilization the wear penalty can shadow a
     // garbage-bearing block behind a younger fully-valid one, and
     // reclaiming space beats leveling when the pool is empty.
-    victim = SelectGcVictim(candidates, map_, wear_,
+    victim = SelectGcVictim(sealed, map_, wear_,
                             GcTuning{/*wear_alpha=*/0.0,
-                                     /*max_erase_spread=*/0});
+                                     /*max_erase_spread=*/0},
+                            &inflight_programs_);
     if (map_.ValidCount(victim) == array_->geometry().pages_per_block) {
       // Genuinely no garbage anywhere: an endless GC treadmill. Stop;
       // garbage only reappears when the host invalidates something. (A

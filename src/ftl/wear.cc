@@ -5,26 +5,29 @@
 
 namespace xssd::ftl {
 
-uint32_t WearTracker::MinCount() const {
-  uint32_t best = std::numeric_limits<uint32_t>::max();
+void WearTracker::Rescan() {
+  min_ = std::numeric_limits<uint32_t>::max();
+  max_ = 0;
+  at_min_ = 0;
   for (uint64_t b = 0; b < counts_.size(); ++b) {
-    if (!retired_[b] && counts_[b] < best) best = counts_[b];
+    if (retired_[b]) continue;
+    if (counts_[b] < min_) {
+      min_ = counts_[b];
+      at_min_ = 0;
+    }
+    if (counts_[b] == min_) ++at_min_;
+    max_ = std::max(max_, counts_[b]);
   }
-  return best == std::numeric_limits<uint32_t>::max() ? 0 : best;
-}
-
-uint32_t WearTracker::MaxCount() const {
-  uint32_t best = 0;
-  for (uint64_t b = 0; b < counts_.size(); ++b) {
-    if (!retired_[b] && counts_[b] > best) best = counts_[b];
-  }
-  return best;
+  if (at_min_ == 0) min_ = 0;  // everything retired
 }
 
 uint64_t SelectGcVictim(const std::deque<uint64_t>& sealed,
                         const PageMap& map, const WearTracker& wear,
-                        const GcTuning& tuning) {
-  if (sealed.empty()) return kUnmapped;
+                        const GcTuning& tuning,
+                        const std::vector<uint32_t>* inflight) {
+  auto skip = [inflight](uint64_t b) {
+    return inflight != nullptr && (*inflight)[b] != 0;
+  };
   const uint32_t min_erase = wear.MinCount();
 
   if (tuning.max_erase_spread > 0 &&
@@ -35,6 +38,7 @@ uint64_t SelectGcVictim(const std::deque<uint64_t>& sealed,
     uint32_t best_erase = 0;
     uint32_t best_valid = 0;
     for (uint64_t candidate : sealed) {
+      if (skip(candidate)) continue;
       uint32_t erase = wear.count(candidate);
       uint32_t valid = map.ValidCount(candidate);
       if (victim == kUnmapped || erase < best_erase ||
@@ -57,6 +61,7 @@ uint64_t SelectGcVictim(const std::deque<uint64_t>& sealed,
   const double penalty_cap =
       static_cast<double>(map.geometry().pages_per_block) - 1.0;
   for (uint64_t candidate : sealed) {
+    if (skip(candidate)) continue;
     double penalty =
         tuning.wear_alpha *
         static_cast<double>(wear.count(candidate) - min_erase);

@@ -14,28 +14,48 @@ namespace xssd::ftl {
 ///
 /// Tracks the FTL's own view of erase counts (mirroring the NAND's), plus
 /// the min/max over live (non-retired) blocks; `spread()` is the headline
-/// wear-imbalance number the victim selector bounds.
+/// wear-imbalance number the victim selector bounds. The min and max are
+/// kept current as blocks are erased and retired, so reading them is O(1);
+/// only a rising floor (the last live block at the minimum was erased) or a
+/// retirement rescans the blocks.
 class WearTracker {
  public:
   explicit WearTracker(uint64_t block_count)
-      : counts_(block_count, 0), retired_(block_count, false) {}
+      : counts_(block_count, 0),
+        retired_(block_count, false),
+        at_min_(block_count) {}
 
-  void OnErase(uint64_t block) { ++counts_[block]; }
+  void OnErase(uint64_t block) {
+    uint32_t c = ++counts_[block];
+    if (retired_[block]) return;
+    if (c > max_) max_ = c;
+    if (c - 1 == min_ && --at_min_ == 0) Rescan();
+  }
 
   /// Grown-bad block: excluded from min/max/spread from now on.
-  void Retire(uint64_t block) { retired_[block] = true; }
+  void Retire(uint64_t block) {
+    if (retired_[block]) return;
+    retired_[block] = true;
+    Rescan();
+  }
 
   uint32_t count(uint64_t block) const { return counts_[block]; }
   bool retired(uint64_t block) const { return retired_[block]; }
 
   /// Min/max erase count over live blocks (0 when everything is retired).
-  uint32_t MinCount() const;
-  uint32_t MaxCount() const;
-  uint32_t Spread() const { return MaxCount() - MinCount(); }
+  uint32_t MinCount() const { return min_; }
+  uint32_t MaxCount() const { return max_; }
+  uint32_t Spread() const { return max_ - min_; }
 
  private:
+  /// Recompute min_, max_ and at_min_ over the live blocks.
+  void Rescan();
+
   std::vector<uint32_t> counts_;
   std::vector<bool> retired_;
+  uint32_t min_ = 0;
+  uint32_t max_ = 0;
+  uint64_t at_min_;  ///< live blocks whose count is min_
 };
 
 /// Knobs for wear-aware victim selection.
@@ -50,7 +70,9 @@ struct GcTuning {
   uint32_t max_erase_spread = 16;
 };
 
-/// \brief Pick a GC victim from `sealed` (oldest-first candidate list).
+/// \brief Pick a GC victim from `sealed` (oldest-first candidate list),
+/// skipping every block whose entry in `inflight` (per-block programs in
+/// flight, when given) is non-zero.
 ///
 /// Normal mode minimizes `valid_count + wear_alpha * (erase - min_erase)` —
 /// greedy on relocation cost, penalizing blocks that are already worn. The
@@ -62,10 +84,11 @@ struct GcTuning {
 /// invalidated data is what pins the spread, and migrating it returns the
 /// young block to the erased pool where hot writes level it. Ties break to
 /// the earliest (oldest) sealed entry, keeping selection deterministic.
-/// Returns kUnmapped when `sealed` is empty.
+/// Returns kUnmapped when no block of `sealed` qualifies.
 uint64_t SelectGcVictim(const std::deque<uint64_t>& sealed,
                         const PageMap& map, const WearTracker& wear,
-                        const GcTuning& tuning);
+                        const GcTuning& tuning,
+                        const std::vector<uint32_t>* inflight = nullptr);
 
 }  // namespace xssd::ftl
 

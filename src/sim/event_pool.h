@@ -24,7 +24,10 @@ namespace xssd::sim {
 /// inline buffer to kInlineBytes so those captures are stored in place;
 /// only oversized or throwing-move callables fall back to the heap, and a
 /// process-wide counter keeps that fallback observable (kernel_bench
-/// reports it as allocs/event).
+/// reports it as allocs/event). A plain inline capture (trivially copyable
+/// and destructible: the `{this, slot}`, pointer, id and time captures the
+/// models use) has no manage function at all: moving it copies the buffer
+/// and destroying it does nothing.
 class EventFn {
  public:
   static constexpr std::size_t kInlineBytes = 48;
@@ -43,7 +46,10 @@ class EventFn {
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = [](void* b) { (*std::launder(reinterpret_cast<D*>(b)))(); };
-      manage_ = &ManageInline<D>;
+      if constexpr (!(std::is_trivially_copyable_v<D> &&
+                      std::is_trivially_destructible_v<D>)) {
+        manage_ = &ManageInline<D>;
+      }
     } else {
       heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       D* p = new D(std::forward<F>(f));
@@ -75,6 +81,10 @@ class EventFn {
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
+  /// True for a plain inline capture: moving it copies the buffer and
+  /// destroying it runs no code.
+  bool plain() const noexcept { return invoke_ != nullptr && !manage_; }
+
   /// Process-wide count of callbacks that spilled to the heap; the perf
   /// microbench divides the delta by events executed to get allocs/event.
   static uint64_t heap_fallbacks() {
@@ -105,7 +115,11 @@ class EventFn {
   }
 
   void MoveFrom(EventFn&& other) noexcept {
-    if (other.manage_) other.manage_(Op::kMoveTo, other.buf_, buf_);
+    if (other.manage_) {
+      other.manage_(Op::kMoveTo, other.buf_, buf_);
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineBytes);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -148,7 +162,11 @@ class EventPool {
   EventPool(const EventPool&) = delete;
   EventPool& operator=(const EventPool&) = delete;
 
-  Node* Acquire(SimTime when, uint64_t seq, EventFn fn) {
+  /// A node for an event at (`when`, `seq`) whose callback is constructed
+  /// in place from `f`: the callable is moved (or copied) once, straight
+  /// into the node, and an EventFn handed in is moved once.
+  template <typename F>
+  Node* Emplace(SimTime when, uint64_t seq, F&& f) {
     void* mem;
     if (free_ != nullptr) {
       mem = free_;
@@ -160,7 +178,7 @@ class EventPool {
     }
     ++live_;
     ++acquires_;
-    return ::new (mem) Node{when, seq, nullptr, std::move(fn)};
+    return ::new (mem) Node{when, seq, nullptr, std::forward<F>(f)};
   }
 
   void Release(Node* n) {

@@ -1,9 +1,12 @@
 #ifndef XSSD_SIM_INTERVAL_SET_H_
 #define XSSD_SIM_INTERVAL_SET_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <utility>
 
 namespace xssd::sim {
 
@@ -17,24 +20,28 @@ namespace xssd::sim {
 class IntervalSet {
  public:
   /// Insert [begin, end); coalesces with abutting/overlapping intervals.
+  /// An insert that overlaps or abuts its predecessor grows that interval
+  /// in place, so in-order arrival (each chunk starting where the last
+  /// one ended) makes and frees no map node.
   void Insert(uint64_t begin, uint64_t end) {
     if (begin >= end) return;
     // Find the first interval with key > begin, then step back to check the
     // predecessor for overlap/abutment.
     auto it = map_.upper_bound(begin);
-    if (it != map_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= begin) {  // overlaps or abuts on the left
-        begin = prev->first;
-        end = std::max(end, prev->second);
-        it = map_.erase(prev);
-      }
+    auto grow = map_.end();
+    if (it != map_.begin() && std::prev(it)->second >= begin) {
+      grow = std::prev(it);  // overlaps or abuts on the left
+      end = std::max(end, grow->second);
     }
     while (it != map_.end() && it->first <= end) {  // swallow on the right
       end = std::max(end, it->second);
       it = map_.erase(it);
     }
-    map_.emplace(begin, end);
+    if (grow != map_.end()) {
+      grow->second = end;
+    } else {
+      map_.emplace_hint(it, begin, end);
+    }
   }
 
   /// Highest contiguous offset starting from `from`: every byte in
@@ -83,9 +90,10 @@ class IntervalSet {
     auto it = map_.begin();
     while (it != map_.end() && it->second <= below) it = map_.erase(it);
     if (it != map_.end() && it->first < below) {
-      uint64_t end = it->second;
-      map_.erase(it);
-      map_.emplace(below, end);
+      // Re-key the first interval in its own node: it stays the first.
+      auto node = map_.extract(it);
+      node.key() = below;
+      map_.insert(map_.begin(), std::move(node));
     }
   }
 

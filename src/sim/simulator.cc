@@ -36,24 +36,25 @@ Simulator::SchedulerBackend Simulator::DefaultBackend() {
   return cached;
 }
 
-void Simulator::ScheduleAt(SimTime when, Callback fn) {
-  if (when < now_) {
-    ++past_clamps_;
-    // A past timestamp is a latent ordering bug in the calling model
-    // (e.g. a fault plan firing "before" the event that armed it): loud
-    // in debug builds, clamped-and-counted in release so long campaigns
-    // keep running and the gauge surfaces it.
-    assert(allow_past_schedules_ &&
-           "Simulator::ScheduleAt: `when` is in the past (clamped to Now)");
-    when = now_;
-  }
-  uint64_t seq = next_seq_++;
-  if (trace_) trace_->OnEventScheduled(now_, when, seq);
-  if (UsesWheel()) {
-    wheel_.Insert(pool_.Acquire(when, seq, std::move(fn)));
-  } else {
-    heap_.push(HeapEvent{when, seq, std::move(fn)});
-  }
+SimTime Simulator::ClampPast() {
+  ++past_clamps_;
+  // A past timestamp is a latent ordering bug in the calling model
+  // (e.g. a fault plan firing "before" the event that armed it): loud
+  // in debug builds, clamped-and-counted in release so long campaigns
+  // keep running and the gauge surfaces it.
+  assert(allow_past_schedules_ &&
+         "Simulator::ScheduleAt: `when` is in the past (clamped to Now)");
+  return now_;
+}
+
+void Simulator::EnqueueWheel(EventPool::Node* n) {
+  if (trace_) trace_->OnEventScheduled(now_, n->when, n->seq);
+  wheel_.Insert(n);
+}
+
+void Simulator::EnqueueHeap(HeapEvent&& ev) {
+  if (trace_) trace_->OnEventScheduled(now_, ev.when, ev.seq);
+  heap_.push(std::move(ev));
 }
 
 bool Simulator::StepBounded(SimTime bound) {

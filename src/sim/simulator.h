@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/event_pool.h"
@@ -94,17 +95,30 @@ class Simulator {
   // ── Scheduling ────────────────────────────────────────────────────────
 
   /// Schedule `fn` to run `delay` nanoseconds from now.
-  void Schedule(SimTime delay, Callback fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+  template <typename F>
+  void Schedule(SimTime delay, F&& fn) {
+    ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` at an absolute virtual time.
+  /// Schedule `fn` (any callable a Callback converts from, or a Callback)
+  /// at an absolute virtual time. The callback is built in place in its
+  /// event node, so a callable passed as a temporary is moved once, into
+  /// the node, and never again.
   /// A `when` in the past is clamped to Now() — the event fires next, after
   /// already-queued events at the current timestamp — and counted in
   /// past_schedule_clamps() so fault-plan and workload authors can see the
   /// latent ordering bug. In debug builds the clamp aborts unless
   /// set_allow_past_schedules(true).
-  void ScheduleAt(SimTime when, Callback fn);
+  template <typename F>
+  void ScheduleAt(SimTime when, F&& fn) {
+    if (when < now_) when = ClampPast();
+    const uint64_t seq = next_seq_++;
+    if (UsesWheel()) {
+      EnqueueWheel(pool_.Emplace(when, seq, std::forward<F>(fn)));
+    } else {
+      EnqueueHeap(HeapEvent{when, seq, std::forward<F>(fn)});
+    }
+  }
 
   // ── Running ───────────────────────────────────────────────────────────
 
@@ -177,6 +191,12 @@ class Simulator {
   };
 
   bool UsesWheel() const { return backend_ != SchedulerBackend::kHeap; }
+
+  /// ScheduleAt's out-of-line halves: the past-time clamp (counts it and
+  /// returns Now()), and queueing a built event after the trace hook.
+  SimTime ClampPast();
+  void EnqueueWheel(EventPool::Node* n);
+  void EnqueueHeap(HeapEvent&& ev);
 
   /// Pops and runs the earliest event if its timestamp is <= `bound`.
   /// Returns false (running nothing) otherwise.

@@ -30,12 +30,20 @@ inline double ToUs(SimTime t) { return static_cast<double>(t) / 1000.0; }
 inline double ToMs(SimTime t) { return static_cast<double>(t) / 1e6; }
 inline double ToSec(SimTime t) { return static_cast<double>(t) / 1e9; }
 
-/// Time to move `bytes` at `bytes_per_sec`, rounded up to >= 1 ns for any
-/// non-zero transfer so events always make progress.
+/// `ns` rounded to the nearest integer, halves away from zero: equal to
+/// std::llround(ns) for every 0 <= ns < 2^63, without the libm call. For
+/// such a double, `ns - trunc(ns)` is exact (it keeps only the bits below
+/// the units place), so comparing it with 0.5 decides the rounding exactly.
+inline SimTime RoundNs(double ns) {
+  auto t = static_cast<SimTime>(ns);  // truncates
+  return ns - static_cast<double>(t) >= 0.5 ? t + 1 : t;
+}
+
+/// Time to move `bytes` at `bytes_per_sec`, rounded to the nearest ns and
+/// up to >= 1 ns for any non-zero transfer so events always make progress.
 inline SimTime TransferTime(uint64_t bytes, double bytes_per_sec) {
   if (bytes == 0) return 0;
-  double ns = static_cast<double>(bytes) * 1e9 / bytes_per_sec;
-  auto t = static_cast<SimTime>(std::llround(ns));
+  SimTime t = RoundNs(static_cast<double>(bytes) * 1e9 / bytes_per_sec);
   return t == 0 ? 1 : t;
 }
 

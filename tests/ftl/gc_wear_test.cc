@@ -44,6 +44,44 @@ TEST(WearTracker, RetiredBlocksLeaveTheSpread) {
   EXPECT_EQ(wear.Spread(), 0u);
 }
 
+TEST(WearTracker, KeptMinMaxMatchAFullScan) {
+  // Min and max are kept current as blocks are erased and retired; after
+  // every step they must equal a scan over the live blocks.
+  constexpr uint64_t kBlocks = 24;
+  sim::Rng rng(7);
+  WearTracker wear(kBlocks);
+  std::vector<uint32_t> counts(kBlocks, 0);
+  std::vector<bool> retired(kBlocks, false);
+  for (int step = 0; step < 5000; ++step) {
+    uint64_t b = rng.Uniform(kBlocks);
+    if (rng.Uniform(400) == 0) {
+      wear.Retire(b);
+      retired[b] = true;
+    } else {
+      // Mostly erase the least-worn live blocks, as wear levelling does,
+      // so the floor keeps rising.
+      if (rng.Uniform(2) == 0) {
+        for (uint64_t i = 0; i < kBlocks; ++i) {
+          if (!retired[i] && (retired[b] || counts[i] < counts[b])) b = i;
+        }
+      }
+      wear.OnErase(b);
+      ++counts[b];
+    }
+    uint32_t lo = 0, hi = 0;
+    bool any = false;
+    for (uint64_t i = 0; i < kBlocks; ++i) {
+      if (retired[i]) continue;
+      lo = any ? std::min(lo, counts[i]) : counts[i];
+      hi = any ? std::max(hi, counts[i]) : counts[i];
+      any = true;
+    }
+    ASSERT_EQ(wear.MinCount(), lo) << "step " << step;
+    ASSERT_EQ(wear.MaxCount(), hi) << "step " << step;
+    ASSERT_EQ(wear.count(b), counts[b]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SelectGcVictim unit behavior. Victim scores use a PageMap for valid
 // counts; block b's pages start at b * pages_per_block.
@@ -115,6 +153,19 @@ TEST(SelectGcVictim, TiesBreakToOldestSealedBlock) {
   PageMap map = MapWithValidCounts(g, {3, 3, 3});
   WearTracker wear(g.blocks());
   EXPECT_EQ(SelectGcVictim({2, 0, 1}, map, wear, GcTuning{}), 2u);
+}
+
+TEST(SelectGcVictim, BlocksWithProgramsInFlightAreSkipped) {
+  flash::Geometry g = SmallGeometry();
+  PageMap map = MapWithValidCounts(g, {3, 1, 2});
+  WearTracker wear(g.blocks());
+  std::vector<uint32_t> inflight(g.blocks(), 0);
+  EXPECT_EQ(SelectGcVictim({0, 1, 2}, map, wear, GcTuning{}, &inflight), 1u);
+  inflight[1] = 2;  // the cheapest block is still taking programs
+  EXPECT_EQ(SelectGcVictim({0, 1, 2}, map, wear, GcTuning{}, &inflight), 2u);
+  inflight[0] = inflight[2] = 1;
+  EXPECT_EQ(SelectGcVictim({0, 1, 2}, map, wear, GcTuning{}, &inflight),
+            kUnmapped);
 }
 
 // ---------------------------------------------------------------------------

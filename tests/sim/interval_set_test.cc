@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/random.h"
@@ -128,6 +130,72 @@ TEST_P(IntervalSetPermutationTest, AnyInsertOrderCoversRange) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetPermutationTest,
                          ::testing::Range<uint64_t>(0, 20));
+
+// Differential: a seeded mix of in-order runs, overlapping re-inserts,
+// out-of-order islands that later inserts fill, and trims from both ends
+// must leave the set agreeing with a one-byte-per-offset model on every
+// query, and its interval count equal to the model's number of runs.
+class IntervalSetModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IntervalSetModelTest, MatchesAByteBitmap) {
+  constexpr uint64_t kSpace = 2048;
+  Rng rng(GetParam());
+  IntervalSet set;
+  std::vector<uint8_t> model(kSpace, 0);
+  uint64_t cursor = 0;  // next in-order offset
+  auto insert = [&](uint64_t begin, uint64_t end) {
+    end = std::min(end, kSpace);
+    set.Insert(begin, end);
+    for (uint64_t i = begin; i < end; ++i) model[i] = 1;
+  };
+  for (int step = 0; step < 400; ++step) {
+    uint64_t pick = rng.Uniform(100);
+    if (pick < 45) {  // in-order chunk, abutting or overlapping the last
+      uint64_t back = rng.Uniform(4) == 0 ? rng.Uniform(16) : 0;
+      uint64_t begin = cursor > back ? cursor - back : 0;
+      uint64_t end = begin + 1 + rng.Uniform(64);
+      insert(begin, end);
+      cursor = std::min(std::max(cursor, end), kSpace - 1);
+    } else if (pick < 65) {  // out-of-order island ahead of the cursor
+      uint64_t begin = cursor + 1 + rng.Uniform(256);
+      if (begin < kSpace) insert(begin, begin + 1 + rng.Uniform(48));
+    } else if (pick < 85) {  // anywhere: fills holes, swallows islands
+      uint64_t begin = rng.Uniform(kSpace);
+      insert(begin, begin + rng.Uniform(300));
+    } else if (pick < 95) {  // consumed prefix
+      uint64_t below = rng.Uniform(cursor + 1);
+      set.TrimBelow(below);
+      for (uint64_t i = 0; i < below; ++i) model[i] = 0;
+    } else {  // truncated suffix
+      uint64_t above = rng.Uniform(kSpace);
+      set.TrimAbove(above);
+      for (uint64_t i = above; i < kSpace; ++i) model[i] = 0;
+      cursor = std::min(cursor, above);
+    }
+
+    size_t runs = 0;
+    for (uint64_t i = 0; i < kSpace; ++i) {
+      if (model[i] && (i == 0 || !model[i - 1])) ++runs;
+    }
+    ASSERT_EQ(set.interval_count(), runs) << "step " << step;
+    ASSERT_EQ(set.empty(), runs == 0) << "step " << step;
+    for (uint64_t from = 0; from < kSpace; from += 1 + rng.Uniform(24)) {
+      ASSERT_EQ(set.Contains(from), model[from] != 0)
+          << "step " << step << " offset " << from;
+      uint64_t end = from;
+      while (end < kSpace && model[end]) ++end;
+      ASSERT_EQ(set.ContiguousEnd(from), end)
+          << "step " << step << " from " << from;
+      bool later = std::find(model.begin() + static_cast<ptrdiff_t>(end),
+                             model.end(), 1) != model.end();
+      ASSERT_EQ(set.HasGapAfter(from), later)
+          << "step " << step << " from " << from;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetModelTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace xssd::sim

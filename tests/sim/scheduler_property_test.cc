@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,10 +27,19 @@ namespace {
 
 using Backend = Simulator::SchedulerBackend;
 
-constexpr SimTime kSlotSpan = TimerWheel::kSlots;            // 64 ns
-constexpr SimTime kLevel1Span = kSlotSpan * kSlotSpan;       // 4096 ns
-constexpr SimTime kLevel2Span = kLevel1Span * kSlotSpan;     // 262144 ns
+// Spans derived from the wheel's geometry: level 0 holds exact times over
+// one aligned window of 2^kLevel0Bits ns, and a level-k slot (k >= 1)
+// spans 2^SlotShift(k) ns, the window itself at level 1.
+constexpr SimTime SlotSpan(int level) {
+  return SimTime{1} << TimerWheel::SlotShift(level);
+}
+constexpr SimTime kWindow = SlotSpan(1);                     // 4096 ns
+constexpr SimTime kLevel2Slot = SlotSpan(2);                 // 262144 ns
 constexpr SimTime kHorizon = SimTime{1} << TimerWheel::kHorizonBits;
+// A stamp well inside the level-0 window.
+constexpr SimTime kSubWindow = 64;
+static_assert(SlotSpan(TimerWheel::kLevels - 1) * TimerWheel::kSlots ==
+              kHorizon);
 
 class SchedulerPropertyTest : public ::testing::TestWithParam<Backend> {};
 
@@ -40,14 +50,20 @@ std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
 TEST_P(SchedulerPropertyTest, FifoAcrossBucketBoundaries) {
   Simulator sim(GetParam());
   // Same-timestamp runs placed exactly on and around every wheel
-  // boundary: level-0 slot edges, level-1/level-2 slot edges, and the
-  // overflow horizon. Scheduling order must be preserved per timestamp.
+  // boundary: the level-0 window (2^12 ns), each upper level's slot edge,
+  // and the overflow horizon, plus a stamp inside the window. Scheduling
+  // order must be preserved per timestamp.
   std::vector<SimTime> stamps = {
-      kSlotSpan - 1,     kSlotSpan,     kSlotSpan + 1,
-      kLevel1Span - 1,   kLevel1Span,   kLevel1Span + 1,
-      kLevel2Span - 1,   kLevel2Span,   kLevel2Span + 1,
-      kHorizon - 1,      kHorizon,      kHorizon + 1,
+      kSubWindow - 1,  kSubWindow,  kSubWindow + 1,
+      kWindow - 1,     kWindow,     kWindow + 1,
+      kLevel2Slot - 1, kLevel2Slot, kLevel2Slot + 1,
+      kHorizon - 1,    kHorizon,    kHorizon + 1,
   };
+  for (int k = 3; k < TimerWheel::kLevels; ++k) {
+    for (SimTime t : {SlotSpan(k) - 1, SlotSpan(k), SlotSpan(k) + 1}) {
+      stamps.push_back(t);
+    }
+  }
   std::vector<std::pair<SimTime, int>> fired;
   // Interleave: for each copy index, walk all stamps — so equal-timestamp
   // events are scheduled far apart in seq space.
@@ -75,7 +91,7 @@ TEST_P(SchedulerPropertyTest, FarFutureAndNearInterleave) {
   sim.ScheduleAt(kHorizon * 3 + 17, [&]() { order.push_back(6); });
   sim.ScheduleAt(5, [&]() { order.push_back(1); });
   sim.ScheduleAt(kHorizon + 1, [&]() { order.push_back(5); });
-  sim.ScheduleAt(kLevel2Span + 3, [&]() { order.push_back(3); });
+  sim.ScheduleAt(kLevel2Slot + 3, [&]() { order.push_back(3); });
   sim.ScheduleAt(6, [&]() { order.push_back(2); });
   sim.ScheduleAt(kHorizon - 2, [&]() { order.push_back(4); });
   sim.Run();
@@ -99,7 +115,10 @@ TEST_P(SchedulerPropertyTest, NearEventScheduledFromFarCallback) {
 }
 
 TEST_P(SchedulerPropertyTest, RunUntilLandsExactlyOnBucketEdges) {
-  for (SimTime edge : {kSlotSpan, kLevel1Span, kLevel2Span}) {
+  std::vector<SimTime> edges = {kSubWindow, kWindow, kLevel2Slot};
+  for (int k = 3; k < TimerWheel::kLevels; ++k) edges.push_back(SlotSpan(k));
+  edges.push_back(kHorizon);
+  for (SimTime edge : edges) {
     Simulator sim(GetParam());
     int before = 0, at = 0, after = 0;
     sim.ScheduleAt(edge - 1, [&]() { ++before; });
@@ -125,13 +144,13 @@ TEST_P(SchedulerPropertyTest, RunUntilLandsExactlyOnBucketEdges) {
 TEST_P(SchedulerPropertyTest, RunUntilDeadlineBetweenBucketsAdvancesClock) {
   Simulator sim(GetParam());
   int ran = 0;
-  sim.ScheduleAt(kLevel1Span * 7 + 13, [&]() { ++ran; });
+  sim.ScheduleAt(kWindow * 7 + 13, [&]() { ++ran; });
   // Deadlines that stop strictly inside empty wheel regions.
-  EXPECT_EQ(sim.RunUntil(kSlotSpan), 0u);
-  EXPECT_EQ(sim.Now(), kSlotSpan);
-  EXPECT_EQ(sim.RunUntil(kLevel1Span * 7), 0u);
-  EXPECT_EQ(sim.Now(), kLevel1Span * 7);
-  EXPECT_EQ(sim.RunUntil(kLevel1Span * 7 + 13), 1u);
+  EXPECT_EQ(sim.RunUntil(kSubWindow), 0u);
+  EXPECT_EQ(sim.Now(), kSubWindow);
+  EXPECT_EQ(sim.RunUntil(kWindow * 7), 0u);
+  EXPECT_EQ(sim.Now(), kWindow * 7);
+  EXPECT_EQ(sim.RunUntil(kWindow * 7 + 13), 1u);
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
@@ -144,7 +163,7 @@ TEST_P(SchedulerPropertyTest, StopMidStepAcrossLevelsThenResume) {
     sim.Stop();
   });
   sim.ScheduleAt(10, [&]() { order.push_back(2); });
-  sim.ScheduleAt(kLevel1Span + 5, [&]() { order.push_back(3); });
+  sim.ScheduleAt(kWindow + 5, [&]() { order.push_back(3); });
   sim.ScheduleAt(kHorizon + 5, [&]() { order.push_back(4); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1}));
@@ -203,9 +222,9 @@ std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(
     if (pick < 50) {
       delay = rng.Uniform(128);  // hammer level-0/1 boundaries
     } else if (pick < 75) {
-      delay = rng.Uniform(2 * kLevel1Span);
+      delay = rng.Uniform(2 * kWindow);
     } else if (pick < 90) {
-      delay = rng.Uniform(2 * kLevel2Span);
+      delay = rng.Uniform(2 * kLevel2Slot);
     } else if (pick < 97) {
       delay = rng.Uniform(Ms(50));
     } else {
@@ -234,7 +253,7 @@ std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(
   // possible phase, then finish with Run().
   SimTime t = 0;
   for (int i = 0; i < 200 && !sim.empty(); ++i) {
-    t += rng.Uniform(2 * kLevel1Span) + 1;
+    t += rng.Uniform(2 * kWindow) + 1;
     sim.RunUntil(t);
   }
   sim.Run();
@@ -310,6 +329,149 @@ TEST(EventFnTest, LargeCapturesSpillToHeapAndStillRun) {
   sim.Run();
   EXPECT_EQ(got, 17u);
   EXPECT_EQ(EventFn::heap_fallbacks() - before, 1u);
+}
+
+// What happens to one capture: constructions other than by move, moves,
+// and destructions. Every instance made must be destroyed exactly once.
+struct Tally {
+  int made = 0;
+  int moved = 0;
+  int destroyed = 0;
+  int live() const { return made + moved - destroyed; }
+};
+
+struct Counted {
+  explicit Counted(Tally* t) : tally(t) { ++tally->made; }
+  Counted(const Counted& other) : tally(other.tally) { ++tally->made; }
+  Counted(Counted&& other) noexcept : tally(other.tally) { ++tally->moved; }
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() { ++tally->destroyed; }
+  Tally* tally;
+};
+
+TEST(EventFnTest, PlainCaptureIsCopiedWithoutAManageCall) {
+  int sum = 0;
+  int* target = &sum;
+  uint64_t id = 7;
+  SimTime at = 3;
+  auto plain = [target, id, at]() {
+    *target += static_cast<int>(id + at);
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(plain)>);
+  EventFn fn(plain);
+  EXPECT_TRUE(fn.plain());
+  EventFn moved(std::move(fn));
+  EXPECT_TRUE(moved.plain());
+  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+  moved();
+  EXPECT_EQ(sum, 10);
+
+  // Anything with a destructor keeps its manage function, inline or not.
+  auto token = std::make_shared<int>(1);
+  EXPECT_FALSE(EventFn([token]() {}).plain());
+  Tally tally;
+  EXPECT_FALSE(EventFn([c = Counted(&tally)]() {}).plain());
+  EXPECT_EQ(tally.live(), 0);
+}
+
+TEST(EventFnTest, TemporaryHandedToScheduleAtIsMovedOnceIntoItsNode) {
+  Tally tally;
+  {
+    Simulator sim(Backend::kWheel);
+    sim.ScheduleAt(10, [c = Counted(&tally)]() {});
+    sim.Schedule(20, [c = Counted(&tally)]() {});
+    // Each capture was made once at the call site and moved once, straight
+    // into its event node; the call-site temporaries are gone.
+    EXPECT_EQ(tally.made, 2);
+    EXPECT_EQ(tally.moved, 2);
+    EXPECT_EQ(tally.live(), 2);
+    sim.Run();
+    EXPECT_EQ(tally.moved, 2) << "a pending or fired event moved its capture";
+  }
+  EXPECT_EQ(tally.live(), 0);
+}
+
+TEST(EventFnTest, ManagedCaptureIsDestroyedExactlyOnce) {
+  enum Fate { kRuns, kReleasedAtTeardown, kParkedInOverflow };
+  for (Fate fate : {kRuns, kReleasedAtTeardown, kParkedInOverflow}) {
+    for (Backend backend : {Backend::kWheel, Backend::kHeap}) {
+      Tally tally;
+      bool ran = false;
+      {
+        Simulator sim(backend);
+        SimTime when = fate == kParkedInOverflow ? kHorizon * 2 + 5 : 100;
+        sim.ScheduleAt(when, [c = Counted(&tally), &ran]() { ran = true; });
+        EXPECT_EQ(tally.live(), 1) << "fate " << fate;
+        if (fate == kRuns) sim.Run();
+      }
+      EXPECT_EQ(ran, fate == kRuns) << "fate " << fate;
+      EXPECT_EQ(tally.live(), 0) << "fate " << fate;
+    }
+  }
+}
+
+// Differential on the model's own delay mix: 90 % of delays under 4 µs (in
+// the level-0 window or the next one), the rest spread over the upper
+// levels and overflow, with bursts of equal timestamps scheduled from
+// callbacks. Wheel and heap must fire the same (time, id) sequence.
+std::vector<std::pair<SimTime, uint64_t>> RunNearHeavySchedule(
+    Backend backend, uint64_t seed) {
+  Simulator sim(backend);
+  Rng rng(seed);
+  std::vector<std::pair<SimTime, uint64_t>> fired;
+  uint64_t next_id = 0;
+  std::function<void(int)> spawn = [&](int depth) {
+    uint64_t id = next_id++;
+    uint64_t pick = rng.Uniform(100);
+    SimTime delay;
+    if (pick < 90) {
+      delay = rng.Uniform(Us(4));
+    } else if (pick < 96) {
+      delay = rng.Uniform(kLevel2Slot);
+    } else if (pick < 99) {
+      delay = rng.Uniform(Ms(20));
+    } else {
+      delay = kHorizon + rng.Uniform(kHorizon);
+    }
+    sim.Schedule(delay, [&fired, &rng, &spawn, &sim, id, depth]() {
+      fired.push_back({sim.Now(), id});
+      if (depth == 0) return;
+      uint64_t kids = 1 + rng.Uniform(2);
+      for (uint64_t k = 0; k < kids; ++k) spawn(depth - 1);
+      if (rng.Uniform(5) == 0) {
+        // A burst at one timestamp, possibly the current one.
+        SimTime at = sim.Now() + rng.Uniform(kWindow);
+        uint64_t n = 2 + rng.Uniform(7);
+        for (uint64_t b = 0; b < n; ++b) {
+          uint64_t bid = 1000000000 + id * 16 + b;
+          sim.ScheduleAt(at, [&fired, &sim, bid]() {
+            fired.push_back({sim.Now(), bid});
+          });
+        }
+      }
+    });
+  };
+  for (int i = 0; i < 64; ++i) spawn(6);
+  SimTime t = 0;
+  for (int i = 0; i < 300 && !sim.empty(); ++i) {
+    t += rng.Uniform(3 * kWindow) + 1;
+    sim.RunUntil(t);
+  }
+  sim.Run();
+  return fired;
+}
+
+TEST(SchedulerDifferentialTest, WheelMatchesHeapOnANearHeavyMix) {
+  for (uint64_t seed : {1u, 5u, 11u, 2027u}) {
+    auto wheel = RunNearHeavySchedule(Backend::kWheel, seed);
+    auto heap = RunNearHeavySchedule(Backend::kHeap, seed);
+    ASSERT_GT(wheel.size(), 1000u) << "seed " << seed;
+    ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
+    for (size_t i = 0; i < wheel.size(); ++i) {
+      ASSERT_EQ(wheel[i], heap[i]) << "seed " << seed << " event " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SchedulerPropertyTest,

@@ -55,19 +55,17 @@ def read_profile(path):
     return maps, samples
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("binary")
-    parser.add_argument("profiles", nargs="+")
-    parser.add_argument("--top", type=int, default=25)
-    args = parser.parse_args()
-    binary = os.path.realpath(args.binary)
-
-    # Each frame becomes (object, address inside the object's ELF); a
-    # return address is moved back one byte, into its call instruction.
+def resolve_stacks(binary, paths, first_is_pc=True, inlines=False):
+    """Every sample of the profiles in `paths` whose process mapped `binary`
+    (a real path), as a list of (function, line) frames, innermost first.
+    A return address is moved back one byte, into its call instruction;
+    with `first_is_pc` the innermost frame is an interrupted PC instead.
+    With `inlines`, each address expands into its chain of inlined calls,
+    innermost first, so a call made by inlined library code is followed by
+    the function that inlined it."""
     segments = {}
     stacks = []
-    for path in args.profiles:
+    for path in paths:
         maps, samples = read_profile(path)
         if not any(m[3] == binary for m in maps):
             print("skipping %s: its process did not map %s" % (path, binary),
@@ -76,7 +74,7 @@ def main():
         for sample in samples:
             stack = []
             for depth, addr in enumerate(sample):
-                if depth > 0:
+                if depth > 0 or not first_is_pc:
                     addr -= 1
                 frame = ("?", addr)
                 for start, end, offset, obj in maps:
@@ -91,8 +89,6 @@ def main():
                         break
                 stack.append(frame)
             stacks.append(stack)
-    if not stacks:
-        sys.exit("no samples of %s" % binary)
 
     wanted = collections.defaultdict(set)
     for stack in stacks:
@@ -102,32 +98,54 @@ def main():
     names = {}
     for obj, addrs in wanted.items():
         addrs = sorted(addrs)
+        # -a starts each address's block with the address itself, since
+        # with -i a block holds one (function, line) pair per inline level.
         out = subprocess.run(
-            ["addr2line", "-f", "-C", "-e", obj],
+            ["addr2line", "-a", "-f", "-C"] + (["-i"] if inlines else []) +
+            ["-e", obj],
             input="".join("%x\n" % a for a in addrs), capture_output=True,
             text=True, check=True).stdout.splitlines()
+        blocks = []
+        for text in out:
+            if text.startswith("0x"):
+                blocks.append([])
+            elif blocks:
+                blocks[-1].append(text)
         short = os.path.basename(obj)
-        for i, addr in enumerate(addrs):
-            func = out[2 * i] if 2 * i < len(out) else "??"
-            line = out[2 * i + 1] if 2 * i + 1 < len(out) else "??:0"
-            if obj != binary:
-                # Without debug symbols this is the nearest exported symbol
-                # below the address, not necessarily the function.
-                func = "%s [%s]" % (func, short)
-            line = line.split(" (discriminator")[0]
-            if line.startswith("??"):
-                line = short
-            names[(obj, addr)] = (func, line)
+        for addr, block in zip(addrs, blocks):
+            chain = []
+            for func, line in zip(block[0::2], block[1::2]):
+                if obj != binary:
+                    # Without debug symbols this is the nearest exported
+                    # symbol below the address, not necessarily the function.
+                    func = "%s [%s]" % (func, short)
+                line = line.split(" (discriminator")[0]
+                if line.startswith("??"):
+                    line = short
+                chain.append((func, line))
+            names[(obj, addr)] = chain or [("??", short)]
+    unmapped = [("?? [unmapped]", "?")]
+    return [[named for frame in stack for named in names.get(frame, unmapped)]
+            for stack in stacks]
 
-    def name(frame):
-        return names.get(frame, ("?? [unmapped]", "?"))
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("binary")
+    parser.add_argument("profiles", nargs="+")
+    parser.add_argument("--top", type=int, default=25)
+    args = parser.parse_args()
+    binary = os.path.realpath(args.binary)
+    stacks = resolve_stacks(binary, args.profiles)
+    if not stacks:
+        sys.exit("no samples of %s" % binary)
 
     self_fn, self_line, incl = (collections.Counter() for _ in range(3))
     for stack in stacks:
-        func, line = name(stack[0])
+        func, line = stack[0]
         self_fn[func] += 1
         self_line[(line, func)] += 1
-        for f in {name(frame)[0] for frame in stack}:
+        for f in {frame[0] for frame in stack}:
             incl[f] += 1
 
     total = len(stacks)
